@@ -61,26 +61,7 @@ func main() {
 		"write <pair>.counters.csv per-workload counter snapshots into this directory")
 	tunedFlag := flag.String("tuned", "",
 		"tuned-policy JSON the 'tuned' experiment compares against the defaults (default: the committed v10tune winner)")
-	var pf perfFlags
-	flag.BoolVar(&pf.enabled, "perf", false,
-		"run the committed performance suites (BENCH_sim/BENCH_fleet scenarios) instead of the paper tables")
-	flag.IntVar(&pf.reps, "perf-reps", 2, "repetitions per perf scenario (best rep is kept)")
-	flag.StringVar(&pf.out, "perf-out", ".", "directory BENCH_*.json snapshots are written into with -perf-write")
-	flag.BoolVar(&pf.write, "perf-write", false, "rewrite BENCH_sim.json and BENCH_fleet.json from this run")
-	flag.StringVar(&pf.checkSim, "check", "",
-		"committed BENCH_sim.json to gate against (fail on >15% cycles/sec regression)")
-	flag.StringVar(&pf.checkFleet, "check-fleet", "", "committed BENCH_fleet.json to gate against")
-	flag.StringVar(&pf.baseSim, "perf-baseline", "",
-		"prior BENCH_sim.json whose throughputs become the written snapshot's baselines")
-	flag.StringVar(&pf.baseFleet, "perf-baseline-fleet", "",
-		"prior BENCH_fleet.json whose throughputs become the written snapshot's baselines")
-	flag.StringVar(&pf.cpuProfile, "perf-cpuprofile", "",
-		"write a CPU profile of the perf suites to this file (source for cmd/v10bench/default.pgo)")
 	flag.Parse()
-
-	if pf.enabled {
-		os.Exit(runPerf(pf))
-	}
 
 	if *list {
 		for _, g := range experiments.Generators() {

@@ -14,6 +14,9 @@
 //	v10check -isolation 200                   # vNPU noisy-neighbor isolation trials
 //	v10check -elastic 200                     # autoscaling control-plane trials
 //	v10check -v                               # per-trial progress
+//
+// -chaos, -workload, -isolation, -elastic and -replay each select a mode;
+// at most one may be given.
 package main
 
 import (
@@ -21,72 +24,124 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"v10/internal/obs"
 	"v10/internal/parallel"
 	"v10/internal/simcheck"
 )
 
-func main() {
-	trials := flag.Int("trials", 500, "number of random trials")
-	seed := flag.Uint64("seed", 0, "base seed (trial i uses seed+i)")
-	out := flag.String("out", "repro.json", "minimized repro file written on violation")
-	tracePath := flag.String("trace", "", "Chrome trace of the first failing run (open in Perfetto)")
-	replay := flag.String("replay", "", "re-check a saved repro instead of random trials")
-	chaos := flag.Int("chaos", 0, "run this many fleet chaos trials (fault injection) instead of scheme trials")
-	workloadTrials := flag.Int("workload", 0, "run this many workload-engine trials (explicit arrival schedules) instead of scheme trials")
-	isolation := flag.Int("isolation", 0, "run this many vNPU noisy-neighbor isolation trials instead of scheme trials")
-	elastic := flag.Int("elastic", 0, "run this many autoscaling control-plane trials instead of scheme trials")
-	minimizeBudget := flag.Int("minimize", 200, "max re-checks spent minimizing a failure (0 disables)")
-	par := flag.Int("parallel", 0, "trial worker count (0 = GOMAXPROCS, 1 = serial)")
-	verbose := flag.Bool("v", false, "log every trial")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *chaos > 0 {
-		runChaos(*chaos, *seed, *out, *par, *verbose)
-		return
+// run is main's testable body; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("v10check", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	trials := fs.Int("trials", 500, "number of random trials")
+	seed := fs.Uint64("seed", 0, "base seed (trial i uses seed+i)")
+	out := fs.String("out", "repro.json", "minimized repro file written on violation")
+	tracePath := fs.String("trace", "", "Chrome trace of the first failing run (open in Perfetto)")
+	replay := fs.String("replay", "", "re-check a saved repro instead of random trials")
+	chaos := fs.Int("chaos", 0, "run this many fleet chaos trials (fault injection) instead of scheme trials")
+	workloadTrials := fs.Int("workload", 0, "run this many workload-engine trials (explicit arrival schedules) instead of scheme trials")
+	isolation := fs.Int("isolation", 0, "run this many vNPU noisy-neighbor isolation trials instead of scheme trials")
+	elastic := fs.Int("elastic", 0, "run this many autoscaling control-plane trials instead of scheme trials")
+	minimizeBudget := fs.Int("minimize", 200, "max re-checks spent minimizing a failure (0 disables)")
+	par := fs.Int("parallel", 0, "trial worker count (0 = GOMAXPROCS, 1 = serial)")
+	verbose := fs.Bool("v", false, "log every trial")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
-	if *isolation > 0 {
-		runIsolation(*isolation, *seed, *out, *par, *verbose)
-		return
-	}
-
-	if *elastic > 0 {
-		runElastic(*elastic, *seed, *out, *par, *verbose)
-		return
-	}
-
-	if *workloadTrials > 0 {
-		if v := sweep(*workloadTrials, *seed, *par, *verbose, "workload trial", simcheck.RunWorkloadTrial); v != nil {
-			fmt.Fprintf(os.Stderr, "workload seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-			report(v.Scenario, v, *out, *tracePath, *minimizeBudget)
-			os.Exit(1)
+	var modes []string
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"trials", *trials}, {"chaos", *chaos}, {"workload", *workloadTrials}, {"isolation", *isolation}, {"elastic", *elastic}} {
+		if c.n < 0 {
+			fmt.Fprintf(stderr, "v10check: invalid -%s %d (trial count must be non-negative)\n", c.flag, c.n)
+			return 2
 		}
-		fmt.Printf("v10check: %d workload trials from seed %d, zero violations\n", *workloadTrials, *seed)
-		return
+		if c.n > 0 && c.flag != "trials" {
+			modes = append(modes, "-"+c.flag)
+		}
+	}
+	if *replay != "" {
+		modes = append(modes, "-replay")
+	}
+	if len(modes) > 1 {
+		fmt.Fprintf(stderr, "v10check: %s cannot be combined; choose one mode\n", strings.Join(modes, " and "))
+		return 2
 	}
 
-	if *replay != "" {
+	o := sweepOpts{seed: *seed, par: *par, verbose: *verbose, stdout: stdout, stderr: stderr}
+	// reportScheme handles a scheme-level violation (base and workload arms):
+	// its repro is the minimized Scenario, replayable with -replay.
+	reportScheme := func(kind string) func(*simcheck.Violation) error {
+		return func(v *simcheck.Violation) error {
+			fmt.Fprintf(stderr, "%sseed %d violated %d invariant(s)\n", kind, v.Scenario.Seed, len(v.Problems))
+			return report(stderr, v.Scenario, v, *out, *tracePath, *minimizeBudget)
+		}
+	}
+	switch {
+	case *chaos > 0:
+		return arm(o, "chaos ", *chaos, simcheck.RunChaosTrial, func(v *simcheck.ChaosViolation) error {
+			return writeRepro(stderr, "chaos", fmt.Sprintf("seed %d", v.Scenario.Seed), v.Problems, v, *out)
+		})
+	case *isolation > 0:
+		return arm(o, "isolation ", *isolation, simcheck.RunIsolationTrial, func(v *simcheck.IsolationViolation) error {
+			what := fmt.Sprintf("seed %d (%s aggressor)", v.Scenario.Seed, v.Scenario.Aggressor)
+			return writeRepro(stderr, "isolation", what, v.Problems, v, *out)
+		})
+	case *elastic > 0:
+		return arm(o, "elastic ", *elastic, simcheck.RunElasticTrial, func(v *simcheck.ElasticViolation) error {
+			return writeRepro(stderr, "elastic", fmt.Sprintf("seed %d", v.Scenario.Seed), v.Problems, v, *out)
+		})
+	case *workloadTrials > 0:
+		return arm(o, "workload ", *workloadTrials, simcheck.RunWorkloadTrial, reportScheme("workload "))
+	case *replay != "":
 		sc, err := simcheck.ReadScenario(*replay)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "v10check:", err)
+			return 1
 		}
 		if v := simcheck.CheckScenario(sc); v != nil {
-			report(sc, v, *out, *tracePath, 0) // replays are already minimal
-			os.Exit(1)
+			// Replays are already minimal.
+			if err := report(stderr, sc, v, *out, *tracePath, 0); err != nil {
+				fmt.Fprintln(stderr, "v10check:", err)
+			}
+			return 1
 		}
-		fmt.Printf("repro %s: all schemes clean\n", *replay)
-		return
+		fmt.Fprintf(stdout, "repro %s: all schemes clean\n", *replay)
+		return 0
+	default:
+		return arm(o, "", *trials, simcheck.RunTrial, reportScheme(""))
 	}
+}
 
-	if v := sweep(*trials, *seed, *par, *verbose, "trial", simcheck.RunTrial); v != nil {
-		fmt.Fprintf(os.Stderr, "seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-		report(v.Scenario, v, *out, *tracePath, *minimizeBudget)
-		os.Exit(1)
+// sweepOpts are the flags every trial arm shares.
+type sweepOpts struct {
+	seed           uint64
+	par            int
+	verbose        bool
+	stdout, stderr io.Writer
+}
+
+// arm sweeps one harness's trials and returns the exit code. kind prefixes
+// its messages ("chaos ", or "" for the base arm); fail prints the first
+// violation and writes its repro.
+func arm[V any](o sweepOpts, kind string, trials int, run func(uint64) *V, fail func(*V) error) int {
+	v := sweep(o, trials, kind+"trial", run)
+	if v == nil {
+		fmt.Fprintf(o.stdout, "v10check: %d %strials from seed %d, zero violations\n", trials, kind, o.seed)
+		return 0
 	}
-	fmt.Printf("v10check: %d trials from seed %d, zero violations\n", *trials, *seed)
+	if err := fail(v); err != nil {
+		fmt.Fprintln(o.stderr, "v10check:", err)
+	}
+	return 1
 }
 
 // sweep runs trial seeds seed..seed+trials-1 through run on a worker pool,
@@ -94,20 +149,20 @@ func main() {
 // clean). Batching keeps the first-failure semantics deterministic — every
 // worker finishes its batch before violations are scanned in seed order — so
 // a parallel sweep reports the same repro as a serial one.
-func sweep[V any](trials int, seed uint64, par int, verbose bool, kind string,
-	run func(uint64) *V) *V {
-	batch := 8 * parallel.Workers(par)
+func sweep[V any](o sweepOpts, trials int, label string, run func(uint64) *V) *V {
+	batch := 8 * parallel.Workers(o.par)
 	for lo := 0; lo < trials; lo += batch {
 		hi := lo + batch
 		if hi > trials {
 			hi = trials
 		}
-		vs, _ := parallel.Map(context.Background(), hi-lo, par, func(i int) (*V, error) {
-			s := seed + uint64(lo+i)
-			if verbose {
-				fmt.Printf("%s %d/%d seed %d\n", kind, lo+i+1, trials, s)
-			}
-			return run(s), nil
+		// Progress is logged from this goroutine, in seed order, so the
+		// workers never share o.stdout.
+		for i := lo; o.verbose && i < hi; i++ {
+			fmt.Fprintf(o.stdout, "%s %d/%d seed %d\n", label, i+1, trials, o.seed+uint64(i))
+		}
+		vs, _ := parallel.Map(context.Background(), hi-lo, o.par, func(i int) (*V, error) {
+			return run(o.seed + uint64(lo+i)), nil
 		})
 		for _, v := range vs {
 			if v != nil {
@@ -118,109 +173,44 @@ func sweep[V any](trials int, seed uint64, par int, verbose bool, kind string,
 	return nil
 }
 
-// runChaos is the fleet-level resilience gate: every seeded random chaos
-// trial — core failures, stragglers, degradation windows against a random
-// fleet — must conserve requests, replay bit-identically, and keep its typed
-// fault events consistent with its recovery metrics. The first violation
-// writes the full scenario as a JSON repro and exits 1.
-func runChaos(trials int, seed uint64, out string, par int, verbose bool) {
-	v := sweep(trials, seed, par, verbose, "chaos trial", simcheck.RunChaosTrial)
-	if v != nil {
-		fmt.Fprintf(os.Stderr, "chaos seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-		for _, p := range v.Problems {
-			fmt.Fprintf(os.Stderr, "  - %s\n", p)
-		}
-		if out != "" {
-			j, err := json.MarshalIndent(v, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out, append(j, '\n'), 0o644)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "chaos repro written to %s\n", out)
-		}
-		os.Exit(1)
+// writeRepro reports a fleet-level violation (chaos, isolation, elastic): it
+// prints "<kind> <what> violated N invariant(s)" and the problems, then, when
+// out is set, writes v — a {"scenario": …, "problems": …} envelope — to out.
+func writeRepro(stderr io.Writer, kind, what string, problems []string, v any, out string) error {
+	fmt.Fprintf(stderr, "%s %s violated %d invariant(s)\n", kind, what, len(problems))
+	for _, p := range problems {
+		fmt.Fprintf(stderr, "  - %s\n", p)
 	}
-	fmt.Printf("v10check: %d chaos trials from seed %d, zero violations\n", trials, seed)
+	if out == "" {
+		return nil
+	}
+	j, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(out, append(j, '\n'), 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "%s repro written to %s\n", kind, out)
+	return nil
 }
 
-// runIsolation is the vNPU spatial-partitioning gate: every seeded
-// noisy-neighbor trial — an HBM flood, vector-memory hog, or MMPP flash
-// crowd in the slice next to a well-behaved victim — must keep the victim's
-// p99 contained, conserve every slice's windowed HBM quota and vmem ceiling,
-// and replay bit-identically. The first violation writes the full scenario
-// as a JSON repro and exits 1.
-func runIsolation(trials int, seed uint64, out string, par int, verbose bool) {
-	v := sweep(trials, seed, par, verbose, "isolation trial", simcheck.RunIsolationTrial)
-	if v == nil {
-		fmt.Printf("v10check: %d isolation trials from seed %d, zero violations\n", trials, seed)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "isolation seed %d (%s aggressor) violated %d invariant(s)\n",
-		v.Scenario.Seed, v.Scenario.Aggressor, len(v.Problems))
-	for _, p := range v.Problems {
-		fmt.Fprintf(os.Stderr, "  - %s\n", p)
-	}
-	if out != "" {
-		j, err := json.MarshalIndent(v, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(j, '\n'), 0o644)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "isolation repro written to %s\n", out)
-	}
-	os.Exit(1)
-}
-
-// runElastic is the control-plane gate: every seeded autoscaling trial —
-// diurnal swings, MMPP flash crowds, and churning tenants over a fleet that
-// grows and shrinks — must conserve requests through core drains, take only
-// decisions a clean controller replays (cooldown, hysteresis, LIFO drain),
-// keep its typed scale events consistent with its metrics, report honest
-// admission estimates, and rerun bit-identically. The first violation writes
-// the full scenario as a JSON repro and exits 1.
-func runElastic(trials int, seed uint64, out string, par int, verbose bool) {
-	v := sweep(trials, seed, par, verbose, "elastic trial", simcheck.RunElasticTrial)
-	if v == nil {
-		fmt.Printf("v10check: %d elastic trials from seed %d, zero violations\n", trials, seed)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "elastic seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-	for _, p := range v.Problems {
-		fmt.Fprintf(os.Stderr, "  - %s\n", p)
-	}
-	if out != "" {
-		j, err := json.MarshalIndent(v, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(j, '\n'), 0o644)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "elastic repro written to %s\n", out)
-	}
-	os.Exit(1)
-}
-
-// report minimizes the failure, writes the repro and optional Chrome trace,
-// and prints every problem.
-func report(sc *simcheck.Scenario, v *simcheck.Violation, out, tracePath string, minimizeBudget int) {
+// report minimizes a scheme-level failure, prints every problem, and writes
+// the repro and optional Chrome trace.
+func report(stderr io.Writer, sc *simcheck.Scenario, v *simcheck.Violation, out, tracePath string, minimizeBudget int) error {
 	if minimizeBudget > 0 {
 		if min, mv := simcheck.Minimize(sc, minimizeBudget); mv != nil {
 			sc, v = min, mv
 		}
 	}
 	for _, p := range v.Problems {
-		fmt.Fprintf(os.Stderr, "  - %s\n", p)
+		fmt.Fprintf(stderr, "  - %s\n", p)
 	}
 	if out != "" {
 		if err := sc.WriteFile(out); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "repro written to %s (replay with -replay %s)\n", out, out)
+		fmt.Fprintf(stderr, "repro written to %s (replay with -replay %s)\n", out, out)
 	}
 	if tracePath != "" {
 		cw := obs.NewChromeWriter(sc.Config.CyclesPerMicrosecond())
@@ -232,13 +222,9 @@ func report(sc *simcheck.Scenario, v *simcheck.Violation, out, tracePath string,
 			}
 		}
 		if err := cw.WriteFile(tracePath); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "timeline written to %s\n", tracePath)
+		fmt.Fprintf(stderr, "timeline written to %s\n", tracePath)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "v10check:", err)
-	os.Exit(1)
+	return nil
 }

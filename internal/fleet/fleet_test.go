@@ -10,6 +10,7 @@ import (
 	"v10/internal/collocate"
 	"v10/internal/mathx"
 	"v10/internal/metrics"
+	"v10/internal/models"
 	"v10/internal/npu"
 	"v10/internal/sched"
 	"v10/internal/trace"
@@ -557,5 +558,45 @@ func TestWorkloadEngineFeedsFleet(t *testing.T) {
 			t.Errorf("tenant %d offered %d, want schedule length %d",
 				tn, res.Tenants[tn].Offered, len(arr[tn]))
 		}
+	}
+}
+
+// TestPinnedFleetCycles pins the per-core simulated cycles, summed over the
+// fleet, of two fixed model-zoo serving scenarios bit-exactly: one on the
+// parallel per-core path, one serial. Tenant i runs model i mod 8, seeded i+1.
+func TestPinnedFleetCycles(t *testing.T) {
+	names := []string{"BERT", "DLRM", "NCF", "Transformer", "ResNet", "RetinaNet", "MNIST", "EfficientNet"}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		tenants int
+		want    int64
+	}{
+		{"fleet-8c16t", Options{Cores: 8, Seed: 1, RateHz: 45, DurationCycles: 30e6}, 16, 394_010_664},
+		{"fleet-serial-4c8t", Options{Cores: 4, Seed: 2, RateHz: 45, DurationCycles: 30e6, Parallel: 1}, 8, 131_795_707},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := make([]*trace.Workload, tc.tenants)
+			for i := range ws {
+				s, _ := models.ByName(names[i%len(names)])
+				ws[i] = s.Workload(16, uint64(i+1), cfg)
+			}
+			res, err := Run(ws, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cycles int64
+			for _, cr := range res.Cores {
+				if cr.Run != nil {
+					cycles += cr.Run.TotalCycles
+				}
+			}
+			if cycles != tc.want {
+				t.Errorf("simulated %d cycles, want exactly %d (bit-identity broken)", cycles, tc.want)
+			}
+			if res.Completed == 0 {
+				t.Error("completed no requests")
+			}
+		})
 	}
 }

@@ -417,3 +417,56 @@ func TestOpenLoopDeterministic(t *testing.T) {
 		t.Fatal("open-loop runs nondeterministic under same seed")
 	}
 }
+
+// TestPinnedCycles pins the simulated length of six fixed model-zoo scenarios
+// bit-exactly; any drift means the engine's arithmetic changed. Each case
+// stresses a different hot path: steady-state priority scheduling,
+// round-robin, wide collocation, contention-free fluid progress, preemption
+// churn, and open-loop idle gaps (where the fluid-skip fast-forward matters).
+// Workload i of a case is seeded i+1.
+func TestPinnedCycles(t *testing.T) {
+	reqs := func(o Options, n int) Options { o.RequestsPerWorkload = n; return o }
+	noHBM := reqs(FullOptions(), 12)
+	noHBM.DisableFluidHBM = true
+	slice512 := cfg
+	slice512.TimeSlice = 512
+	preempt := reqs(FullOptions(), 6)
+	preempt.Config = slice512
+	openLoop := reqs(FullOptions(), 8)
+	openLoop.ArrivalRateHz = 20
+	pair := []string{"BERT", "DLRM"}
+
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		core   npu.CoreConfig // the workloads' build config
+		models []string
+		batch  int
+		want   int64
+	}{
+		{"pair-full", reqs(FullOptions(), 12), cfg, pair, 32, 397_582_373},
+		{"pair-base", reqs(BaseOptions(), 12), cfg, pair, 32, 337_434_542},
+		{"quad-full", reqs(FullOptions(), 6), cfg, []string{"BERT", "DLRM", "NCF", "Transformer"}, 16, 246_450_849},
+		{"pair-nohbm", noHBM, cfg, pair, 32, 383_825_090},
+		{"preempt-heavy", preempt, slice512, pair, 32, 195_611_698},
+		{"open-loop", openLoop, cfg, pair, 32, 299_555_291},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := make([]*trace.Workload, len(tc.models))
+			for i, name := range tc.models {
+				s, ok := models.ByName(name)
+				if !ok {
+					t.Fatalf("unknown model %s", name)
+				}
+				ws[i] = s.Workload(tc.batch, uint64(i+1), tc.core)
+			}
+			res, err := Run(ws, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TotalCycles != tc.want {
+				t.Errorf("simulated %d cycles, want exactly %d (bit-identity broken)", res.TotalCycles, tc.want)
+			}
+		})
+	}
+}
