@@ -20,7 +20,6 @@ import (
 	"v10/internal/mathx"
 	"v10/internal/npu"
 	"v10/internal/obs"
-	"v10/internal/trace"
 )
 
 // ChaosScenario is one self-contained fleet trial under fault injection. It
@@ -41,19 +40,6 @@ type ChaosScenario struct {
 	NoMigration            bool           `json:"no_migration,omitempty"`
 	Workloads              []WorkloadSpec `json:"workloads"`
 	Faults                 []faults.Fault `json:"faults,omitempty"`
-}
-
-// ChaosViolation is a failed chaos trial: the scenario plus every oracle
-// message, JSON-serializable for replay.
-type ChaosViolation struct {
-	Scenario *ChaosScenario `json:"scenario"`
-	Problems []string       `json:"problems"`
-}
-
-// Error implements error.
-func (v *ChaosViolation) Error() string {
-	return fmt.Sprintf("simcheck: chaos seed %d: %d problem(s), first: %s",
-		v.Scenario.Seed, len(v.Problems), v.Problems[0])
 }
 
 // GenChaosScenario derives a complete random chaos trial from one seed:
@@ -94,18 +80,12 @@ func GenChaosScenario(seed uint64) *ChaosScenario {
 			Ops:      genOps(rng, partition),
 		})
 	}
-	balanceDurations(&Scenario{Config: cfg, Workloads: cs.Workloads})
+	sc := &Scenario{Config: cfg, Workloads: cs.Workloads}
+	balanceDurations(sc)
 
 	// Offered load: util × fleet capacity, spread evenly over the tenants,
 	// capped so a trial stays small even when requests are microscopic.
-	var totalServe float64
-	sc := &Scenario{Config: cfg, Workloads: cs.Workloads}
-	for i := range cs.Workloads {
-		totalServe += serveCycles(sc, i)
-	}
-	if totalServe < 1 {
-		totalServe = 1
-	}
+	totalServe := roundServeCycles(sc)
 	util := pickF(rng, 0.4, 0.8, 1.5)
 	cs.RateHz = util * float64(cs.Cores) * cfg.FrequencyHz / totalServe
 	if maxRate := 120 * cfg.FrequencyHz / float64(cs.DurationCycles); cs.RateHz > maxRate {
@@ -134,12 +114,6 @@ func pickScheme(rng *mathx.RNG) string {
 	default:
 		return SchemeFull
 	}
-}
-
-// buildWorkloads materializes the tenant set (same generator machinery as the
-// single-core scenarios).
-func (cs *ChaosScenario) buildWorkloads() []*trace.Workload {
-	return (&Scenario{Workloads: cs.Workloads}).BuildWorkloads()
 }
 
 // options maps the scenario onto fleet.Options. schedule selects the fault
@@ -208,7 +182,7 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 		checkersMu.Unlock()
 		return ck
 	}
-	res, err := fleet.Run(cs.buildWorkloads(), o)
+	res, err := fleet.Run(buildWorkloads(cs.Workloads, false), o)
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("fleet run error: %v", err))
 	}
@@ -228,12 +202,12 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 
 	// Run 2: determinism — the same seed must reproduce the faulted run bit
 	// for bit, per-core cycle measurements included.
-	res2, err2 := fleet.Run(cs.buildWorkloads(), cs.options(schedule))
+	res2, err2 := fleet.Run(buildWorkloads(cs.Workloads, false), cs.options(schedule))
 	if err2 != nil {
 		problems = append(problems, fmt.Sprintf("fleet re-run error: %v", err2))
 	}
 	if res2 != nil {
-		if !sameResult(stripTracerView(res), res2) {
+		if !sameResult(res, res2) {
 			problems = append(problems, "faulted run is not deterministic: re-run with the same seed differs")
 		}
 	}
@@ -242,21 +216,16 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 	// must be bit-identical — the fault machinery may not perturb the
 	// fault-free path at all.
 	if len(cs.Faults) == 0 {
-		res3, err3 := fleet.Run(cs.buildWorkloads(), cs.options(nil))
+		res3, err3 := fleet.Run(buildWorkloads(cs.Workloads, false), cs.options(nil))
 		if err3 != nil {
 			problems = append(problems, fmt.Sprintf("nil-schedule run error: %v", err3))
 		}
-		if res3 != nil && !sameResult(stripTracerView(res), res3) {
+		if res3 != nil && !sameResult(res, res3) {
 			problems = append(problems, "empty fault schedule is not bit-identical to a nil schedule")
 		}
 	}
 	return problems
 }
-
-// stripTracerView returns res as-is; the comparison runs carry no tracers,
-// and fleet results hold no tracer state, so the faulted run compares
-// directly. Kept as a seam in case Result ever grows run-local handles.
-func stripTracerView(res *fleet.Result) *fleet.Result { return res }
 
 func sameResult(a, b *fleet.Result) bool {
 	ja, errA := json.Marshal(a)
@@ -291,7 +260,8 @@ func checkChaosConservation(cs *ChaosScenario, res *fleet.Result, uncapped bool)
 		if uncapped && inflight > 0 {
 			failf("tenant %d: %d admitted request(s) neither completed nor shed — lost", ts.Tenant, inflight)
 		}
-		if ts.MigrationShed > 0 && cs.NoMigration && ts.Migrated > 0 {
+		// NoMigration sheds every victim, so any landing is a bug.
+		if cs.NoMigration && ts.Migrated > 0 {
 			failf("tenant %d: %d migration landing(s) under NoMigration", ts.Tenant, ts.Migrated)
 		}
 		if ts.Good > ts.Completed {
@@ -359,11 +329,19 @@ func checkChaosEvents(res *fleet.Result, events []obs.Event, missedBeats int) (p
 	return problems
 }
 
-// RunChaosTrial generates and checks one chaos trial, returning nil on pass.
-func RunChaosTrial(seed uint64) *ChaosViolation {
-	cs := GenChaosScenario(seed)
-	if problems := CheckChaosScenario(cs); len(problems) > 0 {
-		return &ChaosViolation{Scenario: cs, Problems: problems}
+// shrinkChaos is the chaos arm's shrinker: drop one tenant (keeping at least
+// one) or one fault.
+func shrinkChaos(cs *ChaosScenario) []*ChaosScenario {
+	var out []*ChaosScenario
+	for i := 0; len(cs.Workloads) > 1 && i < len(cs.Workloads); i++ {
+		c := *cs
+		c.Workloads = without(cs.Workloads, i)
+		out = append(out, &c)
 	}
-	return nil
+	for i := range cs.Faults {
+		c := *cs
+		c.Faults = without(cs.Faults, i)
+		out = append(out, &c)
+	}
+	return out
 }

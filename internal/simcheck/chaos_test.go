@@ -2,7 +2,6 @@ package simcheck
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"v10/internal/faults"
@@ -10,24 +9,7 @@ import (
 )
 
 func fleetRunForTest(cs *ChaosScenario) (*fleet.Result, error) {
-	return fleet.Run(cs.buildWorkloads(), cs.options(&faults.Schedule{Faults: cs.Faults}))
-}
-
-// TestChaosTrials is the in-package slice of the chaos gate (CI runs the full
-// 200-trial sweep through cmd/v10check -chaos): every seeded random fleet
-// trial under fault injection must conserve requests, replay bit-identically,
-// and keep its typed fault events consistent with its recovery metrics.
-func TestChaosTrials(t *testing.T) {
-	n := uint64(60)
-	if testing.Short() {
-		n = 20
-	}
-	for seed := uint64(0); seed < n; seed++ {
-		if v := RunChaosTrial(seed); v != nil {
-			j, _ := json.MarshalIndent(v, "", "  ")
-			t.Fatalf("chaos seed %d:\n%s", seed, j)
-		}
-	}
+	return fleet.Run(buildWorkloads(cs.Workloads, false), cs.options(&faults.Schedule{Faults: cs.Faults}))
 }
 
 func TestGenChaosScenarioDeterministic(t *testing.T) {
@@ -75,27 +57,16 @@ func TestChaosTrialsCoverFailures(t *testing.T) {
 	}
 }
 
-func TestChaosViolationError(t *testing.T) {
-	v := &ChaosViolation{
-		Scenario: &ChaosScenario{Seed: 7},
-		Problems: []string{"first problem", "second"},
+// TestChaosNoMigrationOracle pins the NoMigration oracle: the dispatcher
+// sheds every victim when migration is off, so a single landing is a bug
+// even when nothing was migration-shed.
+func TestChaosNoMigrationOracle(t *testing.T) {
+	cs := &ChaosScenario{Cores: 2, NoMigration: true}
+	res := &fleet.Result{
+		Offered: 1, Admitted: 1, Completed: 1, Migrated: 1,
+		Tenants: []fleet.TenantStats{{Offered: 1, Admitted: 1, Completed: 1, Migrated: 1}},
 	}
-	msg := v.Error()
-	if !strings.Contains(msg, "seed 7") || !strings.Contains(msg, "first problem") {
-		t.Fatalf("unhelpful violation message: %q", msg)
-	}
-	// Violations must survive a JSON round trip for -replay style repros.
-	j, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ChaosViolation
-	if err := json.Unmarshal(j, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Scenario.Seed != 7 || len(back.Problems) != 2 {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
+	requireProblem(t, checkChaosConservation(cs, res, true), "migration landing(s) under NoMigration")
 }
 
 // FuzzFaultSchedule mutates fault-spec strings against a generated fleet
@@ -121,7 +92,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 		cs.Faults = schedule.Faults
 		if problems := CheckChaosScenario(cs); len(problems) > 0 {
-			j, _ := json.MarshalIndent(&ChaosViolation{Scenario: cs, Problems: problems}, "", "  ")
+			j, _ := json.MarshalIndent(&Repro{Kind: "chaos", Seed: seed, Scenario: cs, Problems: problems}, "", "  ")
 			t.Fatalf("seed %d spec %q:\n%s", seed, spec, j)
 		}
 	})

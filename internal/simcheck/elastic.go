@@ -42,19 +42,6 @@ type ElasticScenario struct {
 	Traffic   []workload.Spec `json:"traffic"` // one churn/burst spec per tenant
 }
 
-// ElasticViolation is a failed elastic trial: the scenario plus every oracle
-// message, JSON-serializable for replay.
-type ElasticViolation struct {
-	Scenario *ElasticScenario `json:"scenario"`
-	Problems []string         `json:"problems"`
-}
-
-// Error implements error.
-func (v *ElasticViolation) Error() string {
-	return fmt.Sprintf("simcheck: elastic seed %d: %d problem(s), first: %s",
-		v.Scenario.Seed, len(v.Problems), v.Problems[0])
-}
-
 // GenElasticScenario derives a complete random elastic trial from one seed:
 // fleet shape with a spare-core range, control-loop knobs tight enough that
 // scaling actually happens inside the horizon, a tenant set, and a traffic
@@ -105,18 +92,12 @@ func GenElasticScenario(seed uint64) *ElasticScenario {
 			Ops:      genOps(rng, partition),
 		})
 	}
-	balanceDurations(&Scenario{Config: cfg, Workloads: es.Workloads})
+	sc := &Scenario{Config: cfg, Workloads: es.Workloads}
+	balanceDurations(sc)
 
 	// Offered load against the *floor* capacity so the loop has a reason to
 	// scale: peaks overload MinCores, troughs leave the fleet idle.
-	var totalServe float64
-	sc := &Scenario{Config: cfg, Workloads: es.Workloads}
-	for i := range es.Workloads {
-		totalServe += serveCycles(sc, i)
-	}
-	if totalServe < 1 {
-		totalServe = 1
-	}
+	totalServe := roundServeCycles(sc)
 	// perTenant is chosen so the aggregate demand (Σ perTenant × serve_i =
 	// perTenant × totalServe cycles/sec) runs at `util` × the floor capacity:
 	// peaks overload MinCores, troughs leave spares idle.
@@ -166,11 +147,6 @@ func GenElasticScenario(seed uint64) *ElasticScenario {
 		es.Traffic = append(es.Traffic, spec)
 	}
 	return es
-}
-
-// buildWorkloads materializes the tenant set.
-func (es *ElasticScenario) buildWorkloads() []*trace.Workload {
-	return (&Scenario{Workloads: es.Workloads}).BuildWorkloads()
 }
 
 // arrivals materializes the churn/flash-crowd schedules.
@@ -250,7 +226,7 @@ func checkElastic(es *ElasticScenario,
 	if err != nil {
 		return append(problems, fmt.Sprintf("traffic generation error: %v", err))
 	}
-	ws := es.buildWorkloads()
+	ws := buildWorkloads(es.Workloads, false)
 	var model *collocate.Model
 	if es.Recluster {
 		if model, err = es.trainModel(ws); err != nil {
@@ -357,8 +333,10 @@ func checkElasticControl(es *ElasticScenario, res *fleet.Result) (problems []str
 			failf("window %d: attainment %v outside [0,1]", sig.Window, sig.Attainment)
 		}
 	}
+	// The peak folds in every window and scale-up, so it bounds the final
+	// count even after scale-downs.
 	if ctl.FinalActiveCores < ctl.MinCores || ctl.FinalActiveCores > ctl.MaxCores ||
-		ctl.PeakActiveCores < ctl.FinalActiveCores && ctl.ScaleDowns == 0 {
+		ctl.PeakActiveCores < ctl.FinalActiveCores {
 		failf("active-core accounting inconsistent: final %d peak %d (min %d max %d)",
 			ctl.FinalActiveCores, ctl.PeakActiveCores, ctl.MinCores, ctl.MaxCores)
 	}
@@ -524,12 +502,20 @@ func checkReclusterConsistency(es *ElasticScenario, ws []*trace.Workload,
 	return problems
 }
 
-// RunElasticTrial generates and checks one elastic trial, returning nil on
-// pass.
-func RunElasticTrial(seed uint64) *ElasticViolation {
-	es := GenElasticScenario(seed)
-	if problems := CheckElasticScenario(es); len(problems) > 0 {
-		return &ElasticViolation{Scenario: es, Problems: problems}
+// shrinkElastic is the elastic arm's shrinker: drop one tenant together with
+// its traffic spec, keeping the two tenants a recluster model clusters (one
+// otherwise).
+func shrinkElastic(es *ElasticScenario) []*ElasticScenario {
+	keep := 1
+	if es.Recluster {
+		keep = 2
 	}
-	return nil
+	var out []*ElasticScenario
+	for i := 0; len(es.Workloads) > keep && i < len(es.Workloads); i++ {
+		c := *es
+		c.Workloads = without(es.Workloads, i)
+		c.Traffic = without(es.Traffic, i)
+		out = append(out, &c)
+	}
+	return out
 }

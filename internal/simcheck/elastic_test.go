@@ -18,7 +18,7 @@ func elasticRunForTest(t *testing.T, es *ElasticScenario) *fleet.Result {
 	if err != nil {
 		t.Fatalf("seed %d: traffic: %v", es.Seed, err)
 	}
-	ws := es.buildWorkloads()
+	ws := buildWorkloads(es.Workloads, false)
 	var model *collocate.Model
 	if es.Recluster {
 		if model, err = es.trainModel(ws); err != nil {
@@ -27,24 +27,6 @@ func elasticRunForTest(t *testing.T, es *ElasticScenario) *fleet.Result {
 	}
 	res, _ := fleet.Run(ws, es.options(arr, model))
 	return res
-}
-
-// TestElasticTrials is the in-package slice of the elastic gate (CI runs the
-// full 200-trial sweep through cmd/v10check -elastic): every seeded random
-// autoscaling trial must conserve requests through drains, replay its control
-// decisions cleanly, keep events consistent with metrics, and rerun
-// bit-identically.
-func TestElasticTrials(t *testing.T) {
-	n := uint64(30)
-	if testing.Short() {
-		n = 10
-	}
-	for seed := uint64(0); seed < n; seed++ {
-		if v := RunElasticTrial(seed); v != nil {
-			j, _ := json.MarshalIndent(v, "", "  ")
-			t.Fatalf("elastic seed %d:\n%s", seed, j)
-		}
-	}
 }
 
 func TestGenElasticScenarioDeterministic(t *testing.T) {
@@ -213,17 +195,17 @@ func TestElasticMutationDroppedEventCaught(t *testing.T) {
 	requireProblem(t, problems, "scale-up event")
 }
 
-func TestElasticViolationError(t *testing.T) {
-	v := &ElasticViolation{
-		Scenario: &ElasticScenario{Seed: 9},
-		Problems: []string{"first problem", "second problem"},
-	}
-	msg := v.Error()
-	for _, want := range []string{"seed 9", "2 problem(s)", "first problem"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("violation error %q missing %q", msg, want)
-		}
-	}
+// TestElasticMutationPeakBelowFinalCaught injects a peak active-core count
+// below the final one on a run that scaled down — the peak folds in every
+// window and scale-up, so no run may end above it.
+func TestElasticMutationPeakBelowFinalCaught(t *testing.T) {
+	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
+		return res.Control.ScaleDowns > 0
+	})
+	problems := checkElastic(es, nil, func(res *fleet.Result) {
+		res.Control.PeakActiveCores = res.Control.FinalActiveCores - 1
+	})
+	requireProblem(t, problems, "active-core accounting inconsistent")
 }
 
 // TestElasticScenarioRoundTrips guards the repro-file path: a scenario must

@@ -19,9 +19,13 @@ func FuzzSchedRun(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add(uint64(1<<63) + 12345)
+	base, err := FindArm("base")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		if v := RunTrial(seed); v != nil {
-			t.Fatalf("seed %d:\n%s", seed, join(v.Problems))
+		if r := base.Trial(seed); r != nil {
+			t.Fatalf("seed %d:\n%s", seed, join(r.Problems))
 		}
 	})
 }
@@ -41,7 +45,7 @@ func FuzzCollocateTrain(f *testing.F) {
 		sc2 := GenScenario(seed + 1)
 		var wls []*trace.Workload
 		for si, s := range []*Scenario{sc, sc2} {
-			for wi, w := range s.BuildWorkloads() {
+			for wi, w := range buildWorkloads(s.Workloads, false) {
 				w.Name = fmt.Sprintf("S%dW%d", si, wi)
 				wls = append(wls, w)
 			}

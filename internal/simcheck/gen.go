@@ -105,14 +105,7 @@ func genScenario(seed uint64, rng *mathx.RNG) *Scenario {
 	if openLoop {
 		// Target ~30% offered load across the tenant set so queues stay
 		// stable: rate = 0.3 × clock / total fluid service cycles per round.
-		var totalServe float64
-		for i := range s.Workloads {
-			totalServe += serveCycles(s, i)
-		}
-		if totalServe < 1 {
-			totalServe = 1
-		}
-		s.ArrivalRateHz = 0.3 * cfg.FrequencyHz / totalServe
+		s.ArrivalRateHz = 0.3 * cfg.FrequencyHz / roundServeCycles(s)
 		s.Schemes = []string{SchemeBase, SchemeFair, SchemeFull}
 	} else {
 		s.Schemes = append([]string(nil), AllSchemes...)
@@ -225,6 +218,19 @@ func serveCycles(s *Scenario, i int) float64 {
 	var t float64
 	for _, op := range g.Linearize() {
 		t += float64(op.Stall + s.DispatchLatency + fluidCycles(op, capacity))
+	}
+	return t
+}
+
+// roundServeCycles is one request of every workload served back to back, the
+// unit the generators size offered load against; at least one cycle.
+func roundServeCycles(s *Scenario) float64 {
+	var t float64
+	for i := range s.Workloads {
+		t += serveCycles(s, i)
+	}
+	if t < 1 {
+		t = 1
 	}
 	return t
 }

@@ -67,19 +67,6 @@ type IsolationScenario struct {
 	SlackCycles    int64           `json:"slack_cycles"`
 }
 
-// IsolationViolation is a failed isolation trial: the scenario plus every
-// oracle message, JSON-serializable for replay.
-type IsolationViolation struct {
-	Scenario *IsolationScenario `json:"scenario"`
-	Problems []string           `json:"problems"`
-}
-
-// Error implements error.
-func (v *IsolationViolation) Error() string {
-	return fmt.Sprintf("simcheck: isolation seed %d (%s): %d problem(s), first: %s",
-		v.Scenario.Seed, v.Scenario.Aggressor, len(v.Problems), v.Problems[0])
-}
-
 // GenIsolationScenario derives a complete noisy-neighbor trial from one
 // seed: slice split, token-bucket window, an SA-bound victim, and one to two
 // aggressors of the seed's archetype with arrival schedules hot enough to
@@ -253,10 +240,8 @@ func checkIsolation(is *IsolationScenario,
 			problems = append(problems, fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	sc := &Scenario{Config: is.Config, Workloads: is.Workloads}
-
 	// Arm 1: the victim alone on its slice — the containment baseline.
-	aloneRes, err := fleet.Run(sc.BuildWorkloads()[:1], is.options(1))
+	aloneRes, err := fleet.Run(buildWorkloads(is.Workloads, false)[:1], is.options(1))
 	if err != nil {
 		return append(problems, fmt.Sprintf("victim-alone run error: %v", err))
 	}
@@ -270,7 +255,7 @@ func checkIsolation(is *IsolationScenario,
 		}
 		return coreLog
 	}
-	noisyRes, err := fleet.Run(sc.BuildWorkloads(), o)
+	noisyRes, err := fleet.Run(buildWorkloads(is.Workloads, false), o)
 	if err != nil {
 		return append(problems, fmt.Sprintf("noisy run error: %v", err))
 	}
@@ -278,7 +263,7 @@ func checkIsolation(is *IsolationScenario,
 	// Arm 3: determinism — the same seed must reproduce the noisy run bit
 	// for bit, slice accounting included (the tracer may not perturb it).
 	if mutate == nil && mutateRes == nil {
-		rerun, err2 := fleet.Run(sc.BuildWorkloads(), is.options(len(is.Workloads)))
+		rerun, err2 := fleet.Run(buildWorkloads(is.Workloads, false), is.options(len(is.Workloads)))
 		if err2 != nil {
 			problems = append(problems, fmt.Sprintf("noisy re-run error: %v", err2))
 		} else if !sameResult(noisyRes, rerun) {
@@ -412,35 +397,31 @@ func checkSliceConservation(is *IsolationScenario, res *fleet.Result, events []o
 // operator's traffic, so the per-op term is doubled to cover reload bytes.
 func inflightSlack(is *IsolationScenario, slice int) float64 {
 	var maxOp float64
+	residents := 0
 	for i, w := range is.Workloads {
-		ws := 0
-		if i > 0 {
-			ws = 1
+		if (i > 0) != (slice == 1) {
+			continue // workload 0, the victim, is in slice 0; aggressors in slice 1
 		}
-		if ws != slice {
-			continue
-		}
+		residents++
 		for _, op := range w.Ops {
 			if op.HBMBytes > maxOp {
 				maxOp = op.HBMBytes
 			}
 		}
 	}
-	residents := 0
-	for i := range is.Workloads {
-		if (i > 0) == (slice == 1) {
-			residents++
-		}
-	}
 	return float64(residents) * (2*maxOp + 1)
 }
 
-// RunIsolationTrial generates and checks one noisy-neighbor trial, returning
-// nil on pass (v10check -isolation).
-func RunIsolationTrial(seed uint64) *IsolationViolation {
-	is := GenIsolationScenario(seed)
-	if problems := CheckIsolationScenario(is); len(problems) > 0 {
-		return &IsolationViolation{Scenario: is, Problems: problems}
+// shrinkIsolation is the isolation arm's shrinker: drop one aggressor
+// together with its arrival schedule, always keeping the victim and at least
+// one aggressor.
+func shrinkIsolation(is *IsolationScenario) []*IsolationScenario {
+	var out []*IsolationScenario
+	for i := 1; len(is.Workloads) > 2 && i < len(is.Workloads); i++ {
+		c := *is
+		c.Workloads = without(is.Workloads, i)
+		c.Arrivals = without(is.Arrivals, i)
+		out = append(out, &c)
 	}
-	return nil
+	return out
 }

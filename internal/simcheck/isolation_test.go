@@ -9,21 +9,6 @@ import (
 	"v10/internal/vnpu"
 )
 
-// TestIsolationCleanSweep runs a contiguous seed range — covering every
-// aggressor archetype — through the full oracle stack: containment,
-// conservation, consistency, determinism.
-func TestIsolationCleanSweep(t *testing.T) {
-	n := uint64(12)
-	if testing.Short() {
-		n = 3
-	}
-	for seed := uint64(0); seed < n; seed++ {
-		if v := RunIsolationTrial(seed); v != nil {
-			t.Errorf("seed %d (%s):\n%s", seed, v.Scenario.Aggressor, join(v.Problems))
-		}
-	}
-}
-
 func TestIsolationScenarioDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		a, b := GenIsolationScenario(seed), GenIsolationScenario(seed)

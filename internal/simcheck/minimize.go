@@ -1,43 +1,49 @@
 package simcheck
 
-// Minimize greedily shrinks a failing scenario while it keeps failing:
-// fewer schemes, fewer workloads, fewer requests, fewer and simpler
-// operators, then default knobs. Each candidate is re-checked from scratch
-// (at most maxChecks CheckScenario calls), so the returned repro fails for a
-// real reason, not an artifact of the shrinking. Returns the smallest failing
-// scenario found and its violation.
-func Minimize(sc *Scenario, maxChecks int) (*Scenario, *Violation) {
-	best := sc
-	bestV := CheckScenario(sc)
-	if bestV == nil {
+import "slices"
+
+// Minimize greedily shrinks a failing scenario while it keeps failing: each
+// pass takes the first of the arm's shrink candidates that still fails and
+// restarts from it. Every candidate is re-checked from scratch (at most
+// maxChecks Check calls), so the returned repro fails for a real reason, not
+// an artifact of the shrinking. Returns the smallest failing scenario found
+// and its problems, or the scenario and nil when it no longer fails.
+func (a *Arm) Minimize(sc any, maxChecks int) (any, []string) {
+	best, bestP := sc, a.Check(sc)
+	if len(bestP) == 0 {
 		return sc, nil
 	}
 	checks := 1
 	for improved := true; improved && checks < maxChecks; {
 		improved = false
-		for _, cand := range shrinkCandidates(best) {
+		for _, cand := range a.Shrink(best) {
 			if checks >= maxChecks {
 				break
 			}
-			if cand.Validate() != nil {
-				continue
-			}
 			checks++
-			if v := CheckScenario(cand); v != nil {
-				best, bestV = cand, v
+			if p := a.Check(cand); len(p) > 0 {
+				best, bestP = cand, p
 				improved = true
 				break // restart the pass from the shrunken scenario
 			}
 		}
 	}
-	return best, bestV
+	return best, bestP
 }
 
-// shrinkCandidates proposes one-step simplifications, most aggressive first.
+// without returns a copy of s with element i removed; shrinkers never alias
+// the scenario they shrink.
+func without[T any](s []T, i int) []T {
+	return slices.Delete(slices.Clone(s), i, i+1)
+}
+
+// shrinkCandidates is the base and workload arms' shrinker: fewer schemes,
+// fewer workloads, fewer requests, fewer and simpler operators, then default
+// knobs, most aggressive first. Invalid candidates are never proposed.
 func shrinkCandidates(s *Scenario) []*Scenario {
 	var out []*Scenario
 	add := func(c *Scenario) {
-		if !zeroDurationWorkload(c) {
+		if !zeroDurationWorkload(c) && c.Validate() == nil {
 			out = append(out, c)
 		}
 	}

@@ -12,19 +12,6 @@ import (
 // models a class of real defect (lost cycles in a counter, a dropped or
 // misreported trace span, a scheduler serving the wrong amount of work).
 
-// mutateTracer forwards events through fn, letting a test corrupt or drop
-// them between the runner and the checker.
-type mutateTracer struct {
-	next obs.Tracer
-	fn   func(obs.Event) (obs.Event, bool)
-}
-
-func (m *mutateTracer) Emit(e obs.Event) {
-	if e2, keep := m.fn(e); keep {
-		m.next.Emit(e2)
-	}
-}
-
 // checkedRun runs one scheme with the invariant checker attached, applying
 // mutate to every event, and returns the checker's problems (after also
 // letting mutateRes corrupt the result).
@@ -34,7 +21,7 @@ func checkedRun(t *testing.T, sc *Scenario, scheme string,
 	ck := NewChecker(sc, scheme, false)
 	var tracer obs.Tracer = ck
 	if mutate != nil {
-		tracer = &mutateTracer{next: ck, fn: mutate}
+		tracer = &filterTracer{next: ck, fn: mutate}
 	}
 	problems := []string{}
 	func() {
@@ -183,12 +170,17 @@ func TestMutationMakespanCaughtBySerialOracle(t *testing.T) {
 // (an absurdly small cycle budget) and checks the repro still fails but got
 // structurally smaller.
 func TestMinimizeShrinksFailure(t *testing.T) {
+	base, err := FindArm("base")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := GenScenario(5)
 	sc.MaxCycles = 10
-	min, v := Minimize(sc, 150)
-	if v == nil {
+	got, problems := base.Minimize(sc, 150)
+	if len(problems) == 0 {
 		t.Fatal("minimized scenario no longer fails")
 	}
+	min := got.(*Scenario)
 	if len(min.Schemes) != 1 {
 		t.Errorf("minimizer kept %d schemes, want 1", len(min.Schemes))
 	}

@@ -22,14 +22,13 @@ type noisyArms struct {
 func runNoisyArms(t *testing.T, seed uint64) noisyArms {
 	t.Helper()
 	is := GenIsolationScenario(seed)
-	sc := &Scenario{Config: is.Config, Workloads: is.Workloads}
 	n := len(is.Workloads)
 
-	alone, err := fleet.Run(sc.BuildWorkloads()[:1], is.options(1))
+	alone, err := fleet.Run(buildWorkloads(is.Workloads, false)[:1], is.options(1))
 	if err != nil {
 		t.Fatalf("seed %d victim-alone run: %v", seed, err)
 	}
-	sliced, err := fleet.Run(sc.BuildWorkloads(), is.options(n))
+	sliced, err := fleet.Run(buildWorkloads(is.Workloads, false), is.options(n))
 	if err != nil {
 		t.Fatalf("seed %d sliced run: %v", seed, err)
 	}
@@ -37,7 +36,7 @@ func runNoisyArms(t *testing.T, seed uint64) noisyArms {
 	bare.VNPUTemplates = nil
 	bare.SliceWindowCycles = 0
 	bare.PinnedSlices = nil
-	unsliced, err := fleet.Run(sc.BuildWorkloads(), bare)
+	unsliced, err := fleet.Run(buildWorkloads(is.Workloads, false), bare)
 	if err != nil {
 		t.Fatalf("seed %d unsliced run: %v", seed, err)
 	}

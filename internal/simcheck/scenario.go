@@ -14,14 +14,13 @@
 //     (makespan and per-op timing, computed independently), that equal-
 //     priority scheduling is permutation-fair within a bound, and that runs
 //     are bit-deterministic.
-//   - Violation captures a failing trial as a seed-addressed, minimized,
-//     JSON-serializable repro that cmd/v10check and the fuzz targets replay.
+//   - Arms puts this harness and the workload, chaos, isolation and elastic
+//     harnesses behind one generate/check/shrink shape; any failure is one
+//     seed-addressed, minimized Repro that cmd/v10check replays.
 package simcheck
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"v10/internal/npu"
 	"v10/internal/trace"
@@ -112,20 +111,15 @@ func (w WorkloadSpec) graph() *trace.Graph {
 	return g
 }
 
-// BuildWorkloads materializes the scenario's workload set in declaration
-// order. The generators are deterministic and request-independent.
-func (s *Scenario) BuildWorkloads() []*trace.Workload {
-	return s.buildWorkloads(false)
-}
-
-// buildWorkloads optionally reverses the declaration order (the permutation
-// the fairness oracle compares against).
-func (s *Scenario) buildWorkloads(reversed bool) []*trace.Workload {
-	out := make([]*trace.Workload, len(s.Workloads))
-	for i := range s.Workloads {
-		spec := s.Workloads[i]
+// buildWorkloads materializes a workload set in declaration order, or
+// reversed (the permutation the fairness oracle compares against). The
+// generators are deterministic and request-independent.
+func buildWorkloads(specs []WorkloadSpec, reversed bool) []*trace.Workload {
+	out := make([]*trace.Workload, len(specs))
+	for i := range specs {
+		spec := specs[i]
 		if reversed {
-			spec = s.Workloads[len(s.Workloads)-1-i]
+			spec = specs[len(specs)-1-i]
 		}
 		g := spec.graph() // capture one immutable template
 		w := trace.NewWorkload(spec.Name, "simcheck", 1, func(request int) *trace.Graph {
@@ -223,29 +217,4 @@ func (s *Scenario) equalPriorities() bool {
 		}
 	}
 	return true
-}
-
-// WriteFile serializes the scenario as indented JSON.
-func (s *Scenario) WriteFile(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadScenario loads a scenario repro file written by WriteFile / v10check.
-func ReadScenario(path string) (*Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("simcheck: %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }

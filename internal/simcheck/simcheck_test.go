@@ -54,15 +54,31 @@ func TestGenScenarioRejectsUnaffordableDraws(t *testing.T) {
 func TestScenarioRoundTrip(t *testing.T) {
 	sc := GenScenario(7)
 	path := filepath.Join(t.TempDir(), "repro.json")
-	if err := sc.WriteFile(path); err != nil {
+	if err := WriteRepro(path, &Repro{Kind: "base", Seed: 7, Scenario: sc, Problems: []string{"p"}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadScenario(path)
+	a, r, err := ReadRepro(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sc, got) {
-		t.Fatalf("round trip changed the scenario:\nwrote %+v\nread  %+v", sc, got)
+	if a.Name != "base" || r.Kind != "base" || r.Seed != 7 || len(r.Problems) != 1 {
+		t.Fatalf("envelope round trip: arm %s, repro %+v", a.Name, r)
+	}
+	if !reflect.DeepEqual(sc, r.Scenario) {
+		t.Fatalf("round trip changed the scenario:\nwrote %+v\nread  %+v", sc, r.Scenario)
+	}
+
+	// An unknown kind and an invalid scenario are read errors, not replays.
+	for _, bad := range []*Repro{
+		{Kind: "bogus", Scenario: sc},
+		{Kind: "base", Scenario: &Scenario{Config: sc.Config}},
+	} {
+		if err := WriteRepro(path, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadRepro(path); err == nil {
+			t.Errorf("ReadRepro accepted kind %q scenario %+v", bad.Kind, bad.Scenario)
+		}
 	}
 }
 
@@ -103,27 +119,84 @@ func TestSerialOracleKnownValue(t *testing.T) {
 	}
 }
 
-// TestTrialSweep is the package's standing randomized gate. The default seed
-// count keeps `go test ./...` fast; set SIMCHECK_TRIALS to sweep wider (CI
-// runs v10check -trials 500 on top of this).
+// TestTrialSweep is the package's standing randomized gate: every arm's
+// seeds 0..n-1 must pass. The seed counts keep `go test ./...` fast (CI runs
+// the wider v10check sweeps on top of this); set SIMCHECK_TRIALS to sweep the
+// base arm wider.
 func TestTrialSweep(t *testing.T) {
-	n := uint64(40)
-	if s := os.Getenv("SIMCHECK_TRIALS"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			t.Fatalf("SIMCHECK_TRIALS=%q: %v", s, err)
-		}
-		n = v
+	counts := map[string]struct{ n, short uint64 }{
+		"base":      {40, 10},
+		"workload":  {40, 10},
+		"chaos":     {60, 20},
+		"isolation": {12, 3},
+		"elastic":   {30, 10},
 	}
-	if testing.Short() {
-		n = 10
-	}
-	for seed := uint64(0); seed < n; seed++ {
-		if v := RunTrial(seed); v != nil {
-			t.Errorf("seed %d:\n%s", seed, join(v.Problems))
-			if t.Failed() && seed > 0 { // report the first few, not hundreds
-				return
+	for i := range Arms {
+		a := &Arms[i]
+		t.Run(a.Name, func(t *testing.T) {
+			c, ok := counts[a.Name]
+			if !ok {
+				t.Fatalf("no seed count for arm %s", a.Name)
 			}
+			n := c.n
+			if s := os.Getenv("SIMCHECK_TRIALS"); s != "" && a.Name == "base" {
+				v, err := strconv.ParseUint(s, 10, 64)
+				if err != nil {
+					t.Fatalf("SIMCHECK_TRIALS=%q: %v", s, err)
+				}
+				n = v
+			}
+			if testing.Short() {
+				n = c.short
+			}
+			for seed := uint64(0); seed < n; seed++ {
+				if r := a.Trial(seed); r != nil {
+					t.Errorf("seed %d:\n%s", seed, join(r.Problems))
+					if seed > 0 { // report the first few, not hundreds
+						return
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShrinkersKeepPreconditions minimizes every arm's scenario under a
+// checker that always fails, so each shrinker runs to its fixed point: the
+// result must still be a well-formed scenario of its arm.
+func TestShrinkersKeepPreconditions(t *testing.T) {
+	for i := range Arms {
+		a := Arms[i]
+		a.Check = func(any) []string { return []string{"planted"} }
+		sc := a.Gen(1)
+		min, problems := a.Minimize(sc, 10_000)
+		if len(problems) == 0 || len(a.Shrink(min)) != 0 {
+			t.Errorf("%s: minimization stopped before the shrinker's fixed point", a.Name)
+		}
+		switch m := min.(type) {
+		case *Scenario:
+			if err := m.Validate(); err != nil || len(m.Schemes) != 1 {
+				t.Errorf("%s: minimized to %d schemes (%v); want one valid scheme", a.Name, len(m.Schemes), err)
+			}
+		case *ChaosScenario:
+			if len(m.Workloads) != 1 || len(m.Faults) != 0 {
+				t.Errorf("chaos: minimized to %d tenants, %d faults; want 1 and 0", len(m.Workloads), len(m.Faults))
+			}
+		case *IsolationScenario:
+			if len(m.Workloads) != 2 || m.Workloads[0].Name != "victim" || len(m.Arrivals) != 2 {
+				t.Errorf("isolation: minimized to %d workloads (first %s), %d schedules; want victim + 1 aggressor",
+					len(m.Workloads), m.Workloads[0].Name, len(m.Arrivals))
+			}
+		case *ElasticScenario:
+			if len(m.Workloads) < 1 || len(m.Workloads) != len(m.Traffic) || m.Recluster && len(m.Workloads) < 2 {
+				t.Errorf("elastic: minimized to %d tenants, %d traffic specs (recluster %v)",
+					len(m.Workloads), len(m.Traffic), m.Recluster)
+			}
+		default:
+			t.Errorf("%s: unexpected scenario type %T", a.Name, min)
+		}
+		if !reflect.DeepEqual(sc, a.Gen(1)) {
+			t.Errorf("%s: shrinking mutated the scenario it started from", a.Name)
 		}
 	}
 }

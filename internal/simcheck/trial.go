@@ -25,18 +25,11 @@ type Outcome struct {
 	Err      error
 }
 
-// Violation is a failed trial: the (possibly minimized) scenario plus every
-// oracle and invariant message. It serializes to a repro file that v10check
-// -replay and the fuzz targets re-execute byte-for-byte.
+// Violation is a failed CheckScenario: the scenario plus every oracle and
+// invariant message.
 type Violation struct {
 	Scenario *Scenario `json:"scenario"`
 	Problems []string  `json:"problems"`
-}
-
-// Error implements error.
-func (v *Violation) Error() string {
-	return fmt.Sprintf("simcheck: seed %d: %d problem(s), first: %s",
-		v.Scenario.Seed, len(v.Problems), v.Problems[0])
 }
 
 // RunScheme executes one scheme over the scenario with the invariant checker
@@ -68,7 +61,7 @@ func RunScheme(sc *Scenario, scheme string, reversed bool) (out *Outcome) {
 // checking — the raw substrate under RunScheme, also used by the mutation
 // tests to wedge fault-injecting tracers between runner and checker.
 func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*metrics.RunResult, error) {
-	wls := sc.buildWorkloads(reversed)
+	wls := buildWorkloads(sc.Workloads, reversed)
 	if scheme == SchemePMT {
 		policy := baseline.PMTRoundRobin
 		if sc.PMTPrema {
@@ -178,12 +171,15 @@ const (
 	permMakespanBound = 2.0
 )
 
-// RunTrial generates the scenario for a seed and checks it. A generator
-// emitting an invalid scenario is itself reported as a violation.
-func RunTrial(seed uint64) *Violation {
-	sc := GenScenario(seed)
-	if err := sc.Validate(); err != nil {
-		return &Violation{Scenario: sc, Problems: []string{"generator produced invalid scenario: " + err.Error()}}
+// writeTimeline exports every scheme's run of sc as one Chrome/Perfetto
+// trace, a section per scheme (the base and workload arms' Timeline).
+func writeTimeline(sc *Scenario, path string) error {
+	cw := obs.NewChromeWriter(sc.Config.CyclesPerMicrosecond())
+	for _, scheme := range sc.Schemes {
+		cw.BeginSection(scheme)
+		for _, e := range RunScheme(sc, scheme, false).Events {
+			cw.Emit(e)
+		}
 	}
-	return CheckScenario(sc)
+	return cw.WriteFile(path)
 }

@@ -25,14 +25,7 @@ func GenWorkloadScenario(seed uint64) *Scenario {
 
 	// Horizon: enough room for ~Requests arrivals per workload at ~30% load
 	// over the fleet's total uncontended service time.
-	var totalServe float64
-	for i := range sc.Workloads {
-		totalServe += serveCycles(sc, i)
-	}
-	if totalServe < 1 {
-		totalServe = 1
-	}
-	horizon := int64(totalServe * float64(sc.Requests) / 0.3)
+	horizon := int64(roundServeCycles(sc) * float64(sc.Requests) / 0.3)
 	if horizon < 1000 {
 		horizon = 1000
 	}
@@ -108,14 +101,4 @@ func checkScheduleConformance(sc *Scenario, out *Outcome) []string {
 		}
 	}
 	return problems
-}
-
-// RunWorkloadTrial generates the workload-engine scenario for a seed and
-// checks it under the invariant checker and oracles (v10check -workload).
-func RunWorkloadTrial(seed uint64) *Violation {
-	sc := GenWorkloadScenario(seed)
-	if err := sc.Validate(); err != nil {
-		return &Violation{Scenario: sc, Problems: []string{"generator produced invalid scenario: " + err.Error()}}
-	}
-	return CheckScenario(sc)
 }

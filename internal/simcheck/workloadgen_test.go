@@ -80,18 +80,3 @@ func TestScheduleScenarioValidation(t *testing.T) {
 		t.Error("PMT with schedules accepted")
 	}
 }
-
-func TestWorkloadTrialSweep(t *testing.T) {
-	n := uint64(40)
-	if testing.Short() {
-		n = 10
-	}
-	for seed := uint64(0); seed < n; seed++ {
-		if v := RunWorkloadTrial(seed); v != nil {
-			t.Errorf("seed %d:\n%s", seed, join(v.Problems))
-			if t.Failed() && seed > 0 {
-				return
-			}
-		}
-	}
-}
