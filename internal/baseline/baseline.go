@@ -126,6 +126,7 @@ type pmtWL struct {
 	w            *trace.Workload
 	stats        *metrics.WorkloadStats
 	requestNo    int
+	req, tiled   trace.Graph // request-path scratch, reused across requests
 	ops          []trace.Op
 	opIdx        int
 	requestStart int64
@@ -249,11 +250,11 @@ type pmtRunner struct {
 }
 
 func (wl *pmtWL) loadRequest(cfg npu.CoreConfig, tenants int) {
-	g := wl.w.Request(wl.requestNo)
+	g, _ := wl.w.RequestInto(wl.requestNo, &wl.req)
 	// PMT also partitions vector memory among resident workloads: the whole
 	// point of its heavy context switch is keeping all tenants resident.
-	g = trace.TileForVMem(g, cfg.VMemBytes/int64(tenants), 0.5)
-	wl.ops = g.Linearize()
+	g = trace.TileForVMemInto(&wl.tiled, g, cfg.VMemBytes/int64(tenants), 0.5)
+	wl.ops = g.LinearizeInto(wl.ops[:0])
 	wl.opIdx = 0
 	wl.remainingCompute = -1
 	wl.remainingStall = -1

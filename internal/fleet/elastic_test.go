@@ -423,7 +423,7 @@ func TestMutationEstimateScaleCaught(t *testing.T) {
 			slo = 10
 		}
 		for i, ts := range res.Tenants {
-			if ts.SLOCycles != slo*EstimateServeCycles(tenants[i], cfg, pr) {
+			if ts.SLOCycles != slo*EstimateServeCycles(tenants[i], pr, nil) {
 				return false
 			}
 		}

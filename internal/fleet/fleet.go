@@ -539,42 +539,36 @@ type tenantProfile struct {
 
 // EstimateServeCycles is the dispatcher's service-time estimator for one
 // tenant: the mean serial stall+compute total of its first profileRequests
-// request graphs, tiled against a half-core vector-memory partition (the
-// typical residency the placement aims for is two tenants per core). The
-// simcheck estimate-consistency oracle recomputes it independently to pin the
+// request graphs, synthesized into the caller's scratch graph (nil allocates
+// one per request; see trace.Workload.RequestInto). Tiling for a vector-memory
+// partition splits each operator's stall and compute exactly across its tiles,
+// so the untiled serial time is also the tiled one. The simcheck
+// estimate-consistency oracle recomputes it independently to pin the
 // dispatcher's queue booking and SLO denominators (modulo EstimateScale).
-func EstimateServeCycles(w *trace.Workload, cfg npu.CoreConfig, profileRequests int) float64 {
+func EstimateServeCycles(w *trace.Workload, profileRequests int, scratch *trace.Graph) float64 {
 	if profileRequests < 1 {
 		profileRequests = 1
 	}
-	part := cfg.VMemBytes / 2
 	var total float64
-	var scratch *trace.Graph
 	for rq := 0; rq < profileRequests; rq++ {
-		g, owned := w.RequestInto(rq, scratch)
-		if owned {
-			scratch = g
-		}
-		// Both generated and tiled graphs are in execution (ID) order, so
-		// summing Ops directly visits operators exactly as Linearize would.
-		for _, op := range trace.TileForVMem(g, part, 0.5).Ops {
-			total += float64(op.Stall + op.Compute)
-		}
+		g, _ := w.RequestInto(rq, scratch)
+		total += float64(g.SerialCycles())
 	}
 	return total / float64(profileRequests)
 }
 
 // profileTenants extracts features and service-time estimates from the first
 // ProfileRequests request graphs of every tenant (pure trace analysis — no
-// simulation).
+// simulation), synthesizing them all into one scratch graph.
 func profileTenants(tenants []*trace.Workload, o Options) []tenantProfile {
 	profs := make([]tenantProfile, len(tenants))
+	scratch := &trace.Graph{}
 	for i, w := range tenants {
 		profs[i] = tenantProfile{
-			estCycles: o.EstimateScale * EstimateServeCycles(w, o.Config, o.ProfileRequests),
+			estCycles: o.EstimateScale * EstimateServeCycles(w, o.ProfileRequests, scratch),
 		}
 		if o.Model != nil {
-			profs[i].feat = collocate.ExtractFeatures(w, o.Config, o.ProfileRequests)
+			profs[i].feat = collocate.ExtractFeaturesInto(w, o.Config, o.ProfileRequests, scratch)
 		}
 	}
 	return profs

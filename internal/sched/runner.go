@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"v10/internal/mathx"
 
@@ -32,7 +33,7 @@ type wlState struct {
 	priority float64
 
 	requestNo    int
-	gscratch     *trace.Graph // reusable request-graph buffer (RequestInto)
+	scratch      *reqScratch // pooled request-path storage, returned when Run ends
 	ops          []trace.Op
 	opIdx        int
 	phase        phase
@@ -45,7 +46,8 @@ type wlState struct {
 	segWork      float64 // compute cycles outstanding when the segment began
 
 	inFlight     bool    // a request is currently being served
-	queue        []int64 // open-loop: arrival times of requests waiting to start
+	queue        []int64 // open-loop: arrival times of requests waiting to start, from queue[qHead]
+	qHead        int
 	arrivals     *mathx.RNG
 	nextArrivalF float64 // open-loop Poisson: absolute next-arrival time, pre-floor
 	lastDispatch uint64
@@ -65,6 +67,39 @@ type wlState struct {
 	task *sim.FluidTask
 	fu   *fuState
 }
+
+// reqScratch is one workload's reusable request-path storage: the synthesized
+// graph (RequestInto) and its vmem-tiled copy (TileForVMemInto), whose Ops also
+// back the linearized stream of a plain generator's untiled graphs. Run takes
+// one per workload from scratchPool and puts it back before returning, so the
+// storage is reused across requests and across the many Run calls of a fleet
+// iteration. Nothing reachable from a RunResult may point into it.
+type reqScratch struct{ req, tiled trace.Graph }
+
+var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
+
+// enqueue appends an open-loop arrival, compacting the consumed prefix into
+// the existing storage before the slice would have to grow.
+func (w *wlState) enqueue(at int64) {
+	if w.qHead > 0 && len(w.queue) == cap(w.queue) {
+		n := copy(w.queue, w.queue[w.qHead:])
+		w.queue, w.qHead = w.queue[:n], 0
+	}
+	w.queue = append(w.queue, at)
+}
+
+// dequeue pops the oldest waiting arrival; the queue must be non-empty.
+func (w *wlState) dequeue() int64 {
+	at := w.queue[w.qHead]
+	w.qHead++
+	if w.qHead == len(w.queue) {
+		w.queue, w.qHead = w.queue[:0], 0
+	}
+	return at
+}
+
+// queued returns how many arrivals wait to start.
+func (w *wlState) queued() int { return len(w.queue) - w.qHead }
 
 // currentOp returns the operator at the front of the workload's stream.
 func (w *wlState) currentOp() *trace.Op { return &w.ops[w.opIdx] }
@@ -221,6 +256,11 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 	if opts.Preemption {
 		r.sliceTimer = engine.NewTimer(cfg.TimeSlice, r.sliceTick)
 	}
+	defer func() {
+		for _, wl := range r.wls {
+			scratchPool.Put(wl.scratch)
+		}
+	}()
 	for i, w := range workloads {
 		wl := &wlState{
 			r:         r,
@@ -251,6 +291,7 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 			wl.vmemPart = part
 		}
 		wl.ctxCap = wl.vmemPart / 4
+		wl.scratch = scratchPool.Get().(*reqScratch)
 		r.wls = append(r.wls, wl)
 		switch {
 		case opts.ArrivalCycles != nil:
@@ -313,7 +354,7 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 		for i, wl := range r.wls {
 			if wl.stats.Requests < opts.target(i) {
 				lag = append(lag, fmt.Sprintf("%s %d/%d (queue %d)",
-					wl.w.Name, wl.stats.Requests, opts.target(i), len(wl.queue)))
+					wl.w.Name, wl.stats.Requests, opts.target(i), wl.queued()))
 			}
 		}
 		return result, fmt.Errorf("%w: stopped at cycle %d with incomplete workloads: %s",
@@ -458,7 +499,7 @@ func (r *runner) sampleCounters(now int64) {
 			SwitchCycles: wl.stats.SwitchCycles,
 			HBMBytes:     wl.stats.HBMBytes,
 			CtxBytes:     wl.ctxBytes,
-			QueueDepth:   len(wl.queue),
+			QueueDepth:   wl.queued(),
 		})
 	}
 }
@@ -468,10 +509,8 @@ func (r *runner) sampleCounters(now int64) {
 // arrivedAt is when the request entered the system (equals now in the
 // closed loop; earlier under open-loop queueing).
 func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
-	g, owned := wl.w.RequestInto(wl.requestNo, wl.gscratch)
-	if owned {
-		wl.gscratch = g
-	}
+	sc := wl.scratch
+	g, owned := wl.w.RequestInto(wl.requestNo, &sc.req)
 	part := wl.vmemPart
 	if f := r.vmemFactorAt(now); f < 1 {
 		part = int64(float64(part) * f)
@@ -479,14 +518,15 @@ func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
 			part = 1
 		}
 	}
-	tiled := trace.TileForVMem(g, part, r.opts.VMemReloadFactor)
+	tiled := trace.TileForVMemInto(&sc.tiled, g, part, r.opts.VMemReloadFactor)
 	if owned || tiled != g {
-		// The graph's storage is private to this workload (reused scratch or a
-		// freshly tiled copy) and already in ID order, so the operator stream
-		// is the Ops slice itself — no copy, no sort.
+		// The graph's storage is private to this workload (its request or
+		// tiled scratch) and already in ID order, so the operator stream is
+		// the Ops slice itself — no copy, no sort.
 		wl.ops = tiled.Ops
 	} else {
-		wl.ops = tiled.LinearizeInto(wl.ops[:0])
+		sc.tiled.Ops = tiled.LinearizeInto(sc.tiled.Ops[:0])
+		wl.ops = sc.tiled.Ops
 	}
 	if len(wl.ops) == 0 {
 		panic(fmt.Sprintf("sched: workload %s produced an empty request", wl.w.Name))
@@ -508,7 +548,7 @@ func (r *runner) scheduleArrivalAt(wl *wlState, at int64) {
 func arrivalCB(payload any, now int64) {
 	wl := payload.(*wlState)
 	if wl.inFlight {
-		wl.queue = append(wl.queue, now)
+		wl.enqueue(now)
 	} else {
 		wl.r.startRequest(wl, now, now)
 	}
@@ -530,7 +570,7 @@ func (r *runner) scheduleArrival(wl *wlState, now int64) {
 func poissonArrivalCB(payload any, now int64) {
 	wl := payload.(*wlState)
 	if wl.inFlight {
-		wl.queue = append(wl.queue, now)
+		wl.enqueue(now)
 	} else {
 		wl.r.startRequest(wl, now, now)
 	}
@@ -764,10 +804,8 @@ func (r *runner) opComplete(fu *fuState, wl *wlState, now int64) {
 		wl.requestNo++
 		wl.inFlight = false
 		if r.opts.openLoop() {
-			if len(wl.queue) > 0 {
-				arrivedAt := wl.queue[0]
-				wl.queue = wl.queue[1:]
-				r.startRequest(wl, now, arrivedAt)
+			if wl.queued() > 0 {
+				r.startRequest(wl, now, wl.dequeue())
 			} else {
 				wl.phase = phaseIdle
 			}

@@ -450,7 +450,7 @@ func checkElasticWindows(res *fleet.Result) (problems []string) {
 // "estimates off by 2x" bug) books queues and SLOs it cannot honor.
 func checkEstimateConsistency(es *ElasticScenario, ws []*trace.Workload, res *fleet.Result) (problems []string) {
 	for i, ts := range res.Tenants {
-		want := elasticSLOFactor * fleet.EstimateServeCycles(ws[i], es.Config, elasticProfileRequests)
+		want := elasticSLOFactor * fleet.EstimateServeCycles(ws[i], elasticProfileRequests, nil)
 		if ts.SLOCycles != want {
 			problems = append(problems, fmt.Sprintf(
 				"tenant %d: SLO %v cycles != %d× the recomputed service estimate %v — admission estimates are skewed",

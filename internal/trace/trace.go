@@ -64,10 +64,12 @@ type Graph struct {
 	Ops []Op
 
 	// DepsBuf is scratch backing for the Ops' Deps slices, owned by
-	// buffer-reusing generators (NewWorkloadReusable): pooling every
-	// single-entry Deps slice in one array lets a generator rebuild the graph
-	// per request without per-op allocations. Ordinary consumers ignore it.
+	// buffer-reusing generators (NewWorkloadReusable) and TileForVMemInto:
+	// pooling every Deps slice in one array lets them rebuild the graph per
+	// request without per-op allocations. Ordinary consumers ignore it.
 	DepsBuf []int
+
+	remap []int // TileForVMemInto's old-ID → new-ID scratch
 }
 
 // Validate checks that IDs are dense, dependencies are in range, and the

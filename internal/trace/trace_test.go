@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +267,114 @@ func TestTileForVMemConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// tileReference is the straightforward allocate-per-request tiling that
+// TileForVMemInto must reproduce op for op.
+func tileReference(g *Graph, partition int64, reloadFactor float64) []Op {
+	var out []Op
+	remap := make([]int, len(g.Ops))
+	for _, op := range g.Ops {
+		k := tilesFor(op, partition)
+		deps := make([]int, len(op.Deps))
+		for i, d := range op.Deps {
+			deps[i] = remap[d]
+		}
+		totalHBM := op.HBMBytes * (1 + reloadFactor*float64(k-1))
+		for t := int64(0); t < k; t++ {
+			tile := Op{
+				ID: len(out), Kind: op.Kind,
+				Compute: op.Compute / k, Stall: op.Stall / k,
+				Efficiency: op.Efficiency,
+				FLOPs:      op.FLOPs / float64(k), HBMBytes: totalHBM / float64(k),
+				VMemBytes: mathx.MinInt64(op.VMemBytes, partition),
+				Deps:      deps,
+			}
+			if t == 0 {
+				tile.Compute += op.Compute % k
+				tile.Stall += op.Stall % k
+			}
+			out = append(out, tile)
+			deps = []int{tile.ID}
+		}
+		remap[op.ID] = len(out) - 1
+	}
+	return out
+}
+
+// randomGraph builds a valid graph whose operators have up to three Deps.
+func randomGraph(rng *mathx.RNG, n int) *Graph {
+	g := &Graph{}
+	for i := 0; i < n; i++ {
+		op := Op{
+			ID: i, Kind: Kind(rng.Intn(2)),
+			Compute: int64(rng.Intn(10000)), Stall: int64(rng.Intn(1000)),
+			Efficiency: rng.Uniform(0.5, 1), FLOPs: rng.Uniform(0, 1e9),
+			HBMBytes: rng.Uniform(0, 1e6), VMemBytes: int64(rng.Intn(1 << 22)),
+		}
+		for d := 0; i > 0 && d < rng.Intn(4); d++ {
+			op.Deps = append(op.Deps, rng.Intn(i))
+		}
+		g.Ops = append(g.Ops, op)
+	}
+	return g
+}
+
+func cloneGraph(g *Graph) *Graph {
+	c := &Graph{Ops: append([]Op(nil), g.Ops...)}
+	for i := range c.Ops {
+		c.Ops[i].Deps = append([]int(nil), g.Ops[i].Deps...)
+	}
+	return c
+}
+
+func TestTileForVMemIntoMatchesFresh(t *testing.T) {
+	const partition = 1 << 20
+	rng := mathx.NewRNG(7)
+	cases := map[string]*Graph{
+		"split-oversized": {Ops: []Op{
+			{ID: 0, Kind: KindSA, Compute: 90, Stall: 9, FLOPs: 900, HBMBytes: 300, VMemBytes: 3 * partition},
+			{ID: 1, Kind: KindVU, Compute: 10, Deps: []int{0}, VMemBytes: 50},
+		}},
+		"multi-deps": {Ops: []Op{
+			{ID: 0, Kind: KindSA, Compute: 100, VMemBytes: 2*partition + 1},
+			{ID: 1, Kind: KindVU, Compute: 50, Deps: []int{0}, VMemBytes: 4 * partition},
+			{ID: 2, Kind: KindSA, Compute: 7, Stall: 3, Deps: []int{0}, VMemBytes: 10},
+			{ID: 3, Kind: KindVU, Compute: 10, Deps: []int{0, 1, 2}, VMemBytes: 3 * partition},
+		}},
+		"random": randomGraph(rng, 40),
+	}
+	// dst was last filled by a larger tiled graph, so every buffer is stale.
+	larger := randomGraph(rng, 200)
+	for name, g := range cases {
+		t.Run(name, func(t *testing.T) {
+			orig := cloneGraph(g)
+			fresh := TileForVMem(g, partition, 0.5)
+			if fresh == g {
+				t.Fatal("case needs no tiling")
+			}
+			if want := tileReference(g, partition, 0.5); !reflect.DeepEqual(fresh.Ops, want) {
+				t.Fatalf("tiled ops differ from the reference:\n got %+v\nwant %+v", fresh.Ops, want)
+			}
+			dst := TileForVMemInto(nil, larger, partition, 0.5)
+			if len(dst.Ops) <= len(fresh.Ops) {
+				t.Fatal("dst was not filled by a larger graph")
+			}
+			if got := TileForVMemInto(dst, g, partition, 0.5); got != dst || !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("tiling into reused storage differs from a fresh tiling:\n got %+v\nwant %+v", got.Ops, fresh.Ops)
+			}
+			if !reflect.DeepEqual(g, orig) {
+				t.Fatal("tiling modified its input graph")
+			}
+		})
+	}
+	// A graph that fits is returned as is, leaving dst alone.
+	dst := TileForVMem(larger, partition, 0.5)
+	before := cloneGraph(dst)
+	fits := chainGraph(1, 2, 3)
+	if got := TileForVMemInto(dst, fits, partition, 0.5); got != fits || !reflect.DeepEqual(cloneGraph(dst), before) {
+		t.Fatal("a fitting graph must come back unchanged with dst untouched")
 	}
 }
 

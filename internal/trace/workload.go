@@ -81,35 +81,54 @@ func (w *Workload) RequestInto(i int, g *Graph) (*Graph, bool) {
 // on-chip reuse, so total HBM traffic grows by reloadFactor per extra tile
 // (the Fig. 24 effect). partition <= 0 returns g unchanged.
 func TileForVMem(g *Graph, partition int64, reloadFactor float64) *Graph {
+	return TileForVMemInto(nil, g, partition, reloadFactor)
+}
+
+// TileForVMemInto is TileForVMem writing the tiled graph into dst, whose Ops,
+// DepsBuf and remap storage are reused (a nil dst allocates a fresh graph).
+// It returns g itself, leaving dst untouched, when no operator needs tiling.
+// dst must not be g; g is never modified.
+func TileForVMemInto(dst, g *Graph, partition int64, reloadFactor float64) *Graph {
 	if partition <= 0 {
 		return g
 	}
-	needsTiling := false
+	// Size the output up front: k tiles per operator, the first carrying the
+	// operator's remapped Deps and each later one a single chain edge.
+	nOps, nDeps := 0, 0
 	for _, op := range g.Ops {
-		if op.VMemBytes > partition {
-			needsTiling = true
-			break
-		}
+		k := tilesFor(op, partition)
+		nOps += int(k)
+		nDeps += len(op.Deps) + int(k) - 1
 	}
-	if !needsTiling {
+	if nOps == len(g.Ops) {
 		return g
 	}
-	out := &Graph{Ops: make([]Op, 0, len(g.Ops))}
+	if dst == nil {
+		dst = &Graph{}
+	}
+	dst.Ops = resize(dst.Ops, nOps)[:0]
+	dst.DepsBuf = resize(dst.DepsBuf, nDeps)[:0]
 	// remap[oldID] = new ID of the final tile of that operator.
-	remap := make([]int, len(g.Ops))
+	remap := resize(dst.remap, len(g.Ops))
+	clear(remap) // an out-of-order Dep reads 0, as from fresh storage
+	dst.remap = remap
 	for _, op := range g.Ops {
-		k := int64(1)
-		if op.VMemBytes > partition {
-			k = (op.VMemBytes + partition - 1) / partition
+		k := tilesFor(op, partition)
+		start := len(dst.DepsBuf)
+		for _, d := range op.Deps {
+			dst.DepsBuf = append(dst.DepsBuf, remap[d])
 		}
-		deps := make([]int, len(op.Deps))
-		for i, d := range op.Deps {
-			deps[i] = remap[d]
-		}
+		deps := dst.DepsBuf[start:len(dst.DepsBuf):len(dst.DepsBuf)]
 		totalHBM := op.HBMBytes * (1 + reloadFactor*float64(k-1))
 		for t := int64(0); t < k; t++ {
+			if t > 0 {
+				// Later tiles chain on the previous tile.
+				dst.DepsBuf = append(dst.DepsBuf, len(dst.Ops)-1)
+				n := len(dst.DepsBuf)
+				deps = dst.DepsBuf[n-1 : n : n]
+			}
 			tile := Op{
-				ID:         len(out.Ops),
+				ID:         len(dst.Ops),
 				Kind:       op.Kind,
 				Compute:    op.Compute / k,
 				Stall:      op.Stall / k,
@@ -124,10 +143,26 @@ func TileForVMem(g *Graph, partition int64, reloadFactor float64) *Graph {
 				tile.Compute += op.Compute % k
 				tile.Stall += op.Stall % k
 			}
-			out.Ops = append(out.Ops, tile)
-			deps = []int{tile.ID} // later tiles chain on the previous tile
+			dst.Ops = append(dst.Ops, tile)
 		}
-		remap[op.ID] = len(out.Ops) - 1
+		remap[op.ID] = len(dst.Ops) - 1
 	}
-	return out
+	return dst
+}
+
+// tilesFor returns how many partition-sized tiles op splits into.
+func tilesFor(op Op, partition int64) int64 {
+	if op.VMemBytes > partition {
+		return (op.VMemBytes + partition - 1) / partition
+	}
+	return 1
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. Reused elements keep stale values for the caller to overwrite.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
