@@ -366,9 +366,14 @@ func shufflePairs(ps [][2]int, rng *mathx.RNG) {
 // K returns the number of clusters in the trained model.
 func (m *Model) K() int { return m.km.Centroids.Rows }
 
+// projBuf sizes the stack buffer PredictCluster and Observe project into;
+// models with more PCA dimensions than this fall back to a heap slice.
+const projBuf = 8
+
 // PredictCluster maps a workload's features to its cluster.
 func (m *Model) PredictCluster(f Features) int {
-	return m.km.Predict(m.pca.Transform(f.Vec))
+	var buf [projBuf]float64
+	return m.km.Predict(m.pca.TransformInto(buf[:0], f.Vec))
 }
 
 // PredictPerf estimates the collocation performance of two workloads from
@@ -384,8 +389,11 @@ func (m *Model) PredictPerf(a, b Features) float64 {
 
 // ShouldCollocate predicts whether the pair clears the benefit threshold.
 func (m *Model) ShouldCollocate(a, b Features) bool {
-	return m.PredictPerf(a, b) >= m.cfg.Threshold
+	return m.clears(m.PredictPerf(a, b))
 }
+
+// clears reports whether a predicted performance meets the benefit threshold.
+func (m *Model) clears(perf float64) bool { return perf >= m.cfg.Threshold }
 
 // GroupFit scores adding candidate cand to an already-formed group: the
 // minimum pairwise predicted performance between cand and every member, or 0
@@ -395,10 +403,11 @@ func (m *Model) ShouldCollocate(a, b Features) bool {
 func (m *Model) GroupFit(feats []Features, group []int, cand int) float64 {
 	minPerf := math.Inf(1)
 	for _, g := range group {
-		if !m.ShouldCollocate(feats[g], feats[cand]) {
+		perf := m.PredictPerf(feats[g], feats[cand])
+		if !m.clears(perf) {
 			return 0
 		}
-		if perf := m.PredictPerf(feats[g], feats[cand]); perf < minPerf {
+		if perf < minPerf {
 			minPerf = perf
 		}
 	}

@@ -69,7 +69,8 @@ func (m *Model) Observe(f Features) (cluster int, moved float64) {
 	if m.onlineCounts == nil {
 		panic("collocate: Observe requires a model cloned via CloneForOnline")
 	}
-	x := m.pca.Transform(f.Vec)
+	var buf [projBuf]float64
+	x := m.pca.TransformInto(buf[:0], f.Vec)
 	cluster = m.km.Predict(x)
 	lr := 1.0 / float64(m.onlineCounts[cluster]+1)
 	moved = m.km.UpdateCentroid(cluster, x, lr)

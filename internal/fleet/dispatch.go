@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
+	"slices"
 	"sort"
 
 	"v10/internal/collocate"
@@ -52,11 +54,13 @@ func genArrivals(tenants int, o Options) []arrival {
 			}
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
+	// arrival has no fields beyond the sort key, so equal keys are equal
+	// values and an unstable sort returns the same slice as a stable one.
+	slices.SortFunc(all, func(a, b arrival) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return all[i].tenant < all[j].tenant
+		return cmp.Compare(a.tenant, b.tenant)
 	})
 	return all
 }
@@ -234,13 +238,13 @@ type migration struct {
 }
 
 // Event priorities at equal cycles: failure detection preempts control ticks,
-// which preempt pending migrations, which land before new front-door
-// arrivals.
+// which preempt pending migrations. New front-door arrivals never enter the
+// heap (dispatch streams them from the sorted arrival sequence) and land
+// after all three.
 const (
 	prioDetect = iota
 	prioControl
 	prioMigration
-	prioArrival
 )
 
 // dispatchEvent is one entry of the dispatcher's event heap.
@@ -251,7 +255,6 @@ type dispatchEvent struct {
 	core   int // prioDetect: which core to declare dead
 	window int // prioControl: the window this tick closes
 	mig    *migration
-	arr    arrival
 }
 
 type eventHeap []*dispatchEvent
@@ -277,7 +280,8 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// dispatcher is the front end's working state while consuming the event heap.
+// dispatcher is the front end's working state while consuming the arrival
+// sequence and the event heap.
 type dispatcher struct {
 	tenants []*trace.Workload
 	homes   [][]int
@@ -287,8 +291,7 @@ type dispatcher struct {
 	queues  []coreQueue
 	home    []int // tenant → home core
 	feats   []collocate.Features
-	events  eventHeap
-	seq     int
+	events  eventQueue
 	ctl     *controlState // elastic control plane (nil without Options.Elastic)
 }
 
@@ -330,6 +333,7 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 		queues:  make([]coreQueue, o.Cores),
 		home:    make([]int, nT),
 		feats:   features(profs),
+		events:  eventQueue{arrivals: arrivals},
 	}
 	for c, group := range homes {
 		for _, t := range group {
@@ -337,13 +341,12 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 		}
 	}
 
-	// Seed the heap: every front-door arrival, one detection event per
-	// fail-stopped core, and — under autoscaling — one control tick per
-	// window boundary. Arrivals are pushed in their (already sorted) order so
-	// equal-cycle arrivals keep their tenant-index tie-break via seq.
+	// Seed the heap: one detection event per fail-stopped core and — under
+	// autoscaling — one control tick per window boundary. Front-door
+	// arrivals stay out of it; the queue's cursor merges them in.
 	for c := 0; c < o.Cores; c++ {
 		if fail, ok := o.Faults.FailCycle(c); ok {
-			d.push(&dispatchEvent{at: detectCycle(fail, o), prio: prioDetect, core: c})
+			d.events.push(&dispatchEvent{at: detectCycle(fail, o), prio: prioDetect, core: c})
 		}
 	}
 	if o.Elastic != nil {
@@ -355,15 +358,18 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 			if at > o.DurationCycles {
 				break
 			}
-			d.push(&dispatchEvent{at: at, prio: prioControl, window: w})
+			d.events.push(&dispatchEvent{at: at, prio: prioControl, window: w})
 		}
 	}
-	for _, a := range arrivals {
-		d.push(&dispatchEvent{at: a.at, prio: prioArrival, arr: a})
-	}
-
-	for d.events.Len() > 0 {
-		e := heap.Pop(&d.events).(*dispatchEvent)
+	for {
+		e, a, ok := d.events.pop()
+		if !ok {
+			break
+		}
+		if e == nil {
+			d.arrive(a)
+			continue
+		}
 		switch e.prio {
 		case prioDetect:
 			d.detect(e.at, e.core)
@@ -371,8 +377,6 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 			d.tick(e.at, e.window)
 		case prioMigration:
 			d.migrate(e.at, e.mig)
-		case prioArrival:
-			d.arrive(e.arr)
 		}
 	}
 	if d.ctl != nil {
@@ -399,10 +403,37 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 	return out
 }
 
-func (d *dispatcher) push(e *dispatchEvent) {
-	e.seq = d.seq
-	d.seq++
-	heap.Push(&d.events, e)
+// eventQueue merges the dispatcher's two event sources in (cycle, priority,
+// seq) order: a heap of detection, control-tick and migration events, and the
+// front-door arrivals, already sorted (ties by tenant index), which a cursor
+// streams in so the heap never holds the future arrivals.
+type eventQueue struct {
+	heap     eventHeap
+	seq      int
+	arrivals []arrival
+	next     int // arrivals[next] is the next arrival to dispatch
+}
+
+func (q *eventQueue) push(e *dispatchEvent) {
+	e.seq = q.seq
+	q.seq++
+	heap.Push(&q.heap, e)
+}
+
+// pop returns the next event: a heap event, or a nil event and the arrival
+// when an arrival comes next. An arrival ranks below every heap event at the
+// same cycle, so it goes first only when strictly earlier than the heap head.
+// ok is false once both sources are exhausted.
+func (q *eventQueue) pop() (e *dispatchEvent, a arrival, ok bool) {
+	if q.next < len(q.arrivals) && (len(q.heap) == 0 || q.arrivals[q.next].at < q.heap[0].at) {
+		a = q.arrivals[q.next]
+		q.next++
+		return nil, a, true
+	}
+	if len(q.heap) == 0 {
+		return nil, arrival{}, false
+	}
+	return heap.Pop(&q.heap).(*dispatchEvent), arrival{}, true
 }
 
 // detectCycle is when the dispatcher declares a core that failed at cycle
@@ -489,7 +520,7 @@ func (d *dispatcher) detect(now int64, c int) {
 			if vi == 0 {
 				ready += ckpt
 			}
-			d.push(&dispatchEvent{at: ready, prio: prioMigration, mig: m})
+			d.events.push(&dispatchEvent{at: ready, prio: prioMigration, mig: m})
 		}
 	}
 }
@@ -658,7 +689,7 @@ func (d *dispatcher) drainCore(now int64, c int) {
 		if i == 0 {
 			ready += ckpt
 		}
-		d.push(&dispatchEvent{at: ready, prio: prioMigration, mig: m})
+		d.events.push(&dispatchEvent{at: ready, prio: prioMigration, mig: m})
 	}
 	victims := len(q.pending)
 	for t, n := range pendingOf {
@@ -723,7 +754,7 @@ func (d *dispatcher) migrate(now int64, m *migration) {
 	if shift > 30 {
 		shift = 30
 	}
-	d.push(&dispatchEvent{at: now + d.o.MigrationBackoffCycles<<shift, prio: prioMigration, mig: m})
+	d.events.push(&dispatchEvent{at: now + d.o.MigrationBackoffCycles<<shift, prio: prioMigration, mig: m})
 }
 
 // shedMigration gives up on a victim request (retry budget exhausted, or

@@ -59,10 +59,10 @@ type TenantStats struct {
 	// estimate-driven front end is from ground truth, and the FeedbackRounds
 	// calibration loop shrinks exactly that gap.
 	EstAvgLatencyCycles float64 `json:"est_avg_latency_cycles,omitempty"`
-	P95LatencyCycles float64 `json:"p95_latency_cycles"`
-	P99LatencyCycles float64 `json:"p99_latency_cycles"`
-	GoodputHz        float64 `json:"goodput_hz"` // SLO-compliant req/s over the arrival window
-	ShedRate         float64 `json:"shed_rate"`  // shed / offered
+	P95LatencyCycles    float64 `json:"p95_latency_cycles"`
+	P99LatencyCycles    float64 `json:"p99_latency_cycles"`
+	GoodputHz           float64 `json:"goodput_hz"` // SLO-compliant req/s over the arrival window
+	ShedRate            float64 `json:"shed_rate"`  // shed / offered
 
 	// Windows buckets completions by completion cycle into
 	// StatsWindowCycles-sized windows, each annotated with the cores active

@@ -58,12 +58,20 @@ func FitPCA(data *Matrix, k int) *PCA {
 }
 
 // Transform projects a single observation onto the fitted components.
-func (p *PCA) Transform(x []float64) []float64 {
+func (p *PCA) Transform(x []float64) []float64 { return p.TransformInto(nil, x) }
+
+// TransformInto projects x like Transform, writing the components into dst's
+// storage when it has the capacity (a caller's stack buffer keeps the
+// projection allocation-free) and returning the filled slice.
+func (p *PCA) TransformInto(dst, x []float64) []float64 {
 	if len(x) != len(p.Means) {
 		panic("mathx: PCA.Transform feature-count mismatch")
 	}
 	k := p.Components.Cols
-	out := make([]float64, k)
+	if cap(dst) < k {
+		dst = make([]float64, k)
+	}
+	out := dst[:k]
 	for c := 0; c < k; c++ {
 		s := 0.0
 		for j := range x {
@@ -78,8 +86,7 @@ func (p *PCA) Transform(x []float64) []float64 {
 func (p *PCA) TransformAll(data *Matrix) *Matrix {
 	out := NewMatrix(data.Rows, p.Components.Cols)
 	for i := 0; i < data.Rows; i++ {
-		row := p.Transform(data.Row(i))
-		copy(out.Data[i*out.Cols:(i+1)*out.Cols], row)
+		p.TransformInto(out.Data[i*out.Cols:(i+1)*out.Cols], data.Row(i))
 	}
 	return out
 }

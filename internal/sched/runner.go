@@ -296,9 +296,7 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 		switch {
 		case opts.ArrivalCycles != nil:
 			wl.phase = phaseIdle
-			for _, at := range opts.ArrivalCycles[i] {
-				r.scheduleArrivalAt(wl, at)
-			}
+			engine.ScheduleCallEach(opts.ArrivalCycles[i], arrivalCB, wl)
 		case opts.ArrivalRateHz > 0:
 			wl.arrivals = mathx.NewRNG(opts.Seed + 0xa221 + uint64(i)*7919)
 			r.scheduleArrival(wl, 0)
@@ -537,14 +535,10 @@ func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
 	r.beginOp(wl, now)
 }
 
-// scheduleArrivalAt plants one explicit arrival (ArrivalCycles mode). The
-// handler mirrors the Poisson path: queue behind the in-flight request or
-// start serving immediately.
-func (r *runner) scheduleArrivalAt(wl *wlState, at int64) {
-	r.engine.ScheduleCall(at, arrivalCB, wl)
-}
-
-// arrivalCB handles one explicit arrival.
+// arrivalCB handles one explicit arrival (ArrivalCycles mode; Run streams
+// each workload's schedule through one engine series). It mirrors the
+// Poisson path: queue behind the in-flight request or start serving
+// immediately.
 func arrivalCB(payload any, now int64) {
 	wl := payload.(*wlState)
 	if wl.inFlight {

@@ -24,8 +24,9 @@ type Event struct {
 	payload any
 
 	canceled bool
-	pooled   bool // recycled after firing; allocated via ScheduleCall
-	index    int  // heap index, -1 when popped
+	pooled   bool     // recycled after firing; allocated via ScheduleCall
+	index    int      // heap index, -1 when popped
+	rest     *[]Cycle // ScheduleCallEach: the series' times after At (nil otherwise)
 	eng      *Engine
 }
 
@@ -171,6 +172,7 @@ func (e *Engine) release(ev *Event) {
 	}
 	ev.cb = nil
 	ev.payload = nil
+	ev.rest = nil
 	ev.canceled = false
 	e.free = append(e.free, ev)
 }
@@ -211,6 +213,37 @@ func (e *Engine) ScheduleCall(at Cycle, cb func(payload any, now Cycle), payload
 	return ev
 }
 
+// ScheduleCallEach registers cb(payload) to run at every cycle in times, as
+// len(times) ScheduleCall calls in a row would, but with one heap entry in
+// flight: the series reserves len(times) consecutive scheduling-order
+// numbers now, and when time k fires the engine re-pushes the same event at
+// time k+1 under the reserved number. This is exact: times is
+// nondecreasing, so the series' next time is never later than its remaining
+// ones, and every other event's seq lies outside the reserved block, so the
+// heap head — ordered on (At, seq) — is the event that planting every time
+// up front would fire next. Reserved times count as scheduled and
+// pending from the call on, so EventStats and Pending report the same as
+// the planted form. The series cannot be canceled, and the engine reads
+// times until the last one fires, so the caller must not modify it.
+func (e *Engine) ScheduleCallEach(times []Cycle, cb func(payload any, now Cycle), payload any) {
+	if len(times) == 0 {
+		return
+	}
+	for k := 1; k < len(times); k++ {
+		if times[k] < times[k-1] {
+			panic("sim: series times decrease")
+		}
+	}
+	ev := e.ScheduleCall(times[0], cb, payload)
+	if rest := times[1:]; len(rest) > 0 {
+		// Behind a pointer: an inline slice would push every Event, series
+		// or not, from the 80-byte size class to the 96-byte one.
+		ev.rest = &rest
+		e.seq += uint64(len(rest))
+		e.live += len(rest)
+	}
+}
+
 // After registers fn to run delay cycles from now.
 func (e *Engine) After(delay Cycle, fn func(now Cycle)) *Event {
 	if delay < 0 {
@@ -243,7 +276,16 @@ func (e *Engine) Step() bool {
 		}
 		// Recycle after the callback: during the call the event is in limbo
 		// (popped, not pooled), so a self-Cancel inside the callback stays a
-		// no-op and the event cannot be handed out again mid-callback.
+		// no-op and the event cannot be handed out again mid-callback. A
+		// series event instead goes back in at its next time and reserved
+		// scheduling-order number.
+		if ev.rest != nil && len(*ev.rest) > 0 {
+			rest := *ev.rest
+			ev.At, *ev.rest = rest[0], rest[1:]
+			ev.seq++
+			e.push(ev)
+			return true
+		}
 		e.release(ev)
 		return true
 	}
