@@ -220,9 +220,10 @@ type Tracer interface {
 }
 
 // Log is the simplest Tracer: it records the full event stream in memory, in
-// emission order. The simcheck oracles replay it against closed-form
-// expectations and the fleet runner uses one per core so parallel core runs
-// can be re-emitted deterministically into a shared sink afterwards.
+// emission order. The fleet runner uses one per core so parallel core runs
+// can be re-emitted deterministically into a shared sink afterwards; the
+// simcheck oracles stream instead and log a run only to name the first event
+// two runs disagree on.
 type Log struct {
 	Events []Event
 }

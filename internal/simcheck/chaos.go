@@ -154,7 +154,7 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 		return []string{fmt.Sprintf("generated fault schedule invalid: %v", err)}
 	}
 
-	// Run 1: faults on, fleet event log attached, per-core invariant
+	// Run 1: faults on, fleet events tallied, per-core invariant
 	// checkers riding every core the fault schedule leaves untouched.
 	faulty := make(map[int]bool)
 	for _, f := range cs.Faults {
@@ -162,12 +162,12 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 	}
 	checkers := map[int]*Checker{}
 	var checkersMu sync.Mutex
-	fleetLog := &obs.Log{}
+	tally := &eventTally{}
 	o := cs.options(schedule)
-	o.Tracer = fleetLog
+	o.Tracer = tally
 	o.CoreTracer = func(core int, roster []int) obs.Tracer {
 		if faulty[core] {
-			return &obs.Log{} // perturbed timing: the per-core oracle does not apply
+			return nil // perturbed timing: the per-core oracle does not apply
 		}
 		sc := &Scenario{Config: cs.Config, ArrivalRateHz: 1} // open-loop marker
 		for _, t := range roster {
@@ -198,7 +198,7 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 		}
 	}
 	problems = append(problems, checkChaosConservation(cs, res, err == nil)...)
-	problems = append(problems, checkChaosEvents(res, fleetLog.Events, cs.MissedBeats)...)
+	problems = append(problems, checkChaosEvents(res, tally, cs.MissedBeats)...)
 
 	// Run 2: determinism — the same seed must reproduce the faulted run bit
 	// for bit, per-core cycle measurements included.
@@ -312,14 +312,10 @@ func checkChaosConservation(cs *ChaosScenario, res *fleet.Result, uncapped bool)
 
 // checkChaosEvents cross-checks the typed fleet events against the recovery
 // metrics: the Perfetto timeline and the JSON summary must tell one story.
-func checkChaosEvents(res *fleet.Result, events []obs.Event, missedBeats int) (problems []string) {
-	counts := map[obs.EventType]int{}
-	for _, e := range events {
-		counts[e.Type]++
-	}
+func checkChaosEvents(res *fleet.Result, tally *eventTally, missedBeats int) (problems []string) {
 	check := func(ty obs.EventType, want int, what string) {
-		if counts[ty] != want {
-			problems = append(problems, fmt.Sprintf("%d %s event(s) for %s count %d", counts[ty], ty, what, want))
+		if n := tally.count[ty]; n != want {
+			problems = append(problems, fmt.Sprintf("%d %s event(s) for %s count %d", n, ty, what, want))
 		}
 	}
 	check(obs.EvCoreDead, len(res.FailedCores), "failed-core")

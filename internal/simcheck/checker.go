@@ -108,7 +108,9 @@ type Checker struct {
 	// Lookahead: EvRunSegment (and PMT EvStall) resolve as "completed" or
 	// "preempted" depending on whether the very next emission is the
 	// matching EvPreempt (the producers emit those pairs back to back).
-	pending     *obs.Event
+	// Held by value so the per-event path never allocates.
+	pending     obs.Event
+	hasPending  bool
 	openWins    []switchWin
 	doneWinUnit [2]int64 // Σ durations of completed switch windows per kind
 
@@ -228,8 +230,9 @@ func (c *Checker) Emit(e obs.Event) {
 	// Resolve the pending run-segment / stall lookahead: the producers emit
 	// EvRunSegment+EvPreempt (and PMT's partial EvStall+EvPreempt) back to
 	// back, so any other event means the pending one was a completion.
-	if p := c.pending; p != nil {
-		c.pending = nil
+	if c.hasPending {
+		c.hasPending = false
+		p := &c.pending
 		if e.Type == obs.EvPreempt && e.WIdx == p.WIdx {
 			c.resolvePreempted(p, &e)
 			return
@@ -518,12 +521,17 @@ func (c *Checker) v10Event(wl *wlCheck, e obs.Event) {
 		wl.running = false
 		// Completion frees the FU; a preemption moves it to saving. The next
 		// emission disambiguates (see Emit's pending lookahead).
-		ev := e
-		c.pending = &ev
+		c.setPending(e)
 
 	default:
 		c.failf("unexpected %s event for %s at cycle %d", e.Type, wl.name, e.Time)
 	}
+}
+
+// setPending holds a run segment or stall for Emit's lookahead.
+func (c *Checker) setPending(e obs.Event) {
+	c.pending = e
+	c.hasPending = true
 }
 
 // passDelayGate fires when the scheduling decision lands: either a context
@@ -625,8 +633,7 @@ func (c *Checker) pmtEvent(wl *wlCheck, e obs.Event) {
 			c.failf("%s op (req %d, op %d) accumulated %d stall cycles, trace says %d",
 				wl.name, wl.curReq, wl.curOp, wl.stallSum, op.stall)
 		}
-		ev := e
-		c.pending = &ev // full stall (starts compute) unless a preempt follows
+		c.setPending(e) // full stall (starts compute) unless a preempt follows
 
 	case obs.EvRunSegment:
 		if c.pmtActive != wl.id || !wl.running {
@@ -646,8 +653,7 @@ func (c *Checker) pmtEvent(wl *wlCheck, e obs.Event) {
 			wl.runSegSumKind[e.FUKind] += e.Dur
 		}
 		wl.running = false
-		ev := e
-		c.pending = &ev
+		c.setPending(e)
 
 	default:
 		c.failf("unexpected %s event for %s at cycle %d", e.Type, wl.name, e.Time)
@@ -739,8 +745,9 @@ func (c *Checker) requestDone(wl *wlCheck, e obs.Event) {
 func (c *Checker) Finalize(res *metrics.RunResult, runErr error) []string {
 	capped := runErr != nil
 	pendingWl := -1
-	if p := c.pending; p != nil && !c.dead {
-		c.pending = nil
+	if c.hasPending && !c.dead {
+		c.hasPending = false
+		p := &c.pending
 		if c.pmt && capped && p.Type == obs.EvRunSegment {
 			// The run was cut mid-operator and RunPMT closed the in-flight
 			// segment — or this was a true completion the cap hid. Either

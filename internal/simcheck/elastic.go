@@ -234,10 +234,10 @@ func checkElastic(es *ElasticScenario,
 		}
 	}
 
-	// Run 1: control plane on, fleet event log attached.
-	fleetLog := &obs.Log{}
+	// Run 1: control plane on, fleet events tallied.
+	tally := &eventTally{}
 	o := es.options(arr, model)
-	o.Tracer = fleetLog
+	o.Tracer = tally
 	if mutateOpts != nil {
 		mutateOpts(&o)
 	}
@@ -266,7 +266,7 @@ func checkElastic(es *ElasticScenario,
 	uncapped := err == nil
 	problems = append(problems, checkElasticConservation(res, uncapped)...)
 	problems = append(problems, checkElasticControl(es, res)...)
-	problems = append(problems, checkElasticEvents(res, fleetLog.Events)...)
+	problems = append(problems, checkElasticEvents(res, tally)...)
 	problems = append(problems, checkElasticWindows(res)...)
 	problems = append(problems, checkEstimateConsistency(es, ws, res)...)
 	if es.Recluster {
@@ -375,24 +375,17 @@ func checkElasticControl(es *ElasticScenario, res *fleet.Result) (problems []str
 // checkElasticEvents cross-checks the typed control events against the
 // control metrics: the Perfetto timeline and the JSON summary must tell one
 // story.
-func checkElasticEvents(res *fleet.Result, events []obs.Event) (problems []string) {
+func checkElasticEvents(res *fleet.Result, tally *eventTally) (problems []string) {
 	ctl := res.Control
 	if ctl == nil {
 		return nil
 	}
-	counts := map[obs.EventType]int{}
-	var drainVictims int
-	for _, e := range events {
-		counts[e.Type]++
-		if e.Type == obs.EvCoreDrain {
-			drainVictims += int(e.Arg1)
-		}
-	}
 	check := func(ty obs.EventType, want int, what string) {
-		if counts[ty] != want {
-			problems = append(problems, fmt.Sprintf("%d %s event(s) for %s count %d", counts[ty], ty, what, want))
+		if n := tally.count[ty]; n != want {
+			problems = append(problems, fmt.Sprintf("%d %s event(s) for %s count %d", n, ty, what, want))
 		}
 	}
+	drainVictims := int(tally.arg1[obs.EvCoreDrain])
 	check(obs.EvScaleUp, ctl.ScaleUps, "scale-up")
 	check(obs.EvScaleDown, ctl.ScaleDowns, "scale-down")
 	check(obs.EvCoreDrain, ctl.ScaleDowns, "scale-down (one drain per retirement)")

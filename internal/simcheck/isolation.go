@@ -246,14 +246,14 @@ func checkIsolation(is *IsolationScenario,
 		return append(problems, fmt.Sprintf("victim-alone run error: %v", err))
 	}
 
-	// Arm 2: victim plus aggressors, event log attached.
-	coreLog := &obs.Log{}
+	// Arm 2: victim plus aggressors, slice events recorded.
+	sliceLog := &sliceEvents{}
 	o := is.options(len(is.Workloads))
 	o.CoreTracer = func(core int, tenants []int) obs.Tracer {
 		if mutate != nil {
-			return &filterTracer{next: coreLog, fn: mutate}
+			return &filterTracer{next: sliceLog, fn: mutate}
 		}
-		return coreLog
+		return sliceLog
 	}
 	noisyRes, err := fleet.Run(buildWorkloads(is.Workloads, false), o)
 	if err != nil {
@@ -275,7 +275,7 @@ func checkIsolation(is *IsolationScenario,
 	}
 
 	problems = append(problems, checkVictimContainment(is, aloneRes, noisyRes)...)
-	problems = append(problems, checkSliceConservation(is, noisyRes, coreLog.Events)...)
+	problems = append(problems, checkSliceConservation(is, noisyRes, sliceLog.events)...)
 	return problems
 }
 

@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -140,10 +141,10 @@ func TestMutationPreemptionMiscount(t *testing.T) {
 	}
 }
 
-// TestMutationMakespanCaughtBySerialOracle injects a wrong makespan into a
-// single-workload run: the invariant checker's wall-clock partition flags it,
-// and the serial oracle independently pins the expected value.
-func TestMutationMakespanCaughtBySerialOracle(t *testing.T) {
+// serialScenario is mutationScenario cut down to its first workload, so the
+// serial oracle applies.
+func serialScenario(t *testing.T) *Scenario {
+	t.Helper()
 	sc := GenScenario(3)
 	sc.Workloads = sc.Workloads[:1]
 	sc.Clones = false
@@ -152,9 +153,20 @@ func TestMutationMakespanCaughtBySerialOracle(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return sc
+}
+
+// TestMutationMakespanCaughtBySerialOracle injects a wrong makespan into a
+// single-workload run: the invariant checker's wall-clock partition flags it,
+// and the serial oracle independently pins the expected value.
+func TestMutationMakespanCaughtBySerialOracle(t *testing.T) {
+	sc := serialScenario(t)
 	out := RunScheme(sc, SchemeBase, false)
 	if len(out.Problems) != 0 || out.Err != nil {
 		t.Fatalf("baseline run flagged: %v %s", out.Err, join(out.Problems))
+	}
+	if p := checkSerial(sc, out); len(p) != 0 {
+		t.Fatalf("baseline run flagged by the serial oracle: %s", join(p))
 	}
 	out.Result.TotalCycles += 7
 	problems := checkSerial(sc, out)
@@ -163,6 +175,90 @@ func TestMutationMakespanCaughtBySerialOracle(t *testing.T) {
 	}
 	if !strings.Contains(problems[0], "makespan") {
 		t.Fatalf("unexpected problem: %s", problems[0])
+	}
+}
+
+// TestMutationStallCaughtBySerialOracle corrupts one traced stall span of a
+// single-workload run on its way to the serial oracle's streaming tracer,
+// which must name that stall.
+func TestMutationStallCaughtBySerialOracle(t *testing.T) {
+	sc := serialScenario(t)
+	for _, scheme := range sc.Schemes {
+		st := newSerialTracer(sc, scheme)
+		stalls, corrupted := 0, false
+		res, err := Execute(sc, scheme, false, &filterTracer{next: st, fn: func(e obs.Event) (obs.Event, bool) {
+			if e.Type == obs.EvStall {
+				if stalls == 2 && !corrupted {
+					e.Dur++
+					corrupted = true
+				}
+				stalls++
+			}
+			return e, true
+		}})
+		if !corrupted {
+			t.Fatalf("%s: only %d stalls emitted", scheme, stalls)
+		}
+		p := checkSerial(sc, &Outcome{Scheme: scheme, Result: res, Err: err, serial: st})
+		if len(p) != 1 || !strings.Contains(p[0], "serial oracle: stall 2 spans") {
+			t.Errorf("%s: corrupted stall Dur not caught by the serial oracle: %v", scheme, p)
+		}
+	}
+}
+
+// rerunWith is the determinism oracle over one scheme, with the rerun's event
+// stream (its digest and its logged replay alike) passed through fn.
+func rerunWith(sc *Scenario, scheme string, fn func(i int, e obs.Event) (obs.Event, bool)) []string {
+	wrap := func(next obs.Tracer) obs.Tracer {
+		i := -1
+		return &filterTracer{next: next, fn: func(e obs.Event) (obs.Event, bool) {
+			i++
+			return fn(i, e)
+		}}
+	}
+	return checkDeterminism(RunScheme(sc, scheme, false), runScheme(sc, scheme, false, wrap))
+}
+
+// TestMutationDroppedEventCaughtByDigest drops one event from the rerun: the
+// digest oracle must notice and name the first event that went missing.
+func TestMutationDroppedEventCaughtByDigest(t *testing.T) {
+	sc := mutationScenario()
+	for _, scheme := range sc.Schemes {
+		const at = 5
+		p := rerunWith(sc, scheme, func(i int, e obs.Event) (obs.Event, bool) { return e, i != at })
+		if len(p) != 1 || !strings.Contains(p[0], fmt.Sprintf("first divergent event #%d:", at)) {
+			t.Errorf("%s: dropped event not caught by the digest oracle: %v", scheme, p)
+		}
+	}
+}
+
+// TestMutationSwappedEventsCaughtByDigest swaps two adjacent, distinct events
+// of the rerun, leaving the event count unchanged: only an order-sensitive
+// digest notices, and the report names the first swapped event.
+func TestMutationSwappedEventsCaughtByDigest(t *testing.T) {
+	sc := mutationScenario()
+	for _, scheme := range sc.Schemes {
+		events := RunScheme(sc, scheme, false).relog()
+		at := len(events) / 2
+		for at+1 < len(events) && events[at] == events[at+1] {
+			at++
+		}
+		if at+1 >= len(events) {
+			t.Fatalf("%s: no two distinct adjacent events", scheme)
+		}
+		p := rerunWith(sc, scheme, func(i int, e obs.Event) (obs.Event, bool) {
+			switch i {
+			case at:
+				return events[at+1], true
+			case at + 1:
+				return events[at], true
+			}
+			return e, true
+		})
+		if len(p) != 1 || !strings.Contains(p[0], fmt.Sprintf("first divergent event #%d:", at)) ||
+			!strings.HasPrefix(p[0], fmt.Sprintf("determinism oracle: rerun emitted %d events", len(events))) {
+			t.Errorf("%s: swapped events not caught by the digest oracle: %v", scheme, p)
+		}
 	}
 }
 

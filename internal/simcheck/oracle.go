@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"v10/internal/metrics"
-	"v10/internal/obs"
 	"v10/internal/trace"
 )
 
@@ -63,14 +62,14 @@ func serialExpectation(sc *Scenario, scheme string, wi int) ([]trace.Op, int64) 
 // checkSerial is the single-workload differential oracle: with no tenant to
 // contend with, every scheme must behave exactly like serial execution — no
 // preemptions, makespan = requests x the independently computed per-request
-// time, and every traced stall/run span matching the operator it executes.
+// time, and every traced stall/run span matching the operator it executes
+// (the serialTracer that rode the run checked the spans).
 func checkSerial(sc *Scenario, out *Outcome) []string {
-	if len(sc.Workloads) != 1 || sc.ArrivalRateHz > 0 || sc.ArrivalCycles != nil ||
-		out.Result == nil || out.Err != nil {
+	if out.serial == nil || out.Result == nil || out.Err != nil {
 		return nil
 	}
 	var problems []string
-	ops, perReq := serialExpectation(sc, out.Scheme, 0)
+	perReq := out.serial.perReq
 	res := out.Result
 	if want := int64(sc.Requests) * perReq; res.TotalCycles != want {
 		problems = append(problems, fmt.Sprintf(
@@ -87,27 +86,8 @@ func checkSerial(sc *Scenario, out *Outcome) []string {
 			break
 		}
 	}
-	capacity := sc.Config.HBMBytesPerCycle()
-	runSeg, stallSeg := 0, 0
-	for _, e := range out.Events {
-		switch e.Type {
-		case obs.EvRunSegment:
-			op := ops[runSeg%len(ops)]
-			if want := fluidCycles(op, capacity); e.Dur != want {
-				problems = append(problems, fmt.Sprintf(
-					"serial oracle: run segment %d spans %d cycles, op %d computes in %d", runSeg, e.Dur, runSeg%len(ops), want))
-				return problems
-			}
-			runSeg++
-		case obs.EvStall:
-			op := ops[stallSeg%len(ops)]
-			if e.Dur != op.Stall {
-				problems = append(problems, fmt.Sprintf(
-					"serial oracle: stall %d spans %d cycles, op %d stalls %d", stallSeg, e.Dur, stallSeg%len(ops), op.Stall))
-				return problems
-			}
-			stallSeg++
-		}
+	if m := out.serial.mismatch; m != "" {
+		problems = append(problems, m)
 	}
 	return problems
 }
@@ -267,8 +247,10 @@ func sumLatency(st *metrics.WorkloadStats) float64 {
 	return t
 }
 
-// checkDeterminism reruns one scheme and requires a bit-identical result and
-// event stream: the simulator's contract is full determinism per seed.
+// checkDeterminism compares a scheme's run with its rerun: the simulator's
+// contract is full determinism per seed, so the results and the event-stream
+// digests must be identical. When the digests differ, both sides rerun with a
+// full event log so the problem names the first divergent event.
 func checkDeterminism(a, b *Outcome) []string {
 	var problems []string
 	if (a.Err == nil) != (b.Err == nil) {
@@ -277,9 +259,16 @@ func checkDeterminism(a, b *Outcome) []string {
 	if !reflect.DeepEqual(a.Result, b.Result) {
 		problems = append(problems, "determinism oracle: rerunning the same scheme produced a different result")
 	}
-	if !reflect.DeepEqual(a.Events, b.Events) {
-		problems = append(problems, fmt.Sprintf(
-			"determinism oracle: rerun emitted %d events vs %d, or with different contents", len(b.Events), len(a.Events)))
+	if a.Events != b.Events {
+		msg := fmt.Sprintf("determinism oracle: rerun emitted %d events (digest %016x) vs %d (digest %016x)",
+			b.Events.Count, b.Events.Sum, a.Events.Count, a.Events.Sum)
+		ea, eb := a.relog(), b.relog()
+		if i := firstDivergence(ea, eb); i >= 0 {
+			msg += fmt.Sprintf("; first divergent event #%d: %s, rerun %s", i, eventAt(ea, i), eventAt(eb, i))
+		} else {
+			msg += "; logged reruns agree, so the divergence itself is nondeterministic"
+		}
+		problems = append(problems, msg)
 	}
 	return problems
 }

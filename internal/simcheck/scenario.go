@@ -113,7 +113,8 @@ func (w WorkloadSpec) graph() *trace.Graph {
 
 // buildWorkloads materializes a workload set in declaration order, or
 // reversed (the permutation the fairness oracle compares against). The
-// generators are deterministic and request-independent.
+// generators are deterministic and request-independent, and copy the
+// template into the runner's scratch graph so a request allocates nothing.
 func buildWorkloads(specs []WorkloadSpec, reversed bool) []*trace.Workload {
 	out := make([]*trace.Workload, len(specs))
 	for i := range specs {
@@ -122,10 +123,12 @@ func buildWorkloads(specs []WorkloadSpec, reversed bool) []*trace.Workload {
 			spec = specs[len(specs)-1-i]
 		}
 		g := spec.graph() // capture one immutable template
-		w := trace.NewWorkload(spec.Name, "simcheck", 1, func(request int) *trace.Graph {
-			fresh := *g
-			fresh.Ops = append([]trace.Op(nil), g.Ops...)
-			return &fresh
+		w := trace.NewWorkloadReusable(spec.Name, "simcheck", 1, func(_ int, dst *trace.Graph) *trace.Graph {
+			if dst == nil {
+				dst = &trace.Graph{}
+			}
+			dst.Ops = append(dst.Ops[:0], g.Ops...) // Deps stay shared with the template
+			return dst
 		})
 		out[i] = w.WithPriority(spec.Priority)
 	}

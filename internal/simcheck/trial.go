@@ -10,19 +10,18 @@ import (
 	"v10/internal/sched"
 )
 
-// EventLog is a Tracer that records the full event stream in memory, for the
-// oracles (serial timing, determinism) and for Chrome-trace export of repros.
-// It aliases obs.Log, which the fleet runner shares for per-core capture.
-type EventLog = obs.Log
-
-// Outcome is one scheme's run: its result, full event stream, and every
-// invariant the Checker flagged.
+// Outcome is one scheme's run: its result, the digest of its event stream,
+// and every invariant the Checker flagged. No run retains its events; relog
+// re-executes the run into a full log for the determinism oracle's report.
 type Outcome struct {
 	Scheme   string
 	Result   *metrics.RunResult
-	Events   []obs.Event
+	Events   EventDigest
 	Problems []string
 	Err      error
+
+	serial *serialTracer // nil unless the serial oracle applies
+	relog  func() []obs.Event
 }
 
 // Violation is a failed CheckScenario: the scenario plus every oracle and
@@ -32,22 +31,40 @@ type Violation struct {
 	Problems []string  `json:"problems"`
 }
 
-// RunScheme executes one scheme over the scenario with the invariant checker
-// riding the tracer hook, recovering panics into problems. reversed flips the
-// workload submission order (the permutation oracles' second run).
-func RunScheme(sc *Scenario, scheme string, reversed bool) (out *Outcome) {
+// RunScheme executes one scheme over the scenario with the invariant checker,
+// the serial oracle and the determinism digest riding the tracer hook,
+// recovering panics into problems. reversed flips the workload submission
+// order (the permutation oracles' second run).
+func RunScheme(sc *Scenario, scheme string, reversed bool) *Outcome {
+	return runScheme(sc, scheme, reversed, nil)
+}
+
+// runScheme is RunScheme with an optional wrap between the runner and every
+// oracle tracer (the mutation tests corrupt one determinism side with it).
+func runScheme(sc *Scenario, scheme string, reversed bool, wrap func(obs.Tracer) obs.Tracer) (out *Outcome) {
+	if wrap == nil {
+		wrap = func(t obs.Tracer) obs.Tracer { return t }
+	}
 	out = &Outcome{Scheme: scheme}
+	out.relog = func() []obs.Event {
+		log := &obs.Log{}
+		stream(sc, scheme, reversed, wrap(log))
+		return log.Events
+	}
 	ck := NewChecker(sc, scheme, reversed)
-	log := &EventLog{}
+	sinks := []obs.Tracer{ck, &out.Events}
+	if len(sc.Workloads) == 1 && sc.ArrivalRateHz <= 0 && sc.ArrivalCycles == nil { // one workload, closed loop
+		out.serial = newSerialTracer(sc, scheme)
+		sinks = append(sinks, out.serial)
+	}
 
 	defer func() {
-		out.Events = log.Events
 		if r := recover(); r != nil {
 			out.Problems = append(out.Problems, fmt.Sprintf("panic: %v", r))
 		}
 	}()
 
-	res, err := Execute(sc, scheme, reversed, obs.Multi(ck, log))
+	res, err := Execute(sc, scheme, reversed, wrap(obs.Multi(sinks...)))
 	out.Result = res
 	out.Err = err
 	if err != nil && !errors.Is(err, sched.ErrMaxCycles) {
@@ -55,6 +72,13 @@ func RunScheme(sc *Scenario, scheme string, reversed bool) (out *Outcome) {
 	}
 	out.Problems = append(out.Problems, ck.Finalize(res, err)...)
 	return out
+}
+
+// stream executes one scheme's run into tracer alone, swallowing a panic:
+// the event stream up to the panic is what the caller exports or compares.
+func stream(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) {
+	defer func() { _ = recover() }()
+	_, _ = Execute(sc, scheme, reversed, tracer)
 }
 
 // Execute runs one scheme over the scenario with an arbitrary tracer and no
@@ -177,9 +201,7 @@ func writeTimeline(sc *Scenario, path string) error {
 	cw := obs.NewChromeWriter(sc.Config.CyclesPerMicrosecond())
 	for _, scheme := range sc.Schemes {
 		cw.BeginSection(scheme)
-		for _, e := range RunScheme(sc, scheme, false).Events {
-			cw.Emit(e)
-		}
+		stream(sc, scheme, false, cw)
 	}
 	return cw.WriteFile(path)
 }
