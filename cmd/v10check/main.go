@@ -15,14 +15,20 @@
 //	v10check -v                               # per-trial progress
 //
 // -replay takes the arm from the repro's kind, so -arm does not apply to it.
+//
+// -parallel N is the one bound on simulations in flight: a sweep checks N
+// trials at once, each strictly serial inside, while -replay and -minimize
+// check one trial at a time with up to N of its independent runs at once.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"v10/internal/parallel"
 	"v10/internal/simcheck"
@@ -41,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "Chrome trace of the first failing run (open in Perfetto; base and workload arms)")
 	replay := fs.String("replay", "", "re-check a saved repro instead of random trials")
 	minimizeBudget := fs.Int("minimize", 200, "max re-checks spent minimizing a failure (0 disables)")
-	par := fs.Int("parallel", 0, "trial worker count (0 = GOMAXPROCS, 1 = serial)")
+	par := fs.Int("parallel", 0, "simulations in flight: trials of a sweep, or runs of one trial under -replay and -minimize (0 = GOMAXPROCS, 1 = serial)")
 	verbose := fs.Bool("v", false, "log every trial")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -69,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *replay != "" {
-		if fail.Problems = arm.Check(fail.Scenario); len(fail.Problems) == 0 {
+		if fail.Problems = arm.Check(fail.Scenario, *par); len(fail.Problems) == 0 {
 			fmt.Fprintf(stdout, "repro %s: %s arm clean\n", *replay, arm.Name)
 			return 0
 		}
@@ -84,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 	}
-	if err := report(stderr, arm, fail, *out, *tracePath, *minimizeBudget); err != nil {
+	if err := report(stderr, arm, fail, *out, *tracePath, *minimizeBudget, *par); err != nil {
 		fmt.Fprintln(stderr, "v10check:", err)
 	}
 	return 1
@@ -99,41 +105,48 @@ func kindPrefix(a *simcheck.Arm) string {
 	return a.Name + " "
 }
 
-// sweep runs trial seeds seed..seed+trials-1 of the arm on par workers,
-// batch by batch, logging each trial to progress unless it is nil, and
-// returns the failure with the smallest seed (nil when clean). Batching keeps the first-failure semantics deterministic — every
-// worker finishes its batch before failures are scanned in seed order — so
-// a parallel sweep reports the same repro as a serial one.
+// sweep runs trial seeds seed..seed+trials-1 of the arm, par trials at once
+// and each trial serial inside, logging each trial to progress unless it is
+// nil, and returns the failure with the smallest seed (nil when clean).
+// Trials are dispatched in seed order and dispatch stops at the first
+// failure, so every smaller seed has run by the time the sweep returns: a
+// parallel sweep reports the same repro as a serial one.
 func sweep(a *simcheck.Arm, trials int, seed uint64, par int, progress io.Writer) *simcheck.Repro {
-	batch := 8 * parallel.Workers(par)
-	for lo := 0; lo < trials; lo += batch {
-		hi := lo + batch
-		if hi > trials {
-			hi = trials
-		}
-		// Progress is logged from this goroutine, in seed order, so the
-		// workers never share it.
-		for i := lo; progress != nil && i < hi; i++ {
-			fmt.Fprintf(progress, "%strial %d/%d seed %d\n", kindPrefix(a), i+1, trials, seed+uint64(i))
-		}
-		rs, _ := parallel.Map(context.Background(), hi-lo, par, func(i int) (*simcheck.Repro, error) {
-			return a.Trial(seed + uint64(lo+i)), nil
-		})
-		for _, r := range rs {
-			if r != nil {
-				return r
+	fails := make([]*simcheck.Repro, trials)
+	var mu sync.Mutex
+	logged := 0
+	_ = parallel.ForEach(context.Background(), trials, par, func(i int) error {
+		if progress != nil {
+			// Every trial up to i has been dispatched: log them in seed
+			// order, whichever worker gets here first.
+			mu.Lock()
+			for ; logged <= i; logged++ {
+				fmt.Fprintf(progress, "%strial %d/%d seed %d\n", kindPrefix(a), logged+1, trials, seed+uint64(logged))
 			}
+			mu.Unlock()
+		}
+		if fails[i] = a.Trial(seed+uint64(i), 1); fails[i] != nil {
+			return errTrialFailed
+		}
+		return nil
+	})
+	for _, r := range fails {
+		if r != nil {
+			return r
 		}
 	}
 	return nil
 }
 
-// report minimizes a failure, prints every problem, and writes the repro and
-// the optional Chrome trace.
-func report(stderr io.Writer, a *simcheck.Arm, r *simcheck.Repro, out, tracePath string, minimizeBudget int) error {
+// errTrialFailed stops a sweep's dispatch; the failure itself is in fails.
+var errTrialFailed = errors.New("trial failed")
+
+// report minimizes a failure with par runs of each re-check in flight, prints
+// every problem, and writes the repro and the optional Chrome trace.
+func report(stderr io.Writer, a *simcheck.Arm, r *simcheck.Repro, out, tracePath string, minimizeBudget, par int) error {
 	fmt.Fprintf(stderr, "%s seed %d violated %d invariant(s)\n", a.Name, r.Seed, len(r.Problems))
 	if minimizeBudget > 0 {
-		if sc, problems := a.Minimize(r.Scenario, minimizeBudget); len(problems) > 0 {
+		if sc, problems := a.Minimize(r.Scenario, minimizeBudget, par); len(problems) > 0 {
 			r.Scenario, r.Problems = sc, problems
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -116,7 +117,7 @@ func TestMinimizeFleetArm(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := *chaos
-	a.Check = func(sc any) []string {
+	a.Check = func(sc any, _ int) []string {
 		if len(sc.(*simcheck.ChaosScenario).Workloads) > 0 {
 			return []string{"planted: fleet serves tenants"}
 		}
@@ -126,7 +127,7 @@ func TestMinimizeFleetArm(t *testing.T) {
 		cs := sc.(*simcheck.ChaosScenario)
 		return len(cs.Workloads) + len(cs.Faults)
 	}
-	fail := a.Trial(0)
+	fail := a.Trial(0, 1)
 	if fail == nil {
 		t.Fatal("planted checker passed seed 0")
 	}
@@ -134,7 +135,7 @@ func TestMinimizeFleetArm(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "chaos.json")
 	var stderr bytes.Buffer
-	if err := report(&stderr, &a, fail, path, "", 200); err != nil {
+	if err := report(&stderr, &a, fail, path, "", 200, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(stderr.String(), "chaos seed 0 violated 1 invariant(s)\n") {
@@ -150,7 +151,7 @@ func TestMinimizeFleetArm(t *testing.T) {
 	if n := size(r.Scenario); n != 1 || n >= orig {
 		t.Errorf("minimized chaos scenario has %d tenants+faults (generated %d), want 1", n, orig)
 	}
-	if len(a.Check(r.Scenario)) == 0 {
+	if len(a.Check(r.Scenario, 1)) == 0 {
 		t.Error("minimized scenario no longer fails the planted checker")
 	}
 }
@@ -176,5 +177,42 @@ func TestReplayFailureWritesTimeline(t *testing.T) {
 	raw, err := os.ReadFile(trace)
 	if err != nil || !json.Valid(raw) {
 		t.Errorf("timeline %s: read error %v, valid JSON %v", trace, err, json.Valid(raw))
+	}
+}
+
+// TestSweepSmallestFailingSeed plants a base-arm checker failing seeds 13,
+// 17 and 40: at any -parallel the sweep must report seed 13, and its -v
+// lines must be the seed-ordered prefix of the trials it dispatched.
+func TestSweepSmallestFailingSeed(t *testing.T) {
+	base, err := simcheck.FindArm("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := *base
+	a.Check = func(sc any, width int) []string {
+		if width != 1 {
+			t.Errorf("sweep checked a trial at width %d, want 1", width)
+		}
+		switch sc.(*simcheck.Scenario).Seed {
+		case 13, 17, 40:
+			return []string{"planted"}
+		}
+		return nil
+	}
+	for _, par := range []int{1, 4} {
+		var progress bytes.Buffer
+		r := sweep(&a, 50, 0, par, &progress)
+		if r == nil || r.Seed != 13 {
+			t.Fatalf("-parallel %d: sweep reported %+v, want seed 13", par, r)
+		}
+		lines := strings.Split(strings.TrimSuffix(progress.String(), "\n"), "\n")
+		if len(lines) < 14 || (par == 1 && len(lines) != 14) {
+			t.Errorf("-parallel %d: %d progress lines, want 14 at -parallel 1 and at least 14 otherwise", par, len(lines))
+		}
+		for i, l := range lines {
+			if want := fmt.Sprintf("trial %d/50 seed %d", i+1, i); l != want {
+				t.Fatalf("-parallel %d: progress line %d = %q, want %q", par, i, l, want)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"v10/internal/baseline"
 	"v10/internal/ctlplane"
@@ -518,13 +519,17 @@ func windowsOf(s *faults.Schedule, core int, kind faults.Kind) []sched.Window {
 	return out
 }
 
+// logPool recycles the per-core event buffers runCore fills when
+// Options.Tracer is set; replayObservability returns each one once replayed.
+var logPool = sync.Pool{New: func() any { return new(obs.Log) }}
+
 // runCore executes one core's cycle-accurate simulation under its fault
 // perturbations, with its own engine, event log, and counter log.
 func runCore(c int, job coreJob, o Options, p perturb) *coreOut {
 	out := &coreOut{}
 	var sinks []obs.Tracer
 	if o.Tracer != nil {
-		out.log = &obs.Log{}
+		out.log = logPool.Get().(*obs.Log)
 		sinks = append(sinks, out.log)
 	}
 	if o.CoreTracer != nil {
@@ -631,6 +636,9 @@ func replayObservability(disp *dispatchOutcome, outs []*coreOut, o Options) {
 				sec.BeginSection(fmt.Sprintf("core %d", c))
 			}
 			out.log.Replay(o.Tracer)
+			out.log.Events = out.log.Events[:0]
+			logPool.Put(out.log)
+			out.log = nil
 		}
 		if o.Counters != nil && out.counters != nil {
 			o.Counters.BeginSection(fmt.Sprintf("core %d", c))

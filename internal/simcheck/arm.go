@@ -11,10 +11,14 @@ import (
 // oracle violation, and a shrinker proposing one-step smaller scenarios that
 // keep the arm's structural preconditions. Every arm sweeps, replays and
 // minimizes through the same path, and every failure is one Repro.
+//
+// Check runs the trial's independent simulations on at most width goroutines
+// (parallel.Workers semantics: 0 = GOMAXPROCS, 1 = strictly serial); its
+// problems are the same at every width.
 type Arm struct {
 	Name   string
 	Gen    func(seed uint64) any
-	Check  func(scenario any) []string
+	Check  func(scenario any, width int) []string
 	Shrink func(scenario any) []any
 	// Timeline writes a Chrome/Perfetto trace of the scenario's runs to
 	// path; nil for arms without a timeline export.
@@ -30,18 +34,22 @@ type Arm struct {
 var Arms = []Arm{
 	newArm("base", GenScenario, checkScheme, shrinkCandidates, writeTimeline),
 	newArm("workload", GenWorkloadScenario, checkScheme, shrinkCandidates, writeTimeline),
-	newArm("chaos", GenChaosScenario, CheckChaosScenario, shrinkChaos, nil),
-	newArm("isolation", GenIsolationScenario, CheckIsolationScenario, shrinkIsolation, nil),
-	newArm("elastic", GenElasticScenario, CheckElasticScenario, shrinkElastic, nil),
+	newArm("chaos", GenChaosScenario, checkChaos, shrinkChaos, nil),
+	newArm("isolation", GenIsolationScenario, func(is *IsolationScenario, width int) []string {
+		return checkIsolation(is, width, nil, nil)
+	}, shrinkIsolation, nil),
+	newArm("elastic", GenElasticScenario, func(es *ElasticScenario, width int) []string {
+		return checkElastic(es, width, nil, nil)
+	}, shrinkElastic, nil),
 }
 
 // newArm erases an arm's scenario type S behind the table's uniform shape.
-func newArm[S any](name string, gen func(uint64) *S, check func(*S) []string,
+func newArm[S any](name string, gen func(uint64) *S, check func(*S, int) []string,
 	shrink func(*S) []*S, timeline func(*S, string) error) Arm {
 	a := Arm{
 		Name:  name,
 		Gen:   func(seed uint64) any { return gen(seed) },
-		Check: func(sc any) []string { return check(sc.(*S)) },
+		Check: func(sc any, width int) []string { return check(sc.(*S), width) },
 		Shrink: func(sc any) []any {
 			var out []any
 			for _, c := range shrink(sc.(*S)) {
@@ -72,11 +80,11 @@ func FindArm(name string) (*Arm, error) {
 	return nil, fmt.Errorf("simcheck: unknown arm %q (want %s)", name, strings.Join(names, "|"))
 }
 
-// Trial generates the arm's scenario for seed and checks it, returning the
-// failure's repro, or nil when every oracle passes.
-func (a *Arm) Trial(seed uint64) *Repro {
+// Trial generates the arm's scenario for seed and checks it at width (see
+// Arm), returning the failure's repro, or nil when every oracle passes.
+func (a *Arm) Trial(seed uint64, width int) *Repro {
 	sc := a.Gen(seed)
-	if problems := a.Check(sc); len(problems) > 0 {
+	if problems := a.Check(sc, width); len(problems) > 0 {
 		return &Repro{Kind: a.Name, Seed: seed, Scenario: sc, Problems: problems}
 	}
 	return nil
@@ -84,11 +92,11 @@ func (a *Arm) Trial(seed uint64) *Repro {
 
 // checkScheme is the base and workload arms' checker: a generator emitting an
 // invalid scenario is itself a violation.
-func checkScheme(sc *Scenario) []string {
+func checkScheme(sc *Scenario, width int) []string {
 	if err := sc.Validate(); err != nil {
 		return []string{"generator produced invalid scenario: " + err.Error()}
 	}
-	if v := CheckScenario(sc); v != nil {
+	if v := checkScenario(sc, width, nil); v != nil {
 		return v.Problems
 	}
 	return nil

@@ -134,16 +134,24 @@ func (cs *ChaosScenario) options(schedule *faults.Schedule) fleet.Options {
 		NoMigration:            cs.NoMigration,
 		Faults:                 schedule,
 		Seed:                   cs.Seed,
-		// Serial inside one trial: v10check parallelizes across trials, and
-		// nesting worker pools just thrashes the same cores. CoreTracer
-		// checker registration is mutex-guarded, so a parallel inner run is
-		// safe if a caller ever wants one.
+		// Serial inside one run: the trial fans out its independent runs
+		// and v10check its trials, and nesting a third worker pool just
+		// thrashes the same cores. CoreTracer checker registration is
+		// mutex-guarded, so a parallel inner run is safe if a caller ever
+		// wants one.
 		Parallel: 1,
 	}
 }
 
-// CheckChaosScenario runs the trial and returns every oracle violation.
-func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
+// CheckChaosScenario runs the trial and returns every oracle violation. Its
+// independent fleet runs fan out over parallel.Workers(0) goroutines.
+func CheckChaosScenario(cs *ChaosScenario) []string {
+	return checkChaos(cs, 0)
+}
+
+// checkChaos is CheckChaosScenario with at most width fleet runs in flight
+// (1 = strictly serial).
+func checkChaos(cs *ChaosScenario, width int) (problems []string) {
 	defer func() {
 		if r := recover(); r != nil {
 			problems = append(problems, fmt.Sprintf("panic: %v", r))
@@ -182,7 +190,19 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 		checkersMu.Unlock()
 		return ck
 	}
-	res, err := fleet.Run(buildWorkloads(cs.Workloads, false), o)
+	// Run 2 re-runs run 1 untraced for the determinism oracle; run 3
+	// (fault-free trials only) swaps the empty schedule for a nil one.
+	runs := []func() fleetRun{
+		runFleet(buildWorkloads(cs.Workloads, false), o),
+		runFleet(buildWorkloads(cs.Workloads, false), cs.options(schedule)),
+	}
+	if len(cs.Faults) == 0 {
+		runs = append(runs, runFleet(buildWorkloads(cs.Workloads, false), cs.options(nil)))
+	}
+	run := fanOut(width, runs...)
+
+	first := run(0)
+	res, err := first.res, first.err
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("fleet run error: %v", err))
 	}
@@ -200,27 +220,24 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 	problems = append(problems, checkChaosConservation(cs, res, err == nil)...)
 	problems = append(problems, checkChaosEvents(res, tally, cs.MissedBeats)...)
 
-	// Run 2: determinism — the same seed must reproduce the faulted run bit
-	// for bit, per-core cycle measurements included.
-	res2, err2 := fleet.Run(buildWorkloads(cs.Workloads, false), cs.options(schedule))
-	if err2 != nil {
-		problems = append(problems, fmt.Sprintf("fleet re-run error: %v", err2))
+	// Determinism: the same seed must reproduce the faulted run bit for bit,
+	// per-core cycle measurements included.
+	rerun := run(1)
+	if rerun.err != nil {
+		problems = append(problems, fmt.Sprintf("fleet re-run error: %v", rerun.err))
 	}
-	if res2 != nil {
-		if !sameResult(res, res2) {
-			problems = append(problems, "faulted run is not deterministic: re-run with the same seed differs")
-		}
+	if rerun.res != nil && !sameResult(res, rerun.res) {
+		problems = append(problems, "faulted run is not deterministic: re-run with the same seed differs")
 	}
 
-	// Run 3 (fault-free trials only): a nil fault schedule and an empty one
-	// must be bit-identical — the fault machinery may not perturb the
-	// fault-free path at all.
+	// A nil fault schedule and an empty one must be bit-identical — the
+	// fault machinery may not perturb the fault-free path at all.
 	if len(cs.Faults) == 0 {
-		res3, err3 := fleet.Run(buildWorkloads(cs.Workloads, false), cs.options(nil))
-		if err3 != nil {
-			problems = append(problems, fmt.Sprintf("nil-schedule run error: %v", err3))
+		nilRun := run(2)
+		if nilRun.err != nil {
+			problems = append(problems, fmt.Sprintf("nil-schedule run error: %v", nilRun.err))
 		}
-		if res3 != nil && !sameResult(res, res3) {
+		if nilRun.res != nil && !sameResult(res, nilRun.res) {
 			problems = append(problems, "empty fault schedule is not bit-identical to a nil schedule")
 		}
 	}

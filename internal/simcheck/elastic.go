@@ -190,7 +190,7 @@ func (es *ElasticScenario) options(arr [][]int64, model *collocate.Model) fleet.
 		Admission:      fleet.Admission(es.Admission),
 		Recluster:      es.Recluster,
 		Model:          model,
-		// Serial inside one trial: v10check parallelizes across trials.
+		// Serial inside one run: the trial fans out its runs.
 		Parallel: 1,
 	}
 }
@@ -205,17 +205,19 @@ const elasticProfileRequests = 3
 const elasticSLOFactor = 10
 
 // CheckElasticScenario runs the trial and returns every oracle violation.
+// Its independent fleet runs fan out over parallel.Workers(0) goroutines.
 func CheckElasticScenario(es *ElasticScenario) []string {
-	return checkElastic(es, nil, nil)
+	return checkElastic(es, 0, nil, nil)
 }
 
-// checkElastic is CheckElasticScenario with mutation hooks: mutateOpts may
-// corrupt the run's options (e.g. skew the admission estimates) and mutateRes
-// may corrupt the result (e.g. drop a readmission or zero the model drift).
-// The mutation acceptance tests use the hooks to prove injected control-plane
-// bugs are caught; when either hook is set the determinism oracle is skipped
-// (a corrupted view trivially differs from its clean re-run).
-func checkElastic(es *ElasticScenario,
+// checkElastic is CheckElasticScenario with at most width fleet runs in
+// flight (1 = strictly serial) and mutation hooks: mutateOpts may corrupt the
+// run's options (e.g. skew the admission estimates) and mutateRes may corrupt
+// the result (e.g. drop a readmission or zero the model drift). The mutation
+// acceptance tests use the hooks to prove injected control-plane bugs are
+// caught; when either hook is set the determinism oracle is skipped (a
+// corrupted view trivially differs from its clean re-run).
+func checkElastic(es *ElasticScenario, width int,
 	mutateOpts func(*fleet.Options), mutateRes func(*fleet.Result)) (problems []string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -234,28 +236,34 @@ func checkElastic(es *ElasticScenario,
 		}
 	}
 
-	// Run 1: control plane on, fleet events tallied.
+	// Run 1: control plane on, fleet events tallied. Run 2: determinism —
+	// the same seed must reproduce the run bit for bit, decision trace and
+	// window signals included.
 	tally := &eventTally{}
 	o := es.options(arr, model)
 	o.Tracer = tally
 	if mutateOpts != nil {
 		mutateOpts(&o)
 	}
-	res, err := fleet.Run(ws, o)
+	determinism := mutateOpts == nil && mutateRes == nil
+	runs := []func() fleetRun{runFleet(ws, o)}
+	if determinism {
+		runs = append(runs, runFleet(ws, es.options(arr, model)))
+	}
+	run := fanOut(width, runs...)
+
+	first := run(0)
+	res, err := first.res, first.err
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("fleet run error: %v", err))
 	}
 	if res == nil {
 		return problems
 	}
-
-	// Run 2: determinism — the same seed must reproduce the run bit for bit,
-	// decision trace and window signals included.
-	if mutateOpts == nil && mutateRes == nil {
-		res2, err2 := fleet.Run(ws, es.options(arr, model))
-		if err2 != nil {
-			problems = append(problems, fmt.Sprintf("fleet re-run error: %v", err2))
-		} else if !sameResult(res, res2) {
+	if determinism {
+		if rerun := run(1); rerun.err != nil {
+			problems = append(problems, fmt.Sprintf("fleet re-run error: %v", rerun.err))
+		} else if !sameResult(res, rerun.res) {
 			problems = append(problems, "elastic run is not deterministic: re-run with the same seed differs")
 		}
 	}

@@ -127,7 +127,7 @@ func TestElasticMutationIgnoredCooldownCaught(t *testing.T) {
 	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
 		return len(scaleIdx(res)) >= 2
 	})
-	problems := checkElastic(es, nil, func(res *fleet.Result) {
+	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
 		idx := scaleIdx(res)
 		res.Control.Decisions[idx[1]].AtCycle = res.Control.Decisions[idx[0]].AtCycle + 1
 	})
@@ -146,7 +146,7 @@ func TestElasticMutationDrainLeakCaught(t *testing.T) {
 		}
 		return false
 	})
-	problems := checkElastic(es, nil, func(res *fleet.Result) {
+	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
 		for i := range res.Tenants {
 			if res.Tenants[i].Readmitted > 0 {
 				res.Tenants[i].Readmitted--
@@ -164,7 +164,7 @@ func TestElasticMutationStaleCentroidCaught(t *testing.T) {
 	es := findElasticSeed(t, 60, func(es *ElasticScenario, res *fleet.Result) bool {
 		return es.Recluster && res.Control.ModelDrift > 0
 	})
-	problems := checkElastic(es, nil, func(res *fleet.Result) {
+	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
 		res.Control.ModelDrift = 0
 	})
 	requireProblem(t, problems, "stale")
@@ -175,7 +175,7 @@ func TestElasticMutationStaleCentroidCaught(t *testing.T) {
 // must flag the skew.
 func TestElasticMutationEstimateSkewCaught(t *testing.T) {
 	es := GenElasticScenario(0)
-	problems := checkElastic(es, func(o *fleet.Options) {
+	problems := checkElastic(es, 0, func(o *fleet.Options) {
 		o.EstimateScale = 2
 	}, nil)
 	requireProblem(t, problems, "skewed")
@@ -189,7 +189,7 @@ func TestElasticMutationDroppedEventCaught(t *testing.T) {
 	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
 		return res.Control.ScaleUps > 0
 	})
-	problems := checkElastic(es, nil, func(res *fleet.Result) {
+	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
 		res.Control.ScaleUps++
 	})
 	requireProblem(t, problems, "scale-up event")
@@ -202,7 +202,7 @@ func TestElasticMutationPeakBelowFinalCaught(t *testing.T) {
 	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
 		return res.Control.ScaleDowns > 0
 	})
-	problems := checkElastic(es, nil, func(res *fleet.Result) {
+	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
 		res.Control.PeakActiveCores = res.Control.FinalActiveCores - 1
 	})
 	requireProblem(t, problems, "active-core accounting inconsistent")

@@ -24,7 +24,7 @@ func FuzzSchedRun(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		if r := base.Trial(seed); r != nil {
+		if r := base.Trial(seed, 1); r != nil {
 			t.Fatalf("seed %d:\n%s", seed, join(r.Problems))
 		}
 	})

@@ -200,7 +200,7 @@ func (is *IsolationScenario) options(n int) fleet.Options {
 		QueueLimit:        is.QueueLimit,
 		NoSpill:           true,
 		Seed:              is.Seed,
-		Parallel:          1, // serial inside one trial; v10check parallelizes across trials
+		Parallel:          1, // serial inside one run; the trial fans out its runs
 		VNPUTemplates:     is.Templates,
 		SliceWindowCycles: is.WindowCycles,
 		PinnedPlacement:   [][]int{home},
@@ -209,8 +209,9 @@ func (is *IsolationScenario) options(n int) fleet.Options {
 }
 
 // CheckIsolationScenario runs the trial and returns every oracle violation.
+// Its independent fleet runs fan out over parallel.Workers(0) goroutines.
 func CheckIsolationScenario(is *IsolationScenario) []string {
-	return checkIsolation(is, nil, nil)
+	return checkIsolation(is, 0, nil, nil)
 }
 
 // filterTracer forwards events through fn, letting the mutation acceptance
@@ -227,13 +228,13 @@ func (f *filterTracer) Emit(e obs.Event) {
 	}
 }
 
-// checkIsolation is CheckIsolationScenario with mutation hooks: mutate may
-// corrupt or drop events between the runner and the oracles, mutateRes may
-// corrupt the noisy run's result. The mutation acceptance tests use the
-// hooks to prove injected enforcement bugs are caught; when either hook is
-// set the determinism oracle is skipped (a corrupted view trivially differs
-// from its clean re-run).
-func checkIsolation(is *IsolationScenario,
+// checkIsolation is CheckIsolationScenario with at most width fleet runs in
+// flight (1 = strictly serial) and mutation hooks: mutate may corrupt or drop
+// events between the runner and the oracles, mutateRes may corrupt the noisy
+// run's result. The mutation acceptance tests use the hooks to prove injected
+// enforcement bugs are caught; when either hook is set the determinism oracle
+// is skipped (a corrupted view trivially differs from its clean re-run).
+func checkIsolation(is *IsolationScenario, width int,
 	mutate func(obs.Event) (obs.Event, bool), mutateRes func(*fleet.Result)) (problems []string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -241,12 +242,9 @@ func checkIsolation(is *IsolationScenario,
 		}
 	}()
 	// Arm 1: the victim alone on its slice — the containment baseline.
-	aloneRes, err := fleet.Run(buildWorkloads(is.Workloads, false)[:1], is.options(1))
-	if err != nil {
-		return append(problems, fmt.Sprintf("victim-alone run error: %v", err))
-	}
-
 	// Arm 2: victim plus aggressors, slice events recorded.
+	// Arm 3: determinism — the same seed must reproduce the noisy run bit
+	// for bit, slice accounting included (the tracer may not perturb it).
 	sliceLog := &sliceEvents{}
 	o := is.options(len(is.Workloads))
 	o.CoreTracer = func(core int, tenants []int) obs.Tracer {
@@ -255,27 +253,37 @@ func checkIsolation(is *IsolationScenario,
 		}
 		return sliceLog
 	}
-	noisyRes, err := fleet.Run(buildWorkloads(is.Workloads, false), o)
-	if err != nil {
-		return append(problems, fmt.Sprintf("noisy run error: %v", err))
+	determinism := mutate == nil && mutateRes == nil
+	runs := []func() fleetRun{
+		runFleet(buildWorkloads(is.Workloads, false)[:1], is.options(1)),
+		runFleet(buildWorkloads(is.Workloads, false), o),
 	}
+	if determinism {
+		runs = append(runs, runFleet(buildWorkloads(is.Workloads, false), is.options(len(is.Workloads))))
+	}
+	run := fanOut(width, runs...)
 
-	// Arm 3: determinism — the same seed must reproduce the noisy run bit
-	// for bit, slice accounting included (the tracer may not perturb it).
-	if mutate == nil && mutateRes == nil {
-		rerun, err2 := fleet.Run(buildWorkloads(is.Workloads, false), is.options(len(is.Workloads)))
-		if err2 != nil {
-			problems = append(problems, fmt.Sprintf("noisy re-run error: %v", err2))
-		} else if !sameResult(noisyRes, rerun) {
+	alone := run(0)
+	if alone.err != nil {
+		return append(problems, fmt.Sprintf("victim-alone run error: %v", alone.err))
+	}
+	noisy := run(1)
+	if noisy.err != nil {
+		return append(problems, fmt.Sprintf("noisy run error: %v", noisy.err))
+	}
+	if determinism {
+		if rerun := run(2); rerun.err != nil {
+			problems = append(problems, fmt.Sprintf("noisy re-run error: %v", rerun.err))
+		} else if !sameResult(noisy.res, rerun.res) {
 			problems = append(problems, "noisy run is not deterministic: re-run with the same seed differs")
 		}
 	}
 	if mutateRes != nil {
-		mutateRes(noisyRes)
+		mutateRes(noisy.res)
 	}
 
-	problems = append(problems, checkVictimContainment(is, aloneRes, noisyRes)...)
-	problems = append(problems, checkSliceConservation(is, noisyRes, sliceLog.events)...)
+	problems = append(problems, checkVictimContainment(is, alone.res, noisy.res)...)
+	problems = append(problems, checkSliceConservation(is, noisy.res, sliceLog.events)...)
 	return problems
 }
 

@@ -43,7 +43,7 @@ func throttledScenario(t *testing.T) *IsolationScenario {
 }
 
 func TestIsolationMutationCleanBaseline(t *testing.T) {
-	if p := checkIsolation(throttledScenario(t), nil, nil); len(p) != 0 {
+	if p := checkIsolation(throttledScenario(t), 0, nil, nil); len(p) != 0 {
 		t.Fatalf("unmutated trial flagged:\n%s", join(p))
 	}
 }
@@ -55,7 +55,7 @@ func TestIsolationMutationCleanBaseline(t *testing.T) {
 func TestIsolationMutationLeakedHBMAccounting(t *testing.T) {
 	is := throttledScenario(t)
 	drop := false
-	p := checkIsolation(is, func(e obs.Event) (obs.Event, bool) {
+	p := checkIsolation(is, 0, func(e obs.Event) (obs.Event, bool) {
 		if e.Type == obs.EvSliceHBM {
 			drop = !drop
 			return e, !drop
@@ -73,7 +73,7 @@ func TestIsolationMutationLeakedHBMAccounting(t *testing.T) {
 // counter charged).
 func TestIsolationMutationQuotaOverrun(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, func(e obs.Event) (obs.Event, bool) {
+	p := checkIsolation(is, 0, func(e obs.Event) (obs.Event, bool) {
 		if e.Type == obs.EvSliceHBM {
 			e.Arg1 *= 2
 		}
@@ -89,7 +89,7 @@ func TestIsolationMutationQuotaOverrun(t *testing.T) {
 // allows over the run's span.
 func TestIsolationMutationStatsOverrun(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, nil, func(res *fleet.Result) {
+	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
 		cr := &res.Cores[0]
 		ss := &cr.Slices[1]
 		ss.HBMBytes = 2 * vnpu.WindowBound(ss.WindowCycles, ss.QuotaBytes, cr.Run.TotalCycles, ss.Residents)
@@ -105,7 +105,7 @@ func TestIsolationMutationStatsOverrun(t *testing.T) {
 func TestIsolationMutationDroppedThrottleSpans(t *testing.T) {
 	is := throttledScenario(t)
 	dropped := 0
-	p := checkIsolation(is, func(e obs.Event) (obs.Event, bool) {
+	p := checkIsolation(is, 0, func(e obs.Event) (obs.Event, bool) {
 		if e.Type == obs.EvSliceThrottle {
 			dropped++
 			return e, false
@@ -124,7 +124,7 @@ func TestIsolationMutationDroppedThrottleSpans(t *testing.T) {
 // counter zeroed while throttle spans exist in the timeline.
 func TestIsolationMutationPhantomThrottleCounter(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, nil, func(res *fleet.Result) {
+	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
 		res.Cores[0].Slices[1].ThrottleStalls = 0
 	})
 	if len(p) == 0 {
@@ -136,7 +136,7 @@ func TestIsolationMutationPhantomThrottleCounter(t *testing.T) {
 // one byte past the slice's hard ceiling.
 func TestIsolationMutationCeilingOffByOne(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, nil, func(res *fleet.Result) {
+	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
 		ss := &res.Cores[0].Slices[0]
 		ss.VMemUsedBytes = ss.VMemBytes + 1
 	})
@@ -149,7 +149,7 @@ func TestIsolationMutationCeilingOffByOne(t *testing.T) {
 // out more vector memory than the device has.
 func TestIsolationMutationOversubscribedCeilings(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, nil, func(res *fleet.Result) {
+	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
 		for i := range res.Cores[0].Slices {
 			res.Cores[0].Slices[i].VMemBytes = is.Config.VMemBytes
 		}
@@ -164,7 +164,7 @@ func TestIsolationMutationOversubscribedCeilings(t *testing.T) {
 // bound must trip the headline oracle.
 func TestIsolationMutationBrokenContainment(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, nil, func(res *fleet.Result) {
+	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
 		res.Tenants[0].P99LatencyCycles *= 100
 	})
 	if len(p) == 0 {

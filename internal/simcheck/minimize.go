@@ -5,11 +5,12 @@ import "slices"
 // Minimize greedily shrinks a failing scenario while it keeps failing: each
 // pass takes the first of the arm's shrink candidates that still fails and
 // restarts from it. Every candidate is re-checked from scratch (at most
-// maxChecks Check calls), so the returned repro fails for a real reason, not
-// an artifact of the shrinking. Returns the smallest failing scenario found
-// and its problems, or the scenario and nil when it no longer fails.
-func (a *Arm) Minimize(sc any, maxChecks int) (any, []string) {
-	best, bestP := sc, a.Check(sc)
+// maxChecks Check calls, each at width), so the returned repro fails for a
+// real reason, not an artifact of the shrinking. Returns the smallest failing
+// scenario found and its problems, or the scenario and nil when it no longer
+// fails.
+func (a *Arm) Minimize(sc any, maxChecks, width int) (any, []string) {
+	best, bestP := sc, a.Check(sc, width)
 	if len(bestP) == 0 {
 		return sc, nil
 	}
@@ -21,7 +22,7 @@ func (a *Arm) Minimize(sc any, maxChecks int) (any, []string) {
 				break
 			}
 			checks++
-			if p := a.Check(cand); len(p) > 0 {
+			if p := a.Check(cand, width); len(p) > 0 {
 				best, bestP = cand, p
 				improved = true
 				break // restart the pass from the shrunken scenario

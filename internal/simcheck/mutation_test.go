@@ -206,17 +206,22 @@ func TestMutationStallCaughtBySerialOracle(t *testing.T) {
 	}
 }
 
-// rerunWith is the determinism oracle over one scheme, with the rerun's event
-// stream (its digest and its logged replay alike) passed through fn.
-func rerunWith(sc *Scenario, scheme string, fn func(i int, e obs.Event) (obs.Event, bool)) []string {
-	wrap := func(next obs.Tracer) obs.Tracer {
+// indexedFilter is a runScheme wrap passing every event of a run through fn
+// together with its index in that run's stream.
+func indexedFilter(fn func(i int, e obs.Event) (obs.Event, bool)) func(obs.Tracer) obs.Tracer {
+	return func(next obs.Tracer) obs.Tracer {
 		i := -1
 		return &filterTracer{next: next, fn: func(e obs.Event) (obs.Event, bool) {
 			i++
 			return fn(i, e)
 		}}
 	}
-	return checkDeterminism(RunScheme(sc, scheme, false), runScheme(sc, scheme, false, wrap))
+}
+
+// rerunWith is the determinism oracle over one scheme, with the rerun's event
+// stream (its digest and its logged replay alike) passed through fn.
+func rerunWith(sc *Scenario, scheme string, fn func(i int, e obs.Event) (obs.Event, bool)) []string {
+	return checkDeterminism(RunScheme(sc, scheme, false), runScheme(sc, scheme, false, indexedFilter(fn)))
 }
 
 // TestMutationDroppedEventCaughtByDigest drops one event from the rerun: the
@@ -272,7 +277,7 @@ func TestMinimizeShrinksFailure(t *testing.T) {
 	}
 	sc := GenScenario(5)
 	sc.MaxCycles = 10
-	got, problems := base.Minimize(sc, 150)
+	got, problems := base.Minimize(sc, 150, 0)
 	if len(problems) == 0 {
 		t.Fatal("minimized scenario no longer fails")
 	}

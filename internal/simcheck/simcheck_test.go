@@ -150,7 +150,7 @@ func TestTrialSweep(t *testing.T) {
 				n = c.short
 			}
 			for seed := uint64(0); seed < n; seed++ {
-				if r := a.Trial(seed); r != nil {
+				if r := a.Trial(seed, 0); r != nil {
 					t.Errorf("seed %d:\n%s", seed, join(r.Problems))
 					if seed > 0 { // report the first few, not hundreds
 						return
@@ -167,9 +167,9 @@ func TestTrialSweep(t *testing.T) {
 func TestShrinkersKeepPreconditions(t *testing.T) {
 	for i := range Arms {
 		a := Arms[i]
-		a.Check = func(any) []string { return []string{"planted"} }
+		a.Check = func(any, int) []string { return []string{"planted"} }
 		sc := a.Gen(1)
-		min, problems := a.Minimize(sc, 10_000)
+		min, problems := a.Minimize(sc, 10_000, 1)
 		if len(problems) == 0 || len(a.Shrink(min)) != 0 {
 			t.Errorf("%s: minimization stopped before the shrinker's fixed point", a.Name)
 		}

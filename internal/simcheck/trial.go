@@ -129,8 +129,16 @@ func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*me
 }
 
 // CheckScenario runs every scheme the scenario names through the invariant
-// checker and the differential oracles, returning nil when all pass.
+// checker and the differential oracles, returning nil when all pass. Its
+// independent runs fan out over parallel.Workers(0) goroutines.
 func CheckScenario(sc *Scenario) *Violation {
+	return checkScenario(sc, 0, nil)
+}
+
+// checkScenario is CheckScenario with at most width runs in flight (1 =
+// strictly serial) and wrap, when non-nil, between every run's runner and
+// its oracle tracers (the differential tests corrupt the streams with it).
+func checkScenario(sc *Scenario, width int, wrap func(obs.Tracer) obs.Tracer) *Violation {
 	var problems []string
 	report := func(scheme string, msgs []string) {
 		for _, m := range msgs {
@@ -138,9 +146,34 @@ func CheckScenario(sc *Scenario) *Violation {
 		}
 	}
 
-	outs := make([]*Outcome, len(sc.Schemes))
+	// Every run is independent: each scheme forward, the first scheme again
+	// for the determinism oracle, and, where the permutation oracles apply,
+	// each scheme over the reversed workload order. Clone sets get the exact
+	// oracle; heterogeneous equal-priority sets the bounded one, but only in
+	// the closed loop (open-loop arrival streams are seeded by run-order
+	// index, so reversing reassigns arrival patterns and per-name latencies
+	// legitimately change). Skewed priorities intentionally change per-order
+	// service and are excluded entirely. Explicit schedules are bound to
+	// workload *positions*, so a reversed run pairs each workload with a
+	// different schedule and per-name outcomes legitimately change — skip the
+	// order-permutation oracles entirely.
+	n := len(sc.Schemes)
+	permute := len(sc.Workloads) >= 2 && sc.equalPriorities() && sc.ArrivalCycles == nil
+	runs := make([]func() *Outcome, 0, 2*n+1)
+	for _, scheme := range sc.Schemes {
+		runs = append(runs, func() *Outcome { return runScheme(sc, scheme, false, wrap) })
+	}
+	runs = append(runs, func() *Outcome { return runScheme(sc, sc.Schemes[0], false, wrap) })
+	if permute {
+		for _, scheme := range sc.Schemes {
+			runs = append(runs, func() *Outcome { return runScheme(sc, scheme, true, wrap) })
+		}
+	}
+	run := fanOut(width, runs...)
+
+	outs := make([]*Outcome, n)
 	for i, scheme := range sc.Schemes {
-		out := RunScheme(sc, scheme, false)
+		out := run(i)
 		outs[i] = out
 		report(scheme, out.Problems)
 		if errors.Is(out.Err, sched.ErrMaxCycles) {
@@ -152,20 +185,12 @@ func CheckScenario(sc *Scenario) *Violation {
 	}
 
 	// Determinism: re-executing the first scheme must be bit-identical.
-	report(sc.Schemes[0], checkDeterminism(outs[0], RunScheme(sc, sc.Schemes[0], false)))
+	report(sc.Schemes[0], checkDeterminism(outs[0], run(n)))
 
-	// Permutation oracles: compare each scheme against a reversed-order run.
-	// Clone sets get the exact oracle; heterogeneous equal-priority sets the
-	// bounded one, but only in the closed loop (open-loop arrival streams are
-	// seeded by run-order index, so reversing reassigns arrival patterns and
-	// per-name latencies legitimately change). Skewed priorities
-	// intentionally change per-order service and are excluded entirely.
-	// Explicit schedules are bound to workload *positions*, so a reversed run
-	// pairs each workload with a different schedule and per-name outcomes
-	// legitimately change — skip the order-permutation oracles entirely.
-	if len(sc.Workloads) >= 2 && sc.equalPriorities() && sc.ArrivalCycles == nil {
+	// Permutation oracles: compare each scheme against its reversed run.
+	if permute {
 		for i, scheme := range sc.Schemes {
-			rev := RunScheme(sc, scheme, true)
+			rev := run(n + 1 + i)
 			report(scheme+" (reversed)", rev.Problems)
 			if sc.Clones {
 				report(scheme, checkCloneSymmetry(outs[i], rev))
