@@ -12,7 +12,6 @@ package v10
 import (
 	"testing"
 
-	"v10/internal/baseline"
 	"v10/internal/bf16"
 	"v10/internal/collocate"
 	"v10/internal/dma"
@@ -104,7 +103,7 @@ func BenchmarkAblationPreemptMargin(b *testing.B) {
 	for _, margin := range []float64{1.0, 1.25, 1.5, 2.0} {
 		b.Run(marginName(margin), func(b *testing.B) {
 			pair := benchPair(b)
-			rates, err := baseline.SingleTenantRates(pair, DefaultConfig(), 3)
+			rates, err := sched.SingleTenantRates(pair, DefaultConfig(), 3)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -308,12 +307,12 @@ func BenchmarkKMeans(b *testing.B) {
 	}
 }
 
-// BenchmarkPMTRun measures the baseline simulator for comparison with
+// BenchmarkPMTRun measures the PMT baseline policy for comparison with
 // BenchmarkSchedulerDispatch.
 func BenchmarkPMTRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.RunPMT(benchPair(b), baseline.PMTOptions{RequestsPerWorkload: 3}); err != nil {
+		if _, err := sched.Run(benchPair(b), sched.Options{Policy: sched.PMT, RequestsPerWorkload: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -135,7 +135,6 @@ func TestRunElasticRecluster(t *testing.T) {
 
 func TestRunRejectsBadElasticFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"pmt with autoscale":          elasticArgs("-scheme", "PMT"),
 		"negative cooldown":           elasticArgs("-cooldown", "-1"),
 		"negative control interval":   elasticArgs("-control-interval", "-5"),
 		"autoscale above cores":       elasticArgs("-autoscale", "9"),
@@ -154,5 +153,22 @@ func TestRunRejectsBadElasticFlags(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2 (stderr: %s)", name, code, stderr.String())
 		}
+	}
+}
+
+// TestPMTWithAutoscale: PMT composes with the elastic control plane.
+func TestPMTWithAutoscale(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(elasticArgs("-scheme", "PMT"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	var doc struct {
+		Elastic map[string]any `json:"elastic"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc.Elastic["min_cores"]; !ok {
+		t.Fatalf("autoscaled PMT run reports no elastic min_cores:\n%s", stdout.String())
 	}
 }

@@ -209,10 +209,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		if scheme == v10.SchemePMT {
-			fmt.Fprintln(stderr, "-vnpu requires a V10 scheme (PMT has no slice-aware scheduler)")
-			return 2
-		}
 	} else if *vnpuWindow != 0 {
 		fmt.Fprintln(stderr, "-vnpu-window requires -vnpu")
 		return 2
@@ -251,10 +247,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		if scheme == v10.SchemePMT {
-			fmt.Fprintln(stderr, "-autoscale requires a V10 scheme (PMT has no drain/checkpoint support)")
-			return 2
-		}
 		if *cooldown < 0 {
 			fmt.Fprintf(stderr, "invalid -cooldown %d\n", *cooldown)
 			return 2

@@ -469,7 +469,6 @@ func TestRunRejectsBadVNPUFlags(t *testing.T) {
 		"overcommitted vmem":   quickArgs("-vnpu", "0.5:0.8:0.5;0.5:0.8:0.5"),
 		"overcommitted hbm":    quickArgs("-vnpu", "0.5:0.5:0.9;0.5:0.5:0.9"),
 		"empty spec":           quickArgs("-vnpu", " ; "),
-		"pmt with slices":      quickArgs("-vnpu", "0.5;0.5", "-scheme", "PMT"),
 		"window without vnpu":  quickArgs("-vnpu-window", "4096"),
 		"negative vnpu window": quickArgs("-vnpu", "0.5;0.5", "-vnpu-window", "-1"),
 	} {
@@ -593,5 +592,28 @@ func TestRunRejectsBadTunedPolicy(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2 (stderr: %s)", name, code, stderr.String())
 		}
+	}
+}
+
+// TestPMTWithSlices: PMT composes with vNPU slicing — each slice
+// time-slices its own tenants — and reports the same vnpu block.
+func TestPMTWithSlices(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(quickArgs("-vnpu", "0.5;0.5", "-scheme", "PMT"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	var doc struct {
+		Scheme    string         `json:"scheme"`
+		Completed int            `json:"completed"`
+		VNPU      map[string]any `json:"vnpu"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := doc.VNPU["slices"].([]any); len(rows) != 2 {
+		t.Fatalf("vnpu slices = %v, want 2 aggregate rows", doc.VNPU["slices"])
+	}
+	if doc.Completed == 0 {
+		t.Fatalf("sliced PMT fleet completed nothing:\n%s", stdout.String())
 	}
 }

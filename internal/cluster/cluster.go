@@ -9,7 +9,6 @@ package cluster
 import (
 	"fmt"
 
-	"v10/internal/baseline"
 	"v10/internal/collocate"
 	"v10/internal/metrics"
 	"v10/internal/npu"
@@ -211,14 +210,15 @@ func Run(workloads []*trace.Workload, p Placement, opts Options) (*Result, error
 		for k, idx := range group {
 			ws[k] = workloads[idx]
 		}
-		rates, err := baseline.SingleTenantRates(ws, opts.Config, opts.Requests)
+		rates, err := sched.SingleTenantRates(ws, opts.Config, opts.Requests)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: core %d: %w", c, err)
 		}
 		var coreRes *metrics.RunResult
 		if opts.UsePMT {
-			coreRes, err = baseline.RunPMT(ws, baseline.PMTOptions{
-				Config: opts.Config, RequestsPerWorkload: opts.Requests, Seed: opts.Seed + uint64(c),
+			coreRes, err = sched.Run(ws, sched.Options{
+				Config: opts.Config, Policy: sched.PMT,
+				RequestsPerWorkload: opts.Requests, Seed: opts.Seed + uint64(c),
 			})
 		} else {
 			so := sched.FullOptions()

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 
-	"v10/internal/baseline"
 	"v10/internal/mathx"
 	"v10/internal/npu"
 	"v10/internal/parallel"
@@ -158,12 +157,12 @@ func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 // the pair, config, and request count, so it is deterministic.
 func simPairPerf(a, b *trace.Workload, cfg npu.CoreConfig, requests int) (float64, error) {
 	pair := []*trace.Workload{a, b}
-	rates, err := baseline.SingleTenantRates(pair, cfg, requests)
+	rates, err := sched.SingleTenantRates(pair, cfg, requests)
 	if err != nil {
 		return 0, err
 	}
-	pmt, err := baseline.RunPMT(pair, baseline.PMTOptions{
-		Config: cfg, RequestsPerWorkload: requests, Seed: 1,
+	pmt, err := sched.Run(pair, sched.Options{
+		Config: cfg, Policy: sched.PMT, RequestsPerWorkload: requests, Seed: 1,
 	})
 	if err != nil {
 		return 0, err

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"v10/internal/baseline"
 	"v10/internal/metrics"
 	"v10/internal/models"
 	"v10/internal/npu"
@@ -126,7 +125,7 @@ func (c *Context) batchWorkload(abbrev string, batch int) *trace.Workload {
 func (c *Context) profile(abbrev string, batch int) (*metrics.RunResult, error) {
 	key := fmt.Sprintf("%s@%d", abbrev, batch)
 	return c.profiles.Do(key, func() (*metrics.RunResult, error) {
-		res, err := baseline.RunSingle(c.batchWorkload(abbrev, batch), c.Config, c.ProfileRequests)
+		res, err := sched.RunSingle(c.batchWorkload(abbrev, batch), c.Config, c.ProfileRequests)
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: %w", key, err)
 		}
@@ -137,7 +136,7 @@ func (c *Context) profile(abbrev string, batch int) (*metrics.RunResult, error) 
 // single memoizes a single-tenant run of a Table 4 instance.
 func (c *Context) single(abbrev string) (*metrics.RunResult, error) {
 	return c.singles.Do(abbrev, func() (*metrics.RunResult, error) {
-		res, err := baseline.RunSingle(c.workload(abbrev), c.Config, c.Requests)
+		res, err := sched.RunSingle(c.workload(abbrev), c.Config, c.Requests)
 		if err != nil {
 			return nil, fmt.Errorf("single %s: %w", abbrev, err)
 		}
@@ -158,8 +157,8 @@ func (c *Context) pair(p [2]string) (*pairRun, error) {
 		if run.rates, err = c.singleRates(p); err != nil {
 			return nil, err
 		}
-		if run.pmt, err = baseline.RunPMT(mk(), baseline.PMTOptions{
-			Config: c.Config, RequestsPerWorkload: c.Requests, Seed: c.Seed,
+		if run.pmt, err = sched.Run(mk(), sched.Options{
+			Config: c.Config, Policy: sched.PMT, RequestsPerWorkload: c.Requests, Seed: c.Seed,
 		}); err != nil {
 			return nil, fmt.Errorf("PMT %s: %w", key, err)
 		}

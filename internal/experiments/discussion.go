@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"v10/internal/baseline"
 	"v10/internal/report"
 	"v10/internal/sched"
 	"v10/internal/trace"
@@ -29,19 +28,18 @@ func (c *Context) Ext1() (*report.Table, error) {
 				c.workload(p[0]), c.workload(p[1]), c.workload("MNST"),
 			}
 		}
-		rates, err := baseline.SingleTenantRates(mk(), c.Config, c.Requests)
+		rates, err := sched.SingleTenantRates(mk(), c.Config, c.Requests)
 		if err != nil {
 			return nil, fmt.Errorf("ext1 %s: %w", PairLabel(p), err)
 		}
-		rr, err := baseline.RunPMT(mk(), baseline.PMTOptions{
-			Config: c.Config, RequestsPerWorkload: c.Requests, Seed: c.Seed,
+		rr, err := sched.Run(mk(), sched.Options{
+			Config: c.Config, Policy: sched.PMT, RequestsPerWorkload: c.Requests, Seed: c.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ext1 RR %s: %w", PairLabel(p), err)
 		}
-		prema, err := baseline.RunPMT(mk(), baseline.PMTOptions{
-			Config: c.Config, RequestsPerWorkload: c.Requests,
-			Seed: c.Seed, Policy: baseline.PMTPrema,
+		prema, err := sched.Run(mk(), sched.Options{
+			Config: c.Config, Policy: sched.PMTPrema, RequestsPerWorkload: c.Requests, Seed: c.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ext1 PREMA %s: %w", PairLabel(p), err)

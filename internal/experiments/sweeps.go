@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"v10/internal/baseline"
 	"v10/internal/mathx"
 	"v10/internal/metrics"
 	"v10/internal/models"
@@ -113,9 +112,9 @@ func (c *Context) priorityRun(p [2]string, split float64) (full, pmt *metrics.Ru
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig22 V10 %s@%v: %w", PairLabel(p), split, err)
 	}
-	pmtRes, err := baseline.RunPMT(mk(), baseline.PMTOptions{
-		Config: c.Config, RequestsPerWorkload: c.Requests,
-		Seed: c.Seed, WeightByPriority: true,
+	pmtRes, err := sched.Run(mk(), sched.Options{
+		Config: c.Config, Policy: sched.PMT, PMTWeighted: true,
+		RequestsPerWorkload: c.Requests, Seed: c.Seed,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig22 PMT %s@%v: %w", PairLabel(p), split, err)
@@ -195,8 +194,8 @@ func (c *Context) Fig24() (*report.Table, error) {
 			mk := func() []*trace.Workload {
 				return []*trace.Workload{c.workload(p[0]), c.workload(p[1])}
 			}
-			pmt, err := baseline.RunPMT(mk(), baseline.PMTOptions{
-				Config: cfg, RequestsPerWorkload: c.Requests, Seed: c.Seed,
+			pmt, err := sched.Run(mk(), sched.Options{
+				Config: cfg, Policy: sched.PMT, RequestsPerWorkload: c.Requests, Seed: c.Seed,
 			})
 			if err != nil {
 				return [2]string{}, fmt.Errorf("fig24 PMT %s@%d: %w", PairLabel(p), vmem, err)

@@ -494,9 +494,6 @@ func (d *dispatcher) detect(now int64, c int) {
 		}
 		schedule := d.out.admitted[c][t]
 		debts := d.out.debts[c][t]
-		if served > len(schedule) {
-			served = len(schedule) // defensive; V10 cores cannot overshoot
-		}
 		victims := schedule[served:]
 		vdebts := debts[served:]
 		d.out.admitted[c][t] = schedule[:served]

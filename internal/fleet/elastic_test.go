@@ -26,7 +26,6 @@ func elasticOptions() Options {
 func TestElasticOptionValidation(t *testing.T) {
 	tenants := mixedTenants()
 	for name, mod := range map[string]func(o *Options){
-		"pmt": func(o *Options) { o.Scheme = "PMT" },
 		"negative-cooldown": func(o *Options) {
 			o.Elastic = &ctlplane.Config{CooldownCycles: -1}
 		},

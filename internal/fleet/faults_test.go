@@ -340,10 +340,6 @@ func TestFaultOptionValidation(t *testing.T) {
 		{"negative missed beats", func(o *Options) { o.MissedBeats = -2 }},
 		{"negative retries", func(o *Options) { o.MigrationRetries = -1 }},
 		{"negative backoff", func(o *Options) { o.MigrationBackoffCycles = -5 }},
-		{"faults on PMT", func(o *Options) {
-			o.Scheme = "PMT"
-			o.Faults = &faults.Schedule{Faults: []faults.Fault{{Kind: faults.KindFail, Core: 0, At: 100}}}
-		}},
 		{"fault beyond fleet", func(o *Options) {
 			o.Faults = &faults.Schedule{Faults: []faults.Fault{{Kind: faults.KindFail, Core: 7, At: 100}}}
 		}},

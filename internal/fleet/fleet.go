@@ -4,8 +4,8 @@
 // advisor's compatibility predictions (with least-loaded and random baselines),
 // and admission control bounds every core's queue, shedding or spilling the
 // overflow. Each core then replays its admitted arrival schedule through the
-// cycle-accurate operator scheduler (sched.Run) or the PMT baseline, and the
-// per-core results aggregate into per-tenant SLO statistics.
+// cycle-accurate core scheduler (sched.Run, under a V10 or the PMT policy),
+// and the per-core results aggregate into per-tenant SLO statistics.
 //
 // The dispatcher itself is a discrete-event simulation over *estimated*
 // service times — like a production front end it routes on cheap load
@@ -86,9 +86,9 @@ type Options struct {
 	Cores int
 
 	// Scheme is the per-core scheduler: "V10-Full" (default), "V10-Fair",
-	// "V10-Base", or "PMT". PMT cores serve their admitted request counts
-	// closed-loop (PREMA has no operator-granularity arrival hook), so PMT
-	// latencies exclude dispatcher queueing delay.
+	// "V10-Base", or "PMT" (PREMA-style whole-core time slicing, quanta
+	// weighted by priority). Every scheme replays its core's admitted
+	// arrivals, so latencies include dispatcher queueing delay.
 	Scheme string
 
 	// Policy picks tenant placement (default least-loaded).
@@ -164,8 +164,7 @@ type Options struct {
 	// Faults is the injected fault schedule (nil or empty: none). Fail-stop
 	// faults kill cores mid-run and trigger checkpoint-driven migration of
 	// the victims' unserved requests; transient faults perturb the per-core
-	// simulations. Requires a V10 scheme — the PMT baseline has no
-	// checkpoint/halt support.
+	// simulations.
 	Faults *faults.Schedule
 
 	// HeartbeatCycles is the core-liveness heartbeat period the dispatcher
@@ -196,8 +195,8 @@ type Options struct {
 	// the same set of vNPU slices: placement chooses a (core, slice) pair
 	// per tenant, V10's temporal interleaving runs independently within each
 	// slice, and every CoreResult carries the slices' enforcement statistics
-	// (throttle stalls, cap hits, charged HBM bytes). Requires a V10 scheme —
-	// the PMT baseline has no slice support.
+	// (throttle stalls, cap hits, charged HBM bytes). Under PMT each slice
+	// time-slices its own tenants.
 	VNPUTemplates []vnpu.Template
 
 	// SliceWindowCycles overrides the slices' HBM token-bucket refill window
@@ -220,8 +219,8 @@ type Options struct {
 	// plane: tenants are homed on the first Elastic.MinCores cores, the
 	// remaining cores start inactive, and the control loop activates or
 	// drains them against windowed SLO-attainment signals (see ctlplane).
-	// Requires a V10 scheme and is mutually exclusive with fault injection,
-	// vNPU slicing, and pinned placement.
+	// Mutually exclusive with fault injection, vNPU slicing, and pinned
+	// placement.
 	Elastic *ctlplane.Config
 
 	// Admission selects the front-door admission discipline (default
@@ -426,13 +425,7 @@ func (o Options) withDefaults() (Options, error) {
 	if err := o.Faults.Validate(o.Cores); err != nil {
 		return o, err
 	}
-	if !o.Faults.Empty() && o.Scheme == "PMT" {
-		return o, fmt.Errorf("fleet: fault injection requires a V10 scheme; PMT has no checkpoint/halt support")
-	}
 	if len(o.VNPUTemplates) > 0 {
-		if o.Scheme == "PMT" {
-			return o, fmt.Errorf("fleet: vNPU slicing requires a V10 scheme; PMT has no slice support")
-		}
 		if err := vnpu.Validate(o.VNPUTemplates); err != nil {
 			return o, err
 		}
@@ -471,9 +464,6 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("fleet: SlowdownLimit %v below 1 would reject every arrival", o.SlowdownLimit)
 	}
 	if o.Elastic != nil {
-		if o.Scheme == "PMT" {
-			return o, fmt.Errorf("fleet: elastic autoscaling requires a V10 scheme; PMT has no drain/checkpoint support")
-		}
 		if !o.Faults.Empty() {
 			return o, fmt.Errorf("fleet: elastic autoscaling and fault injection are mutually exclusive")
 		}

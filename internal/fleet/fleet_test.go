@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"v10/internal/collocate"
+	"v10/internal/ctlplane"
+	"v10/internal/faults"
 	"v10/internal/mathx"
 	"v10/internal/metrics"
 	"v10/internal/models"
@@ -392,7 +394,7 @@ func TestTenantStatsPercentileFixture(t *testing.T) {
 		admitted: [][][]int64{{{0, 1, 2}}},
 		spilled:  []int{0}, shed: []int{1}, offered: []int{4},
 	}
-	jobs := []coreJob{{roster: []int{0}, targets: []int{3}, admitted: 3}}
+	jobs := []coreJob{{roster: []int{0}, admitted: 3}}
 	outs := []*coreOut{{res: &metrics.RunResult{
 		Workloads: []*metrics.WorkloadStats{{LatencyCycles: []float64{100, 200, 1000}}},
 	}}}
@@ -416,7 +418,7 @@ func TestTenantStatsPercentileFixture(t *testing.T) {
 	check("shed rate", ts.ShedRate, 0.25)
 }
 
-func TestRunPMTScheme(t *testing.T) {
+func TestPMTSchemeServesFleet(t *testing.T) {
 	o := quickOptions()
 	o.Scheme = "PMT"
 	res, err := Run(mixedTenants(), o)
@@ -424,13 +426,50 @@ func TestRunPMTScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ts := range res.Tenants {
-		// PMT closed-loop overshoot must be capped to the admitted count.
+		// PMT cores replay their admitted arrivals, like V10 cores.
 		if ts.Completed > ts.Admitted {
 			t.Fatalf("tenant %d: completed %d > admitted %d", ts.Tenant, ts.Completed, ts.Admitted)
 		}
 	}
 	if res.Completed == 0 {
 		t.Fatal("PMT fleet completed nothing")
+	}
+}
+
+// TestPMTComposes runs PMT fleets with vNPU slices, injected faults and the
+// elastic control plane: every combination serves traffic and conserves
+// offered = completed + shed.
+func TestPMTComposes(t *testing.T) {
+	for name, mod := range map[string]func(o *Options){
+		"slices": func(o *Options) { o.VNPUTemplates = halves() },
+		"faults": func(o *Options) {
+			o.Cores = 3
+			o.HeartbeatCycles = 100_000
+			o.Faults = &faults.Schedule{Faults: []faults.Fault{
+				{Kind: faults.KindFail, Core: 0, At: 1_000_000},
+				{Kind: faults.KindStall, Core: 1, At: 500_000, Dur: 200_000},
+			}}
+		},
+		"elastic": func(o *Options) {
+			o.Cores = 3
+			o.Elastic = &ctlplane.Config{MinCores: 1, HysteresisWindows: 1}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := quickOptions()
+			o.Scheme = "PMT"
+			mod(&o)
+			res, err := Run(mixedTenants(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed == 0 {
+				t.Fatal("PMT fleet completed nothing")
+			}
+			if res.Offered != res.Completed+res.Shed {
+				t.Fatalf("offered %d != completed %d + shed %d", res.Offered, res.Completed, res.Shed)
+			}
+		})
 	}
 }
 

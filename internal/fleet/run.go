@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"v10/internal/baseline"
 	"v10/internal/ctlplane"
 	"v10/internal/faults"
 	"v10/internal/mathx"
@@ -201,7 +200,6 @@ type coreJob struct {
 	roster    []int // global tenant indices
 	ws        []*trace.Workload
 	schedules [][]int64 // admitted arrival cycles per roster entry
-	targets   []int     // admitted request counts per roster entry
 	sliceOf   []int     // vNPU slice per roster entry (nil: unsliced)
 	admitted  int
 }
@@ -444,7 +442,6 @@ func buildJob(tenants []*trace.Workload, home []int, admitted [][]int64, o Optio
 		}
 		job.ws = append(job.ws, tenants[t])
 		job.schedules = append(job.schedules, sc)
-		job.targets = append(job.targets, len(sc))
 		job.admitted += len(sc)
 	}
 	if len(o.VNPUTemplates) > 0 {
@@ -537,18 +534,6 @@ func runCore(c int, job coreJob, o Options, p perturb) *coreOut {
 	}
 	tr := obs.Multi(sinks...)
 
-	if o.Scheme == "PMT" {
-		out.res, out.err = baseline.RunPMT(job.ws, baseline.PMTOptions{
-			Config:           o.Config,
-			Policy:           baseline.PMTRoundRobin,
-			RequestTargets:   job.targets,
-			MaxCycles:        o.MaxCycles,
-			Seed:             o.Seed + 0xc0e + uint64(c),
-			WeightByPriority: true,
-			Tracer:           tr,
-		})
-		return out
-	}
 	so := sched.Options{
 		Config:        o.Config,
 		ArrivalCycles: job.schedules,
@@ -567,6 +552,9 @@ func runCore(c int, job coreJob, o Options, p perturb) *coreOut {
 		so.Policy = sched.RoundRobin
 	case "V10-Fair":
 		so.Policy = sched.Priority
+	case "PMT":
+		so.Policy = sched.PMT
+		so.PMTWeighted = true
 	default: // V10-Full
 		so.Policy = sched.Priority
 		so.Preemption = true
@@ -702,8 +690,7 @@ func makeTenantWindows(disp *dispatchOutcome, o Options) []TenantWindow {
 }
 
 // tenantStats folds the per-core workload measurements back into per-tenant
-// serving statistics. PMT cores serve closed-loop and can overshoot their
-// targets, so completions and latencies are capped to the admitted count.
+// serving statistics.
 func tenantStats(tenants []*trace.Workload, profs []tenantProfile, homes [][]int,
 	disp *dispatchOutcome, jobs []coreJob, outs []*coreOut, o Options) []TenantStats {
 	home := make([]int, len(tenants))
@@ -758,9 +745,6 @@ func tenantStats(tenants []*trace.Workload, profs []tenantProfile, homes [][]int
 					continue
 				}
 				got := outs[c].res.Workloads[k].LatencyCycles
-				if len(got) > job.targets[k] {
-					got = got[:job.targets[k]] // PMT closed-loop overshoot
-				}
 				// A migrated request's latency counts from its original
 				// front-door arrival: the core measured from the migration
 				// landing, the debt bridges the difference.

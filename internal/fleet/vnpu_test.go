@@ -143,7 +143,6 @@ func TestFleetSlicePlacementDeterministic(t *testing.T) {
 func TestFleetSliceOptionErrors(t *testing.T) {
 	tenants := mixedTenants()
 	for name, o := range map[string]Options{
-		"pmt with slices": {Scheme: "PMT", VNPUTemplates: halves()},
 		"overcommitted vmem": {VNPUTemplates: []vnpu.Template{
 			{Compute: 0.5, VMem: 0.8, HBM: 0.5}, {Compute: 0.5, VMem: 0.8, HBM: 0.5}}},
 		"zero-width slice": {VNPUTemplates: []vnpu.Template{

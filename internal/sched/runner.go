@@ -66,6 +66,17 @@ type wlState struct {
 
 	task *sim.FluidTask
 	fu   *fuState
+
+	// PMT policies only (see pmt.go): the workload's time-slicing domain,
+	// its position there, the current operator's outstanding stall (-1
+	// until the stall phase first starts) and when that stretch began, and
+	// PREMA's token balance and job-length estimate.
+	pmt       *pmtSlice
+	pmtPos    int
+	stallLeft int64
+	stallFrom int64
+	tokens    float64
+	estWork   float64
 }
 
 // reqScratch is one workload's reusable request-path storage: the synthesized
@@ -155,6 +166,12 @@ type runner struct {
 	frozen  bool    // inside a straggler window: compute clock-gated
 	hbmBase float64 // nominal pool capacity restored after HBM windows
 
+	// opDone completes a fluid task: opDoneCB, or pmtOpDoneCB under a PMT
+	// policy, whose time-slicing domains and switch-jitter stream follow.
+	opDone    func(owner any, t *sim.FluidTask, now int64)
+	pmt       []*pmtSlice
+	switchRNG *mathx.RNG
+
 	// unmet counts workloads still short of their request target, so the
 	// done-predicate RunUntil evaluates per event is O(1) instead of a scan
 	// over every workload.
@@ -233,6 +250,7 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 		pool:   sim.NewFluidPool(engine, capacity),
 		busy:   metrics.NewBusyTracker(cfg.NumSA*nSlices, cfg.NumVU*nSlices),
 		tr:     opts.Tracer,
+		opDone: opDoneCB,
 	}
 	vmemPart := cfg.VMemBytes / int64(len(workloads))
 	r.hbmBase = capacity
@@ -293,6 +311,11 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 		wl.ctxCap = wl.vmemPart / 4
 		wl.scratch = scratchPool.Get().(*reqScratch)
 		r.wls = append(r.wls, wl)
+	}
+	if opts.Policy.pmt() {
+		r.initPMT(nSlices)
+	}
+	for i, wl := range r.wls {
 		switch {
 		case opts.ArrivalCycles != nil:
 			wl.phase = phaseIdle
@@ -316,6 +339,9 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 	done := func() bool { return r.halted || r.unmet == 0 }
 	finished := engine.RunUntil(done, opts.MaxCycles)
 	now := engine.Now()
+	if r.pmt != nil {
+		r.pmtCloseOut(now)
+	}
 	r.busy.Finish(now)
 	if opts.Counters != nil {
 		r.sampleCounters(now) // final snapshot at the end of the run
@@ -449,7 +475,7 @@ func (r *runner) resumeTask(wl *wlState) {
 			demand *= wl.sliceFrac // per stretched cycle, so bytes are conserved
 		}
 	}
-	wl.task = r.pool.StartTask(wl.remaining, demand, opDoneCB, wl)
+	wl.task = r.pool.StartTask(wl.remaining, demand, r.opDone, wl)
 }
 
 // opDoneCB is the shared fluid-task completion callback: the workload is the
@@ -532,6 +558,10 @@ func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
 	wl.opIdx = 0
 	wl.requestStart = arrivedAt
 	wl.inFlight = true
+	if wl.pmt != nil {
+		r.pmtStartRequest(wl, now)
+		return
+	}
 	r.beginOp(wl, now)
 }
 
@@ -586,26 +616,39 @@ func logUniform(rng *mathx.RNG) float64 {
 // slice's token bucket: an exhausted window *stalls* the DMA (the stall phase
 // starts at the grant cycle), never sheds it.
 func (r *runner) beginOp(wl *wlState, now int64) {
-	op := wl.currentOp()
-	wl.remaining = float64(op.Compute)
-	if wl.sliceFrac != 1 {
-		// The slice owns only a fraction of the PE columns: compute stretches
-		// by 1/fraction (fluid demand shrinks by the same factor below, so
-		// total traffic is conserved).
-		wl.remaining /= wl.sliceFrac
-	}
+	op := wl.resetOp()
 	wl.preempted = false
-	wl.phase = phaseStalling
 	start := now
-	if sl := wl.slice; sl != nil && op.HBMBytes > 0 {
-		start = sl.Charge(now, op.HBMBytes)
-		wl.chargeFrom = now
-		wl.chargeBytes = op.HBMBytes
-		// The grant-time charge event is scheduled whether or not a tracer is
-		// attached so traced and untraced sliced runs sequence identically.
-		r.engine.ScheduleCall(start, sliceChargeCB, wl)
+	if wl.slice != nil && op.HBMBytes > 0 {
+		start = r.chargeSlice(wl, op, now)
 	}
 	r.engine.ScheduleCall(start+op.Stall, opReadyCB, wl)
+}
+
+// resetOp readies the current operator's full work for its stall phase.
+func (w *wlState) resetOp() *trace.Op {
+	op := w.currentOp()
+	w.remaining = float64(op.Compute)
+	if w.sliceFrac != 1 {
+		// The slice owns only a fraction of the PE columns: compute stretches
+		// by 1/fraction (fluid demand shrinks by the same factor at task
+		// start, so total traffic is conserved).
+		w.remaining /= w.sliceFrac
+	}
+	w.phase = phaseStalling
+	return op
+}
+
+// chargeSlice charges op's HBM bytes against wl's slice token bucket and
+// returns the grant cycle, where the operator's stall phase starts.
+func (r *runner) chargeSlice(wl *wlState, op *trace.Op, now int64) int64 {
+	start := wl.slice.Charge(now, op.HBMBytes)
+	wl.chargeFrom = now
+	wl.chargeBytes = op.HBMBytes
+	// The grant-time charge event is scheduled whether or not a tracer is
+	// attached so traced and untraced sliced runs sequence identically.
+	r.engine.ScheduleCall(start, sliceChargeCB, wl)
+	return start
 }
 
 // sliceChargeCB fires at the cycle a slice's token bucket granted the pending
@@ -752,11 +795,24 @@ func (r *runner) startTask(fu *fuState, wl *wlState, now int64) {
 	}
 	// Scale demand by the fraction of the op still to run so total traffic
 	// stays proportional after preemption.
-	wl.task = r.pool.StartTask(wl.remaining, demand, opDoneCB, wl)
+	wl.task = r.pool.StartTask(wl.remaining, demand, r.opDone, wl)
 }
 
 // opComplete handles an operator finishing on fu.
 func (r *runner) opComplete(fu *fuState, wl *wlState, now int64) {
+	fu.running = nil
+	if !r.finishOp(fu, wl, now) {
+		r.beginOp(wl, now)
+	} else if !r.nextRequest(wl, now) {
+		wl.phase = phaseIdle
+	}
+	r.fillFU(fu, now)
+}
+
+// finishOp retires wl's operator that just completed on fu: accounting, the
+// run-segment event, and — when it was the request's last operator — the
+// request's latency and completion. It reports whether the request is done.
+func (r *runner) finishOp(fu *fuState, wl *wlState, now int64) bool {
 	op := wl.currentOp()
 	r.setBusy(now, fu.kind, -1)
 	seg := now - wl.segStart
@@ -770,46 +826,49 @@ func (r *runner) opComplete(fu *fuState, wl *wlState, now int64) {
 	wl.stats.FLOPs += op.FLOPs
 	wl.task = nil
 	wl.fu = nil
-	fu.running = nil
 	if r.tr != nil {
 		r.tr.Emit(r.event(obs.EvRunSegment, now, seg, wl, fu))
 	}
 
 	wl.opIdx++
-	if wl.opIdx == len(wl.ops) {
-		// Request complete: record latency (from arrival, so open-loop
-		// queueing counts) and serve the next request — immediately in the
-		// closed loop, from the arrival queue in the open loop.
-		lat := float64(now - wl.requestStart)
-		wl.stats.LatencyCycles = append(wl.stats.LatencyCycles, lat)
-		if r.tr != nil {
-			e := r.event(obs.EvRequestDone, now, 0, wl, nil)
-			e.Arg0 = lat
-			r.tr.Emit(e)
-		}
-		wl.stats.Requests++
-		if wl.stats.Requests == r.opts.target(wl.idx) {
-			r.unmet--
-		}
-		if wl.stats.Requests == 1 {
-			wl.stats.FirstCompleteAt = now
-		}
-		wl.stats.LastCompleteAt = now
-		wl.requestNo++
-		wl.inFlight = false
-		if r.opts.openLoop() {
-			if wl.queued() > 0 {
-				r.startRequest(wl, now, wl.dequeue())
-			} else {
-				wl.phase = phaseIdle
-			}
-		} else {
-			r.startRequest(wl, now, now)
-		}
-	} else {
-		r.beginOp(wl, now)
+	if wl.opIdx < len(wl.ops) {
+		return false
 	}
-	r.fillFU(fu, now)
+	// Request complete: record latency from arrival, so open-loop queueing
+	// counts.
+	lat := float64(now - wl.requestStart)
+	wl.stats.LatencyCycles = append(wl.stats.LatencyCycles, lat)
+	if r.tr != nil {
+		e := r.event(obs.EvRequestDone, now, 0, wl, nil)
+		e.Arg0 = lat
+		r.tr.Emit(e)
+	}
+	wl.stats.Requests++
+	if wl.stats.Requests == r.opts.target(wl.idx) {
+		r.unmet--
+	}
+	if wl.stats.Requests == 1 {
+		wl.stats.FirstCompleteAt = now
+	}
+	wl.stats.LastCompleteAt = now
+	wl.requestNo++
+	wl.inFlight = false
+	return true
+}
+
+// nextRequest starts wl's next request after one completed — immediately in
+// the closed loop, from the arrival queue in the open loop — and reports
+// false when the open-loop queue is empty.
+func (r *runner) nextRequest(wl *wlState, now int64) bool {
+	switch {
+	case !r.opts.openLoop():
+		r.startRequest(wl, now, now)
+	case wl.queued() > 0:
+		r.startRequest(wl, now, wl.dequeue())
+	default:
+		return false
+	}
+	return true
 }
 
 // fillFU invokes the scheduling policy to pick the next ready operator for a

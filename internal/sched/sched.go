@@ -2,12 +2,15 @@
 // the workload context table, Round-Robin and priority-based (Algorithm 1)
 // scheduling policies, and the lightweight operator-preemption mechanism, all
 // driving a discrete-event NPU core model with fluid HBM bandwidth sharing.
+// The same core runner also simulates the baselines V10 is compared against:
+// PMT, PREMA-style whole-core time slicing, and a workload alone on a core.
 //
-// The three V10 variants the paper evaluates map onto Options:
+// The schemes the paper evaluates map onto Options:
 //
 //	V10-Base: Policy=RoundRobin, Preemption=false
 //	V10-Fair: Policy=Priority,   Preemption=false
 //	V10-Full: Policy=Priority,   Preemption=true
+//	PMT:      Policy=PMT (round-robin) or PMTPrema, PMTQuantum, PMTWeighted
 package sched
 
 import (
@@ -15,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"v10/internal/metrics"
 	"v10/internal/npu"
 	"v10/internal/obs"
 	"v10/internal/trace"
@@ -31,15 +35,35 @@ const (
 	// Priority implements Algorithm 1: pick the workload with the lowest
 	// active_rate_p = (active_time / total_time) / priority.
 	Priority
+	// PMT is the paper's baseline, preemptive multitasking at task
+	// granularity (PREMA, arXiv:1909.04548): one workload at a time holds
+	// the whole core (or its vNPU slice) for a quantum, and expiry
+	// checkpoints it through HBM at a 20–40 µs whole-core context switch.
+	// The next holder is picked round-robin.
+	PMT
+	// PMTPrema is PMT with PREMA's token scheme (Choi & Rhu, HPCA'20):
+	// waiting workloads accumulate tokens proportional to their priority;
+	// among workloads whose tokens reach half the highest balance, the one
+	// with the shortest estimated job wins (SJF tiebreak), and its tokens
+	// reset on dispatch.
+	PMTPrema
 )
 
 // String names the policy.
 func (p Policy) String() string {
-	if p == RoundRobin {
+	switch p {
+	case RoundRobin:
 		return "RR"
+	case PMT:
+		return "PMT"
+	case PMTPrema:
+		return "PREMA"
 	}
 	return "Priority"
 }
+
+// pmt reports whether the policy time-slices whole cores.
+func (p Policy) pmt() bool { return p == PMT || p == PMTPrema }
 
 // Window is one timed perturbation of a run: a straggler stall, an
 // HBM-bandwidth degradation, or a vector-memory pressure spike. At is the
@@ -60,6 +84,16 @@ type Options struct {
 	// Preemption enables the §3.3 operator-preemption mechanism, checked at
 	// every time-slice boundary (Config.TimeSlice cycles).
 	Preemption bool
+
+	// PMTQuantum is the whole-core time slice of the PMT policies in cycles.
+	// The default (1.4M cycles ≈ 2 ms) keeps the measured context-switch
+	// overhead under the ~2% the paper reports for PMT (Fig. 21): PREMA must
+	// amortize its heavy checkpoint with coarse slices.
+	PMTQuantum int64
+
+	// PMTWeighted scales each workload's PMT quantum by its priority share
+	// (the paper's §5.6 comparison assigns time slices proportionally).
+	PMTWeighted bool
 
 	// PreemptMargin is the factor by which a waiting workload's
 	// active_rate_p must undercut the running workload's before preempting.
@@ -181,6 +215,8 @@ func (o Options) scheme() string {
 		return o.Scheme
 	}
 	switch {
+	case o.Policy.pmt():
+		return "PMT"
 	case o.Policy == RoundRobin && !o.Preemption:
 		return "V10-Base"
 	case o.Policy == Priority && !o.Preemption:
@@ -220,6 +256,15 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.DispatchLatency < 0 {
 		return o, errors.New("sched: negative DispatchLatency")
+	}
+	if o.Policy.pmt() {
+		// PMT switches whole cores, so the operator-level knobs mean nothing.
+		if o.Preemption || o.DispatchLatency > 0 || o.SoftwareScheduler {
+			return o, fmt.Errorf("sched: policy %s time-slices whole cores; Preemption, DispatchLatency and SoftwareScheduler are operator-level", o.Policy)
+		}
+		if o.PMTQuantum <= 0 {
+			o.PMTQuantum = 1_400_000
+		}
 	}
 	// The hardware scheduler's decision latency (Table 3, tens of cycles) is
 	// hidden behind already-executing operators (§3.6), so it exposes zero
@@ -328,4 +373,29 @@ func kindOf(k trace.Kind) int {
 		return 0
 	}
 	return 1
+}
+
+// RunSingle runs one workload alone on a dedicated core ("no sharing"), the
+// ideal-performance baseline.
+func RunSingle(w *trace.Workload, cfg npu.CoreConfig, requests int) (*metrics.RunResult, error) {
+	return Run([]*trace.Workload{w}, Options{
+		Config:              cfg,
+		Policy:              RoundRobin,
+		RequestsPerWorkload: requests,
+		Scheme:              "Single",
+	})
+}
+
+// SingleTenantRates returns each workload's single-tenant progress rate
+// (compute cycles per wall cycle), the normalization bases for STP.
+func SingleTenantRates(workloads []*trace.Workload, cfg npu.CoreConfig, requests int) ([]float64, error) {
+	rates := make([]float64, len(workloads))
+	for i, w := range workloads {
+		res, err := RunSingle(w, cfg, requests)
+		if err != nil {
+			return nil, fmt.Errorf("single-tenant %s: %w", w.Name, err)
+		}
+		rates[i] = res.ProgressRate(0)
+	}
+	return rates, nil
 }

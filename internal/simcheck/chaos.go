@@ -28,7 +28,7 @@ type ChaosScenario struct {
 	Seed                   uint64         `json:"seed"`
 	Config                 npu.CoreConfig `json:"config"`
 	Cores                  int            `json:"cores"`
-	Scheme                 string         `json:"scheme"` // V10 only: PMT has no checkpoint/halt support
+	Scheme                 string         `json:"scheme"` // pickScheme draws V10 schemes; PMT runs too
 	Policy                 string         `json:"policy"`
 	RateHz                 float64        `json:"rate_hz"`
 	DurationCycles         int64          `json:"duration_cycles"`

@@ -143,9 +143,8 @@ func NewChecker(sc *Scenario, scheme string, reversed bool) *Checker {
 		reload = 0.5
 	}
 	if c.pmt {
-		reload = 0.5 // baseline.loadRequest hard-codes the reload factor
+		reload = 0.5 // Execute runs PMT at the default reload factor
 		c.lat = 0
-		c.closed = true
 	}
 	nw := len(sc.Workloads)
 	part := cfg.VMemBytes / int64(nw)
@@ -596,7 +595,7 @@ func (c *Checker) pmtEvent(wl *wlCheck, e obs.Event) {
 			c.fatalf("PMT activated %s at cycle %d during a context switch", wl.name, e.Time)
 			return
 		}
-		if c.pmtActive >= 0 {
+		if c.pmtActive >= 0 && !c.pmtYielded(c.wls[c.pmtActive]) {
 			c.fatalf("PMT activated %s at cycle %d while %s holds the core", wl.name, e.Time, c.wls[c.pmtActive].name)
 			return
 		}
@@ -658,6 +657,15 @@ func (c *Checker) pmtEvent(wl *wlCheck, e obs.Event) {
 	default:
 		c.failf("unexpected %s event for %s at cycle %d", e.Type, wl.name, e.Time)
 	}
+}
+
+// pmtYielded reports whether the holder may have released the core without
+// a context switch: in an open-loop run, a holder whose request completed
+// with nothing queued yields at once, so the next activation may follow its
+// request-done event directly.
+func (c *Checker) pmtYielded(holder *wlCheck) bool {
+	return !c.closed && holder.completedOps%len(c.exp[holder.id]) == 0 &&
+		holder.dispatches == 0 && !holder.stallSeen && !holder.running
 }
 
 func (c *Checker) pmtPreempt(wl *wlCheck, p *obs.Event, e *obs.Event) {
@@ -749,9 +757,10 @@ func (c *Checker) Finalize(res *metrics.RunResult, runErr error) []string {
 		c.hasPending = false
 		p := &c.pending
 		if c.pmt && capped && p.Type == obs.EvRunSegment {
-			// The run was cut mid-operator and RunPMT closed the in-flight
-			// segment — or this was a true completion the cap hid. Either
-			// way the segment cycles are real; op completion is uncertain.
+			// The run was cut mid-operator and the PMT policy closed the
+			// in-flight segment — or this was a true completion the cap hid.
+			// Either way the segment cycles are real; op completion is
+			// uncertain.
 			c.wl(p.WIdx).running = false
 			pendingWl = p.WIdx
 		} else {

@@ -29,7 +29,7 @@ type ElasticScenario struct {
 	Seed           uint64         `json:"seed"`
 	Config         npu.CoreConfig `json:"config"`
 	Cores          int            `json:"cores"`
-	Scheme         string         `json:"scheme"` // V10 only: drains need checkpoint support
+	Scheme         string         `json:"scheme"` // pickScheme draws V10 schemes; PMT runs too
 	Policy         string         `json:"policy"`
 	QueueLimit     int            `json:"queue_limit"`
 	DurationCycles int64          `json:"duration_cycles"`

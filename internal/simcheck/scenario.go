@@ -1,6 +1,6 @@
 // Package simcheck is the differential simulation-testing subsystem: a
 // seeded random scenario generator, a runtime invariant checker that rides
-// the obs.Tracer hook through sched.Run and baseline.RunPMT, and a layer of
+// the obs.Tracer hook through sched.Run, and a layer of
 // cross-scheme differential oracles. Together they form the standing harness
 // that every scheduler change must pass (see README "Testing & verification"):
 //
@@ -73,8 +73,7 @@ type Scenario struct {
 	ArrivalRateHz    float64        `json:"arrival_rate_hz,omitempty"`
 	// ArrivalCycles is the explicit open-loop schedule per workload (the
 	// workload-engine arm): absolute nondecreasing arrival cycles, one
-	// schedule per workload. Mutually exclusive with ArrivalRateHz; V10
-	// schemes only (PMT has no arrival hook).
+	// schedule per workload. Mutually exclusive with ArrivalRateHz.
 	ArrivalCycles [][]int64      `json:"arrival_cycles,omitempty"`
 	PMTQuantum    int64          `json:"pmt_quantum,omitempty"`
 	PMTPrema      bool           `json:"pmt_prema,omitempty"`
@@ -155,9 +154,6 @@ func (s *Scenario) Validate() error {
 		case SchemePMT, SchemeBase, SchemeFair, SchemeFull:
 		default:
 			return fmt.Errorf("simcheck: unknown scheme %q", sch)
-		}
-		if sch == SchemePMT && (s.ArrivalRateHz > 0 || s.ArrivalCycles != nil) {
-			return fmt.Errorf("simcheck: PMT does not support open-loop arrivals")
 		}
 	}
 	if s.ArrivalCycles != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"v10/internal/baseline"
 	"v10/internal/metrics"
 	"v10/internal/obs"
 	"v10/internal/sched"
@@ -85,35 +84,29 @@ func stream(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) {
 // checking — the raw substrate under RunScheme, also used by the mutation
 // tests to wedge fault-injecting tracers between runner and checker.
 func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*metrics.RunResult, error) {
-	wls := buildWorkloads(sc.Workloads, reversed)
-	if scheme == SchemePMT {
-		policy := baseline.PMTRoundRobin
-		if sc.PMTPrema {
-			policy = baseline.PMTPrema
-		}
-		return baseline.RunPMT(wls, baseline.PMTOptions{
-			Config:              sc.Config,
-			Policy:              policy,
-			Quantum:             sc.PMTQuantum,
-			RequestsPerWorkload: sc.Requests,
-			MaxCycles:           sc.MaxCycles,
-			Seed:                sc.Seed,
-			WeightByPriority:    sc.PMTWeighted,
-			Tracer:              tracer,
-		})
-	}
 	opts := sched.Options{
 		Config:              sc.Config,
 		RequestsPerWorkload: sc.Requests,
 		MaxCycles:           sc.MaxCycles,
-		PreemptMargin:       sc.PreemptMargin,
-		VMemReloadFactor:    sc.VMemReloadFactor,
-		DispatchLatency:     sc.DispatchLatency,
 		ArrivalRateHz:       sc.ArrivalRateHz,
 		ArrivalCycles:       sc.ArrivalCycles,
 		Seed:                sc.Seed,
 		Tracer:              tracer,
 	}
+	if scheme == SchemePMT {
+		// PMT switches whole cores, so the operator-level knobs stay off, and
+		// it tiles at the default reload factor.
+		opts.Policy = sched.PMT
+		if sc.PMTPrema {
+			opts.Policy = sched.PMTPrema
+		}
+		opts.PMTQuantum = sc.PMTQuantum
+		opts.PMTWeighted = sc.PMTWeighted
+		return sched.Run(buildWorkloads(sc.Workloads, reversed), opts)
+	}
+	opts.PreemptMargin = sc.PreemptMargin
+	opts.VMemReloadFactor = sc.VMemReloadFactor
+	opts.DispatchLatency = sc.DispatchLatency
 	switch scheme {
 	case SchemeBase:
 		opts.Policy = sched.RoundRobin
@@ -125,7 +118,7 @@ func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*me
 	default:
 		return nil, fmt.Errorf("simcheck: unknown scheme %q", scheme)
 	}
-	return sched.Run(wls, opts)
+	return sched.Run(buildWorkloads(sc.Workloads, reversed), opts)
 }
 
 // CheckScenario runs every scheme the scenario names through the invariant

@@ -18,7 +18,8 @@ func GenWorkloadScenario(seed uint64) *Scenario {
 	sc := GenScenario(seed)
 	rng := mathx.NewRNG(seed ^ 0x3a7e11ab12cd34ef)
 
-	// Explicit schedules are a V10-only interface (PMT has no arrival hook).
+	// The arm draws the V10 schemes only, so its corpus stays fixed; PMT
+	// replays explicit schedules too (TestOpenLoopPMT covers it).
 	sc.Schemes = []string{SchemeBase, SchemeFair, SchemeFull}
 	sc.ArrivalRateHz = 0
 	sc.PMTQuantum, sc.PMTPrema, sc.PMTWeighted = 0, false, false

@@ -76,7 +76,7 @@ func TestScheduleScenarioValidation(t *testing.T) {
 	if err := mutate(func(s *Scenario) { s.ArrivalCycles[0] = []int64{100, 50} }).Validate(); err == nil {
 		t.Error("decreasing schedule accepted")
 	}
-	if err := mutate(func(s *Scenario) { s.Schemes = []string{SchemePMT} }).Validate(); err == nil {
-		t.Error("PMT with schedules accepted")
+	if err := mutate(func(s *Scenario) { s.Schemes = []string{SchemePMT} }).Validate(); err != nil {
+		t.Errorf("PMT with schedules rejected: %v", err)
 	}
 }

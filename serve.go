@@ -261,9 +261,7 @@ type FleetOptions struct {
 // ServeFleet simulates the tenants' open-loop request streams on a fleet of
 // NPU cores, each running the chosen scheme's scheduler. Placement, admission
 // control (bounded queues with spill/shed backpressure), and per-tenant SLO
-// accounting follow opt; see FleetOptions. Note the PMT baseline serves each
-// core's admitted request count closed-loop, so its latencies exclude
-// dispatcher queueing delay.
+// accounting follow opt; see FleetOptions.
 func ServeFleet(tenants []*Workload, scheme Scheme, opt FleetOptions) (*FleetResult, error) {
 	switch scheme {
 	case SchemePMT, SchemeV10Base, SchemeV10Fair, SchemeV10Full:

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 
-	"v10/internal/baseline"
 	"v10/internal/metrics"
 	"v10/internal/models"
 	"v10/internal/npu"
@@ -194,10 +193,9 @@ type Options struct {
 	// V10-Full preempts (default 1.25).
 	PreemptMargin float64
 
-	// ArrivalRateHz switches V10 schemes from closed-loop serving to
-	// open-loop Poisson arrivals at this per-workload rate; request latency
-	// then includes queueing delay. Zero keeps the paper's closed loop.
-	// The PMT baseline only supports the closed loop.
+	// ArrivalRateHz switches from closed-loop serving to open-loop Poisson
+	// arrivals at this per-workload rate; request latency then includes
+	// queueing delay. Zero keeps the paper's closed loop.
 	ArrivalRateHz float64
 
 	// SoftwareScheduler charges the §4 host-software scheduling cost
@@ -219,12 +217,11 @@ type Options struct {
 	// Result alongside the error.
 	MaxCycles int64
 
-	// Tracer, when non-nil, receives the run's timeline events from both the
-	// V10 schemes and the PMT baseline.
+	// Tracer, when non-nil, receives the run's timeline events.
 	Tracer Tracer
 
 	// Counters, when non-nil, receives per-workload counter snapshots every
-	// CounterInterval cycles plus a final one (V10 schemes only).
+	// CounterInterval cycles plus a final one.
 	Counters *CounterLog
 
 	// CounterInterval is the counter sampling period in cycles
@@ -250,61 +247,43 @@ func Profile(w *Workload, opt Options) (*Result, error) {
 	if requests <= 0 {
 		requests = 20
 	}
-	return baseline.RunSingle(w, opt.config(), requests)
+	return sched.RunSingle(w, opt.config(), requests)
 }
 
 // Collocate simulates the workloads sharing one NPU core under the chosen
 // scheme and returns the measured result.
 func Collocate(workloads []*Workload, scheme Scheme, opt Options) (*Result, error) {
-	cfg := opt.config()
+	so := sched.Options{
+		Config:              opt.config(),
+		RequestsPerWorkload: opt.Requests,
+		MaxCycles:           opt.MaxCycles,
+		PreemptMargin:       opt.PreemptMargin,
+		ArrivalRateHz:       opt.ArrivalRateHz,
+		SoftwareScheduler:   opt.SoftwareScheduler,
+		Seed:                opt.Seed,
+		Tracer:              opt.Tracer,
+		Counters:            opt.Counters,
+		CounterInterval:     opt.CounterInterval,
+	}
 	switch scheme {
 	case SchemePMT:
-		if opt.ArrivalRateHz > 0 {
-			return nil, fmt.Errorf("v10: the PMT baseline only supports closed-loop serving")
-		}
-		if opt.SoftwareScheduler {
-			return nil, fmt.Errorf("v10: SoftwareScheduler applies to V10 schemes only")
-		}
-		policy := baseline.PMTRoundRobin
+		so.Policy = sched.PMT
 		if opt.PremaBaseline {
-			policy = baseline.PMTPrema
+			so.Policy = sched.PMTPrema
 		}
-		return baseline.RunPMT(workloads, baseline.PMTOptions{
-			Config:              cfg,
-			Policy:              policy,
-			Quantum:             opt.PMTQuantum,
-			RequestsPerWorkload: opt.Requests,
-			MaxCycles:           opt.MaxCycles,
-			Seed:                opt.Seed,
-			WeightByPriority:    true,
-			Tracer:              opt.Tracer,
-		})
-	case SchemeV10Base, SchemeV10Fair, SchemeV10Full:
-		so := sched.Options{
-			Config:              cfg,
-			RequestsPerWorkload: opt.Requests,
-			MaxCycles:           opt.MaxCycles,
-			PreemptMargin:       opt.PreemptMargin,
-			ArrivalRateHz:       opt.ArrivalRateHz,
-			SoftwareScheduler:   opt.SoftwareScheduler,
-			Seed:                opt.Seed,
-			Tracer:              opt.Tracer,
-			Counters:            opt.Counters,
-			CounterInterval:     opt.CounterInterval,
-		}
-		switch scheme {
-		case SchemeV10Base:
-			so.Policy = sched.RoundRobin
-		case SchemeV10Fair:
-			so.Policy = sched.Priority
-		case SchemeV10Full:
-			so.Policy = sched.Priority
-			so.Preemption = true
-		}
-		return sched.Run(workloads, so)
+		so.PMTQuantum = opt.PMTQuantum
+		so.PMTWeighted = true
+	case SchemeV10Base:
+		so.Policy = sched.RoundRobin
+	case SchemeV10Fair:
+		so.Policy = sched.Priority
+	case SchemeV10Full:
+		so.Policy = sched.Priority
+		so.Preemption = true
 	default:
 		return nil, fmt.Errorf("v10: unknown scheme %v", scheme)
 	}
+	return sched.Run(workloads, so)
 }
 
 // sectioner is implemented by sinks that group a multi-run sweep (the
@@ -325,7 +304,7 @@ func CompareSchemes(workloads []*Workload, opt Options) (map[string]*Result, []f
 	if requests <= 0 {
 		requests = 20
 	}
-	rates, err := baseline.SingleTenantRates(workloads, opt.config(), requests)
+	rates, err := sched.SingleTenantRates(workloads, opt.config(), requests)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -289,10 +289,6 @@ func TestOpenLoopFacade(t *testing.T) {
 		t.Fatal("open-loop run did not complete requests")
 	}
 	if _, err := Collocate([]*Workload{a, b}, SchemePMT,
-		Options{Requests: 3, ArrivalRateHz: 100}); err == nil {
-		t.Fatal("PMT should reject open-loop serving")
-	}
-	if _, err := Collocate([]*Workload{a, b}, SchemePMT,
 		Options{Requests: 3, SoftwareScheduler: true}); err == nil {
 		t.Fatal("PMT should reject the software-scheduler option")
 	}
@@ -309,6 +305,28 @@ func TestFairnessFacade(t *testing.T) {
 	fair := results["V10-Full"].Fairness(rates, []float64{1, 1})
 	if fair < 0.5 || fair > 1.0001 {
 		t.Fatalf("fairness index = %v, want in (0.5, 1]", fair)
+	}
+}
+
+// TestOpenLoopPMTFacade: the PMT baseline serves open-loop Poisson traffic
+// and samples counters like the V10 schemes.
+func TestOpenLoopPMTFacade(t *testing.T) {
+	cfg := DefaultConfig()
+	a, _ := NewWorkload("MNIST", 32, 1, cfg)
+	b, _ := NewWorkload("DLRM", 32, 2, cfg)
+	counters := NewCounterLog()
+	res, err := Collocate([]*Workload{a, b}, SchemePMT,
+		Options{Requests: 3, ArrivalRateHz: 100, Counters: counters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range res.Workloads {
+		if w.Requests < 3 {
+			t.Fatalf("%s served %d of 3 open-loop requests", w.Name, w.Requests)
+		}
+	}
+	if len(counters.Rows) == 0 {
+		t.Fatal("PMT run sampled no counters")
 	}
 }
 
