@@ -76,23 +76,19 @@ func (a *Advisor) Clusters() int { return a.model.K() }
 
 // Cluster assigns a workload to its cluster.
 func (a *Advisor) Cluster(w *Workload) int {
-	return a.model.PredictCluster(collocate.ExtractFeatures(w, a.cfg, a.requests))
+	return a.model.PredictCluster(a.feature(w))
 }
 
 // PredictGain estimates the pair's collocation performance: the predicted
 // V10-Full aggregated throughput relative to PMT time sharing.
 func (a *Advisor) PredictGain(x, y *Workload) float64 {
-	fx := collocate.ExtractFeatures(x, a.cfg, a.requests)
-	fy := collocate.ExtractFeatures(y, a.cfg, a.requests)
-	return a.model.PredictPerf(fx, fy)
+	return a.model.PredictPerf(a.feature(x), a.feature(y))
 }
 
 // ShouldCollocate reports whether the pair clears the benefit threshold and
 // should be dispatched to the same NPU core.
 func (a *Advisor) ShouldCollocate(x, y *Workload) bool {
-	fx := collocate.ExtractFeatures(x, a.cfg, a.requests)
-	fy := collocate.ExtractFeatures(y, a.cfg, a.requests)
-	return a.model.ShouldCollocate(fx, fy)
+	return a.model.ShouldCollocate(a.feature(x), a.feature(y))
 }
 
 // PlanPairs greedily pairs the given workloads for collocation: the
@@ -105,10 +101,7 @@ func (a *Advisor) PlanPairs(ws []*Workload) (pairs [][2]int, alone []int) {
 		gain float64
 	}
 	var cands []cand
-	feats := make([]collocate.Features, len(ws))
-	for i, w := range ws {
-		feats[i] = collocate.ExtractFeatures(w, a.cfg, a.requests)
-	}
+	feats := a.features(ws)
 	for i := 0; i < len(ws); i++ {
 		for j := i + 1; j < len(ws); j++ {
 			gain := a.model.PredictPerf(feats[i], feats[j])

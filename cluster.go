@@ -40,10 +40,16 @@ func (a *Advisor) PlanGroups(ws []*Workload, maxPerCore int) Placement {
 	return cluster.AdvisorGroups(a.model, a.features(ws), maxPerCore)
 }
 
+// feature profiles w at the advisor's training depth. The per-request stats
+// come from w's profile memo, so repeated queries synthesize nothing.
+func (a *Advisor) feature(w *Workload) collocate.Features {
+	return collocate.ExtractFeatures(w, a.cfg, a.requests)
+}
+
 func (a *Advisor) features(ws []*Workload) []collocate.Features {
 	feats := make([]collocate.Features, len(ws))
 	for i, w := range ws {
-		feats[i] = collocate.ExtractFeatures(w, a.cfg, a.requests)
+		feats[i] = a.feature(w)
 	}
 	return feats
 }

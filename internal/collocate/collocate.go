@@ -39,23 +39,16 @@ var FeatureNames = []string{
 }
 
 // ExtractFeatures profiles a workload from its own traces (compiler-style
-// offline profiling, no collocation needed) over n requests.
+// offline profiling, no collocation needed) over n requests. The per-request
+// stats come from the workload's profile memo (trace.Workload.ProfileStats),
+// so repeated profiling synthesizes nothing new.
 func ExtractFeatures(w *trace.Workload, cfg npu.CoreConfig, n int) Features {
-	return ExtractFeaturesInto(w, cfg, n, &trace.Graph{})
-}
-
-// ExtractFeaturesInto is ExtractFeatures synthesizing every profiled request
-// into the caller's scratch graph (see trace.Workload.RequestInto), so one
-// scratch serves any number of workloads.
-func ExtractFeaturesInto(w *trace.Workload, cfg npu.CoreConfig, n int, scratch *trace.Graph) Features {
 	if n < 1 {
 		n = 1
 	}
 	var sa, vu, serial, bytes float64
 	var meanSA, meanVU, maxSA, maxVU float64
-	for r := 0; r < n; r++ {
-		g, _ := w.RequestInto(r, scratch)
-		st := g.ComputeStats()
+	for _, st := range w.ProfileStats(n) {
 		// Useful cycles: what hardware performance counters expose. The
 		// heuristic baseline therefore under-estimates occupancy conflicts —
 		// the paper's 57.6% false-positive rate comes from exactly this gap.

@@ -25,8 +25,7 @@ func (c *Context) Calib() (*report.Table, error) {
 		w := c.batchWorkload(spec.Abbrev, spec.RefBatch)
 		var sa, vu, serial, bytes, saOcc, vuOcc float64
 		var nSA, nVU int
-		for r := 0; r < c.ProfileRequests+5; r++ {
-			st := w.Request(r).ComputeStats()
+		for _, st := range w.ProfileStats(c.ProfileRequests + 5) {
 			sa += st.UsefulSACycles
 			vu += st.UsefulVUCycles
 			saOcc += float64(st.SACycles)

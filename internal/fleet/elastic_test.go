@@ -422,7 +422,7 @@ func TestMutationEstimateScaleCaught(t *testing.T) {
 			slo = 10
 		}
 		for i, ts := range res.Tenants {
-			if ts.SLOCycles != slo*EstimateServeCycles(tenants[i], pr, nil) {
+			if ts.SLOCycles != slo*EstimateServeCycles(tenants[i], pr) {
 				return false
 			}
 		}

@@ -529,36 +529,34 @@ type tenantProfile struct {
 
 // EstimateServeCycles is the dispatcher's service-time estimator for one
 // tenant: the mean serial stall+compute total of its first profileRequests
-// request graphs, synthesized into the caller's scratch graph (nil allocates
-// one per request; see trace.Workload.RequestInto). Tiling for a vector-memory
-// partition splits each operator's stall and compute exactly across its tiles,
-// so the untiled serial time is also the tiled one. The simcheck
-// estimate-consistency oracle recomputes it independently to pin the
+// request graphs, read from the workload's profile memo
+// (trace.Workload.ProfileStats). Tiling for a vector-memory partition splits
+// each operator's stall and compute exactly across its tiles, so the untiled
+// serial time is also the tiled one. The simcheck estimate-consistency oracle
+// recomputes it independently, from freshly synthesized graphs, to pin the
 // dispatcher's queue booking and SLO denominators (modulo EstimateScale).
-func EstimateServeCycles(w *trace.Workload, profileRequests int, scratch *trace.Graph) float64 {
+func EstimateServeCycles(w *trace.Workload, profileRequests int) float64 {
 	if profileRequests < 1 {
 		profileRequests = 1
 	}
 	var total float64
-	for rq := 0; rq < profileRequests; rq++ {
-		g, _ := w.RequestInto(rq, scratch)
-		total += float64(g.SerialCycles())
+	for _, st := range w.ProfileStats(profileRequests) {
+		total += float64(st.SerialCycles)
 	}
 	return total / float64(profileRequests)
 }
 
 // profileTenants extracts features and service-time estimates from the first
 // ProfileRequests request graphs of every tenant (pure trace analysis — no
-// simulation), synthesizing them all into one scratch graph.
+// simulation; each tenant's profile memo synthesizes a graph at most once).
 func profileTenants(tenants []*trace.Workload, o Options) []tenantProfile {
 	profs := make([]tenantProfile, len(tenants))
-	scratch := &trace.Graph{}
 	for i, w := range tenants {
 		profs[i] = tenantProfile{
-			estCycles: o.EstimateScale * EstimateServeCycles(w, o.ProfileRequests, scratch),
+			estCycles: o.EstimateScale * EstimateServeCycles(w, o.ProfileRequests),
 		}
 		if o.Model != nil {
-			profs[i].feat = collocate.ExtractFeaturesInto(w, o.Config, o.ProfileRequests, scratch)
+			profs[i].feat = collocate.ExtractFeatures(w, o.Config, o.ProfileRequests)
 		}
 	}
 	return profs

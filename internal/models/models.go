@@ -421,8 +421,7 @@ func Table1(n int, cfg npu.CoreConfig) []Table1Row {
 		w := s.Workload(s.RefBatch, 1, cfg)
 		var saSum, vuSum float64
 		var saN, vuN int
-		for r := 0; r < n; r++ {
-			st := w.Request(r).ComputeStats()
+		for _, st := range w.ProfileStats(n) {
 			saSum += float64(st.SACycles)
 			vuSum += float64(st.VUCycles)
 			saN += st.NumSA

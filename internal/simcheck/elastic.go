@@ -451,7 +451,7 @@ func checkElasticWindows(res *fleet.Result) (problems []string) {
 // "estimates off by 2x" bug) books queues and SLOs it cannot honor.
 func checkEstimateConsistency(es *ElasticScenario, ws []*trace.Workload, res *fleet.Result) (problems []string) {
 	for i, ts := range res.Tenants {
-		want := elasticSLOFactor * fleet.EstimateServeCycles(ws[i], elasticProfileRequests, nil)
+		want := elasticSLOFactor * serialEstimate(ws[i], elasticProfileRequests)
 		if ts.SLOCycles != want {
 			problems = append(problems, fmt.Sprintf(
 				"tenant %d: SLO %v cycles != %d× the recomputed service estimate %v — admission estimates are skewed",
@@ -459,6 +459,18 @@ func checkEstimateConsistency(es *ElasticScenario, ws []*trace.Workload, res *fl
 		}
 	}
 	return problems
+}
+
+// serialEstimate is the mean serial stall+compute time of w's requests
+// 0..n-1, synthesized afresh. It deliberately does not call
+// fleet.EstimateServeCycles, which reads the workload's profile memo: a memo
+// bug would agree with itself.
+func serialEstimate(w *trace.Workload, n int) float64 {
+	var total float64
+	for r := 0; r < n; r++ {
+		total += float64(w.Request(r).SerialCycles())
+	}
+	return total / float64(n)
 }
 
 // checkReclusterConsistency is the stale-centroid oracle: replaying the

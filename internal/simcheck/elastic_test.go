@@ -8,6 +8,8 @@ import (
 	"v10/internal/collocate"
 	"v10/internal/ctlplane"
 	"v10/internal/fleet"
+	"v10/internal/models"
+	"v10/internal/trace"
 )
 
 // elasticRunForTest materializes and runs one elastic scenario the same way
@@ -179,6 +181,41 @@ func TestElasticMutationEstimateSkewCaught(t *testing.T) {
 		o.EstimateScale = 2
 	}, nil)
 	requireProblem(t, problems, "skewed")
+}
+
+// TestElasticEstimateOracleCatchesShiftedProfile feeds the estimate-consistency
+// oracle SLOs computed from requests 1..n instead of 0..n-1 (a profile read
+// off by one request) and requires it to flag the skew; SLOs computed from
+// requests 0..n-1 must pass. The oracle synthesizes its own graphs, so a
+// shifted profile memo cannot agree with itself. Model-zoo tenants are used
+// because their requests differ (generated scenario tenants repeat one graph).
+func TestElasticEstimateOracleCatchesShiftedProfile(t *testing.T) {
+	es := GenElasticScenario(0)
+	var ws []*trace.Workload
+	for i, name := range []string{"BERT", "NCF", "DLRM"} {
+		spec, ok := models.ByName(name)
+		if !ok {
+			t.Fatalf("unknown model %q", name)
+		}
+		ws = append(ws, spec.Workload(8, uint64(i+1), es.Config))
+	}
+	slos := func(first int) *fleet.Result {
+		res := &fleet.Result{}
+		for i, w := range ws {
+			var total float64
+			for r := first; r < first+elasticProfileRequests; r++ {
+				total += float64(w.Request(r).SerialCycles())
+			}
+			res.Tenants = append(res.Tenants, fleet.TenantStats{
+				Tenant: i, SLOCycles: elasticSLOFactor * total / elasticProfileRequests,
+			})
+		}
+		return res
+	}
+	if problems := checkEstimateConsistency(es, ws, slos(0)); len(problems) > 0 {
+		t.Fatalf("SLOs from requests 0..n-1 flagged: %v", problems)
+	}
+	requireProblem(t, checkEstimateConsistency(es, ws, slos(1)), "skewed")
 }
 
 // TestElasticMutationDroppedEventCaught injects a tracer that swallows

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"v10/internal/mathx"
 )
@@ -18,6 +19,14 @@ type Workload struct {
 
 	gen     func(request int) *Graph
 	genInto func(request int, g *Graph) *Graph
+	profile *profileMemo // shared by every shallow copy (same generator)
+}
+
+// profileMemo holds the ComputeStats of a workload's leading requests, in
+// request order. The generator is deterministic, so an entry never goes stale.
+type profileMemo struct {
+	mu    sync.Mutex
+	stats []Stats
 }
 
 // NewWorkload builds a workload around a request-graph generator. gen must be
@@ -26,7 +35,8 @@ func NewWorkload(name, model string, batch int, gen func(request int) *Graph) *W
 	if gen == nil {
 		panic("trace: nil workload generator")
 	}
-	return &Workload{Name: name, Model: model, Batch: batch, Priority: 1, gen: gen}
+	return &Workload{Name: name, Model: model, Batch: batch, Priority: 1, gen: gen,
+		profile: &profileMemo{}}
 }
 
 // WithPriority returns a shallow copy of w with the given priority.
@@ -54,6 +64,7 @@ func NewWorkloadReusable(name, model string, batch int, genInto func(request int
 		Name: name, Model: model, Batch: batch, Priority: 1,
 		gen:     func(i int) *Graph { return genInto(i, nil) },
 		genInto: genInto,
+		profile: &profileMemo{},
 	}
 }
 
@@ -73,6 +84,29 @@ func (w *Workload) RequestInto(i int, g *Graph) (*Graph, bool) {
 		return w.genInto(i, g), true
 	}
 	return w.gen(i), false
+}
+
+// ProfileStats returns the ComputeStats of requests 0..n-1, the offline
+// profile that collocation features and service-time estimates read. Each
+// request is synthesized at most once per generator: the stats are memoized
+// on the workload and shared by its shallow copies (WithPriority). It is safe
+// for concurrent use: the memo's lock is held while missing requests are
+// synthesized, so concurrent callers never synthesize one twice (the
+// generator must therefore not call ProfileStats itself). The returned slice
+// is shared and must not be modified. n <= 0 returns an empty profile.
+func (w *Workload) ProfileStats(n int) []Stats {
+	n = max(n, 0)
+	m := w.profile
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.stats) < n {
+		scratch := &Graph{}
+		for r := len(m.stats); r < n; r++ {
+			g, _ := w.RequestInto(r, scratch)
+			m.stats = append(m.stats, g.ComputeStats())
+		}
+	}
+	return m.stats[:n:n]
 }
 
 // TileForVMem rewrites g so that no operator's vector-memory footprint
