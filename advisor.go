@@ -11,10 +11,9 @@ import (
 // pair will benefit from sharing a core, using offline-profiled
 // inter-cluster collocation performance.
 type Advisor struct {
-	cfg       Config
-	model     *collocate.Model
-	requests  int
-	benefitAt float64
+	cfg      Config
+	model    *collocate.Model
+	requests int
 }
 
 // AdvisorOptions tune training.
@@ -64,11 +63,7 @@ func TrainAdvisor(training []*Workload, opt AdvisorOptions) (*Advisor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("v10: training advisor: %w", err)
 	}
-	threshold := opt.Threshold
-	if threshold <= 0 {
-		threshold = 1.3
-	}
-	return &Advisor{cfg: cfg, model: model, requests: requests, benefitAt: threshold}, nil
+	return &Advisor{cfg: cfg, model: model, requests: requests}, nil
 }
 
 // Clusters returns the number of clusters in the trained model.
@@ -94,55 +89,14 @@ func (a *Advisor) ShouldCollocate(x, y *Workload) bool {
 // PlanPairs greedily pairs the given workloads for collocation: the
 // highest-predicted-gain compatible pairs share cores; leftovers run alone.
 // It returns the pair list and the indices of workloads left unpaired —
-// the §3.5 "put it all together" dispatch step.
+// the §3.5 "put it all together" dispatch step, as PlanPlacement's groups.
 func (a *Advisor) PlanPairs(ws []*Workload) (pairs [][2]int, alone []int) {
-	type cand struct {
-		i, j int
-		gain float64
-	}
-	var cands []cand
-	feats := a.features(ws)
-	for i := 0; i < len(ws); i++ {
-		for j := i + 1; j < len(ws); j++ {
-			gain := a.model.PredictPerf(feats[i], feats[j])
-			if gain >= a.threshold() {
-				cands = append(cands, cand{i, j, gain})
-			}
-		}
-	}
-	// Sort by descending gain (stable on index for determinism).
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && better(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	used := make([]bool, len(ws))
-	for _, c := range cands {
-		if used[c.i] || used[c.j] {
-			continue
-		}
-		used[c.i], used[c.j] = true, true
-		pairs = append(pairs, [2]int{c.i, c.j})
-	}
-	for i := range ws {
-		if !used[i] {
-			alone = append(alone, i)
+	for _, group := range a.PlanPlacement(ws) {
+		if len(group) == 2 {
+			pairs = append(pairs, [2]int{group[0], group[1]})
+		} else {
+			alone = append(alone, group[0])
 		}
 	}
 	return pairs, alone
 }
-
-func better(a, b struct {
-	i, j int
-	gain float64
-}) bool {
-	if a.gain != b.gain {
-		return a.gain > b.gain
-	}
-	if a.i != b.i {
-		return a.i < b.i
-	}
-	return a.j < b.j
-}
-
-func (a *Advisor) threshold() float64 { return a.benefitAt }

@@ -109,7 +109,7 @@ func BenchmarkAblationPreemptMargin(b *testing.B) {
 			}
 			var stp float64
 			for i := 0; i < b.N; i++ {
-				opts := sched.FullOptions()
+				opts := sched.Options{Policy: sched.PriorityPreempt}
 				opts.RequestsPerWorkload = 3
 				opts.PreemptMargin = margin
 				res, err := sched.Run(benchPair(b), opts)
@@ -146,7 +146,7 @@ func BenchmarkAblationFluidHBM(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := sched.FullOptions()
+				opts := sched.Options{Policy: sched.PriorityPreempt}
 				opts.RequestsPerWorkload = 3
 				opts.DisableFluidHBM = disable
 				if _, err := sched.Run(benchPair(b), opts); err != nil {
@@ -176,7 +176,7 @@ func BenchmarkAblationTimeSlice(b *testing.B) {
 	for _, slice := range []int64{512, 32768, 1048576} {
 		b.Run(sliceName(slice), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := sched.FullOptions()
+				opts := sched.Options{Policy: sched.PriorityPreempt}
 				opts.Config = DefaultConfig()
 				opts.Config.TimeSlice = slice
 				opts.RequestsPerWorkload = 3

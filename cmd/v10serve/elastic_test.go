@@ -139,7 +139,6 @@ func TestRunRejectsBadElasticFlags(t *testing.T) {
 		"negative control interval":   elasticArgs("-control-interval", "-5"),
 		"autoscale above cores":       elasticArgs("-autoscale", "9"),
 		"negative autoscale":          elasticArgs("-autoscale", "-1"),
-		"autoscale with vnpu":         elasticArgs("-vnpu", "0.5;0.5"),
 		"autoscale with faults":       elasticArgs("-faults", "fail@0:1500000"),
 		"cooldown without autoscale":  quickArgs("-cooldown", "100000"),
 		"interval without autoscale":  quickArgs("-control-interval", "100000"),
@@ -153,6 +152,32 @@ func TestRunRejectsBadElasticFlags(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2 (stderr: %s)", name, code, stderr.String())
 		}
+	}
+}
+
+// TestRunElasticWithVNPU: autoscaling composes with vNPU slicing and
+// reports both the elastic and the vnpu block.
+func TestRunElasticWithVNPU(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(elasticArgs("-vnpu", "a=0.5;b=0.5"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	var doc struct {
+		Completed int            `json:"completed"`
+		Elastic   map[string]any `json:"elastic"`
+		VNPU      map[string]any `json:"vnpu"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if mc, _ := doc.Elastic["min_cores"].(float64); mc != 1 {
+		t.Errorf("elastic min_cores = %v, want 1", doc.Elastic["min_cores"])
+	}
+	if rows, _ := doc.VNPU["slices"].([]any); len(rows) != 2 {
+		t.Errorf("vnpu slices = %v, want 2 aggregate rows", doc.VNPU["slices"])
+	}
+	if doc.Completed == 0 {
+		t.Errorf("sliced elastic fleet completed nothing:\n%s", stdout.String())
 	}
 }
 

@@ -197,9 +197,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	scheme, ok := schemeByName(*schemeFlag)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown scheme %q (want PMT, V10-Base, V10-Fair, or V10-Full)\n", *schemeFlag)
+	scheme, err := v10.ParseScheme(*schemeFlag)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	var vnpuTemplates []v10.VNPUTemplate
@@ -253,10 +253,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *controlInterval < 0 {
 			fmt.Fprintf(stderr, "invalid -control-interval %d\n", *controlInterval)
-			return 2
-		}
-		if vnpuTemplates != nil {
-			fmt.Fprintln(stderr, "-autoscale and -vnpu are mutually exclusive")
 			return 2
 		}
 	}
@@ -581,20 +577,6 @@ func buildTenants(mix string, count, batch int, cfg v10.Config) ([]*v10.Workload
 		out = append(out, &t)
 	}
 	return out, nil
-}
-
-func schemeByName(name string) (v10.Scheme, bool) {
-	switch strings.ToLower(name) {
-	case "pmt":
-		return v10.SchemePMT, true
-	case "v10-base", "base":
-		return v10.SchemeV10Base, true
-	case "v10-fair", "fair":
-		return v10.SchemeV10Fair, true
-	case "v10-full", "full":
-		return v10.SchemeV10Full, true
-	}
-	return 0, false
 }
 
 // buildSummary flattens the fleet result into the stdout JSON document.

@@ -98,9 +98,9 @@ func main() {
 	}
 
 	if *scheme != "" {
-		s, ok := schemeByName(*scheme)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
+		s, err := v10.ParseScheme(*scheme)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		if tracer != nil {
@@ -133,8 +133,8 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "reporting partial measurements up to the cycle cap:")
 	}
-	for _, name := range []string{"PMT", "V10-Base", "V10-Fair", "V10-Full"} {
-		if res, ok := results[name]; ok {
+	for s := v10.SchemePMT; s <= v10.SchemeV10Full; s++ {
+		if res, ok := results[s.String()]; ok {
 			printResult(res, rates)
 			fmt.Println()
 		}
@@ -194,20 +194,6 @@ func parseWorkloads(spec string, cfg v10.Config) ([]*v10.Workload, error) {
 		out = append(out, w)
 	}
 	return out, nil
-}
-
-func schemeByName(name string) (v10.Scheme, bool) {
-	switch strings.ToLower(name) {
-	case "pmt":
-		return v10.SchemePMT, true
-	case "v10-base", "base":
-		return v10.SchemeV10Base, true
-	case "v10-fair", "fair":
-		return v10.SchemeV10Fair, true
-	case "v10-full", "full":
-		return v10.SchemeV10Full, true
-	}
-	return 0, false
 }
 
 func printResult(res *v10.Result, rates []float64) {

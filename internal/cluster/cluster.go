@@ -214,18 +214,14 @@ func Run(workloads []*trace.Workload, p Placement, opts Options) (*Result, error
 		if err != nil {
 			return nil, fmt.Errorf("cluster: core %d: %w", c, err)
 		}
-		var coreRes *metrics.RunResult
+		policy := sched.PriorityPreempt
 		if opts.UsePMT {
-			coreRes, err = sched.Run(ws, sched.Options{
-				Config: opts.Config, Policy: sched.PMT,
-				RequestsPerWorkload: opts.Requests, Seed: opts.Seed + uint64(c),
-			})
-		} else {
-			so := sched.FullOptions()
-			so.Config = opts.Config
-			so.RequestsPerWorkload = opts.Requests
-			coreRes, err = sched.Run(ws, so)
+			policy = sched.PMT
 		}
+		coreRes, err := sched.Run(ws, sched.Options{
+			Config: opts.Config, Policy: policy,
+			RequestsPerWorkload: opts.Requests, Seed: opts.Seed + uint64(c),
+		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: core %d: %w", c, err)
 		}

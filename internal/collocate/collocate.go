@@ -160,10 +160,9 @@ func simPairPerf(a, b *trace.Workload, cfg npu.CoreConfig, requests int) (float6
 	if err != nil {
 		return 0, err
 	}
-	opts := sched.FullOptions()
-	opts.Config = cfg
-	opts.RequestsPerWorkload = requests
-	full, err := sched.Run(pair, opts)
+	full, err := sched.Run(pair, sched.Options{
+		Config: cfg, Policy: sched.PriorityPreempt, RequestsPerWorkload: requests,
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -407,16 +406,6 @@ func (m *Model) GroupFit(feats []Features, group []int, cand int) float64 {
 		return 0
 	}
 	return minPerf
-}
-
-// ClusterAssignments returns instance name → cluster for the training set
-// ordering given (used by the Fig. 15 scatter experiment).
-func (m *Model) ClusterAssignments(feats []Features) map[string]int {
-	out := make(map[string]int, len(feats))
-	for _, f := range feats {
-		out[f.Name] = m.PredictCluster(f)
-	}
-	return out
 }
 
 // Predictor decides whether to collocate a pair, given their features.

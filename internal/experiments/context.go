@@ -71,10 +71,8 @@ func NewContext() *Context {
 
 type pairRun struct {
 	workloads []string
-	pmt       *metrics.RunResult
-	base      *metrics.RunResult
-	fair      *metrics.RunResult
-	full      *metrics.RunResult
+	schemes   []*metrics.RunResult // one run per sched.Schemes entry, in its order
+	pmt, full *metrics.RunResult   // the PMT and V10-Full runs of schemes
 	rates     []float64
 }
 
@@ -157,11 +155,6 @@ func (c *Context) pair(p [2]string) (*pairRun, error) {
 		if run.rates, err = c.singleRates(p); err != nil {
 			return nil, err
 		}
-		if run.pmt, err = sched.Run(mk(), sched.Options{
-			Config: c.Config, Policy: sched.PMT, RequestsPerWorkload: c.Requests, Seed: c.Seed,
-		}); err != nil {
-			return nil, fmt.Errorf("PMT %s: %w", key, err)
-		}
 		var tracer *obs.ChromeWriter
 		var counters *obs.CounterLog
 		if c.TraceDir != "" {
@@ -170,31 +163,30 @@ func (c *Context) pair(p [2]string) (*pairRun, error) {
 		if c.CounterDir != "" {
 			counters = obs.NewCounterLog()
 		}
-		for _, variant := range []struct {
-			label string
-			opts  sched.Options
-			dst   **metrics.RunResult
-		}{
-			{"V10-Base", sched.BaseOptions(), &run.base},
-			{"V10-Fair", sched.FairOptions(), &run.fair},
-			{"V10-Full", sched.FullOptions(), &run.full},
-		} {
-			opts := variant.opts
-			opts.Config = c.Config
-			opts.RequestsPerWorkload = c.Requests
-			if tracer != nil {
-				tracer.BeginSection(variant.label)
+		for _, policy := range sched.Schemes {
+			opts := sched.Options{
+				Config: c.Config, Policy: policy, RequestsPerWorkload: c.Requests, Seed: c.Seed,
+			}
+			// Trace and counter files cover the V10 designs only.
+			if tracer != nil && policy != sched.PMT {
+				tracer.BeginSection(policy.String())
 				opts.Tracer = tracer
 			}
-			if counters != nil {
-				counters.BeginSection(variant.label)
+			if counters != nil && policy != sched.PMT {
+				counters.BeginSection(policy.String())
 				opts.Counters = counters
 			}
 			res, err := sched.Run(mk(), opts)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", variant.label, key, err)
+				return nil, fmt.Errorf("%s %s: %w", policy, key, err)
 			}
-			*variant.dst = res
+			run.schemes = append(run.schemes, res)
+			switch policy {
+			case sched.PMT:
+				run.pmt = res
+			case sched.PriorityPreempt:
+				run.full = res
+			}
 		}
 		if tracer != nil {
 			if err := writeDir(c.TraceDir, key+".trace.json", tracer.WriteFile); err != nil {
@@ -230,9 +222,4 @@ func (c *Context) singleRates(p [2]string) ([]float64, error) {
 		rates[i] = res.ProgressRate(0)
 	}
 	return rates, nil
-}
-
-// schemes iterates the four compared designs in paper order.
-func (r *pairRun) schemes() []*metrics.RunResult {
-	return []*metrics.RunResult{r.pmt, r.base, r.fair, r.full}
 }

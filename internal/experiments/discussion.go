@@ -44,10 +44,9 @@ func (c *Context) Ext1() (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ext1 PREMA %s: %w", PairLabel(p), err)
 		}
-		opts := sched.FullOptions()
-		opts.Config = c.Config
-		opts.RequestsPerWorkload = c.Requests
-		full, err := sched.Run(mk(), opts)
+		full, err := sched.Run(mk(), sched.Options{
+			Config: c.Config, Policy: sched.PriorityPreempt, RequestsPerWorkload: c.Requests,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("ext1 V10 %s: %w", PairLabel(p), err)
 		}
@@ -85,11 +84,10 @@ func (c *Context) Disc4() (*report.Table, error) {
 			return nil, err
 		}
 		stpPMT := run.pmt.STP(run.rates)
-		opts := sched.FullOptions()
-		opts.Config = c.Config
-		opts.RequestsPerWorkload = c.Requests
-		opts.SoftwareScheduler = true
-		sw, err := sched.Run([]*trace.Workload{c.workload(p[0]), c.workload(p[1])}, opts)
+		sw, err := sched.Run([]*trace.Workload{c.workload(p[0]), c.workload(p[1])}, sched.Options{
+			Config: c.Config, Policy: sched.PriorityPreempt, RequestsPerWorkload: c.Requests,
+			SoftwareScheduler: true,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("disc4 %s: %w", PairLabel(p), err)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"v10/internal/mathx"
 	"v10/internal/report"
+	"v10/internal/sched"
 )
 
 // Fig9 regenerates the PMT characterization: per-workload MXU and VPU
@@ -28,22 +29,20 @@ func (c *Context) Fig9() (*report.Table, error) {
 	return t, nil
 }
 
-var schemeNames = []string{"PMT", "V10-Base", "V10-Fair", "V10-Full"}
-
 // schemeTable builds a pair×scheme table from a per-run metric.
 func (c *Context) schemeTable(id, title, note string,
 	metric func(run *pairRun, scheme int) float64,
 	format func(float64) string) (*report.Table, error) {
 
 	t := &report.Table{ID: id, Title: title, Note: note}
-	t.Header = append([]string{"pair"}, schemeNames...)
+	t.Header = append([]string{"pair"}, sched.SchemeNames()...)
 	for _, p := range EvalPairs {
 		run, err := c.pair(p)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{PairLabel(p)}
-		for s := range run.schemes() {
+		for s := range run.schemes {
 			row = append(row, format(metric(run, s)))
 		}
 		t.Rows = append(t.Rows, row)
@@ -54,21 +53,21 @@ func (c *Context) schemeTable(id, title, note string,
 // Fig16a regenerates systolic array utilization per pair and scheme.
 func (c *Context) Fig16a() (*report.Table, error) {
 	return c.schemeTable("fig16a", "SA utilization when collocating two workloads", "",
-		func(run *pairRun, s int) float64 { return run.schemes()[s].SAUtil() },
+		func(run *pairRun, s int) float64 { return run.schemes[s].SAUtil() },
 		report.Percent)
 }
 
 // Fig16b regenerates vector unit utilization per pair and scheme.
 func (c *Context) Fig16b() (*report.Table, error) {
 	return c.schemeTable("fig16b", "VU utilization when collocating two workloads", "",
-		func(run *pairRun, s int) float64 { return run.schemes()[s].VUUtil() },
+		func(run *pairRun, s int) float64 { return run.schemes[s].VUUtil() },
 		report.Percent)
 }
 
 // Fig16c regenerates HBM bandwidth utilization per pair and scheme.
 func (c *Context) Fig16c() (*report.Table, error) {
 	return c.schemeTable("fig16c", "Memory bandwidth utilization", "",
-		func(run *pairRun, s int) float64 { return run.schemes()[s].HBMUtil() },
+		func(run *pairRun, s int) float64 { return run.schemes[s].HBMUtil() },
 		report.Percent)
 }
 
@@ -81,7 +80,7 @@ func (c *Context) Fig17() (*report.Table, error) {
 		Note:  "per scheme: both / SA-only / VU-only fractions of wall time",
 	}
 	t.Header = []string{"pair"}
-	for _, s := range schemeNames {
+	for _, s := range sched.SchemeNames() {
 		t.Header = append(t.Header, s+" both", s+" SA", s+" VU")
 	}
 	for _, p := range EvalPairs {
@@ -90,7 +89,7 @@ func (c *Context) Fig17() (*report.Table, error) {
 			return nil, err
 		}
 		row := []string{PairLabel(p)}
-		for _, res := range run.schemes() {
+		for _, res := range run.schemes {
 			both, sa, vu := res.OverlapBreakdown()
 			row = append(row, report.Percent(both), report.Percent(sa), report.Percent(vu))
 		}
@@ -109,7 +108,7 @@ func (c *Context) Fig18() (*report.Table, error) {
 			if pmtSTP == 0 {
 				return 0
 			}
-			return run.schemes()[s].STP(run.rates) / pmtSTP
+			return run.schemes[s].STP(run.rates) / pmtSTP
 		},
 		report.FormatFloat)
 }
@@ -121,7 +120,7 @@ func (c *Context) latencyTable(id, title string, lat func(run *pairRun, scheme, 
 	t := &report.Table{ID: id, Title: title,
 		Note: "normalized to PMT; <1 is better than PMT"}
 	t.Header = []string{"pair"}
-	for _, s := range schemeNames {
+	for _, s := range sched.SchemeNames() {
 		t.Header = append(t.Header, s+" DNN1", s+" DNN2")
 	}
 	for _, p := range EvalPairs {
@@ -130,7 +129,7 @@ func (c *Context) latencyTable(id, title string, lat func(run *pairRun, scheme, 
 			return nil, err
 		}
 		row := []string{PairLabel(p)}
-		for s := range run.schemes() {
+		for s := range run.schemes {
 			for wl := 0; wl < 2; wl++ {
 				base := lat(run, 0, wl)
 				v := 0.0
@@ -149,7 +148,7 @@ func (c *Context) latencyTable(id, title string, lat func(run *pairRun, scheme, 
 func (c *Context) Fig19() (*report.Table, error) {
 	return c.latencyTable("fig19", "Average latency of collocated DNN inference workloads",
 		func(run *pairRun, s, wl int) float64 {
-			return run.schemes()[s].Workloads[wl].AvgLatency()
+			return run.schemes[s].Workloads[wl].AvgLatency()
 		})
 }
 
@@ -157,7 +156,7 @@ func (c *Context) Fig19() (*report.Table, error) {
 func (c *Context) Fig20() (*report.Table, error) {
 	return c.latencyTable("fig20", "95th-percentile tail latency of collocated DNN inference workloads",
 		func(run *pairRun, s, wl int) float64 {
-			return run.schemes()[s].Workloads[wl].TailLatency(95)
+			return run.schemes[s].Workloads[wl].TailLatency(95)
 		})
 }
 

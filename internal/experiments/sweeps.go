@@ -105,10 +105,9 @@ func (c *Context) priorityRun(p [2]string, split float64) (full, pmt *metrics.Ru
 			c.workload(p[1]).WithPriority(1 - split),
 		}
 	}
-	opts := sched.FullOptions()
-	opts.Config = c.Config
-	opts.RequestsPerWorkload = c.Requests
-	fullRes, err := sched.Run(mk(), opts)
+	fullRes, err := sched.Run(mk(), sched.Options{
+		Config: c.Config, Policy: sched.PriorityPreempt, RequestsPerWorkload: c.Requests,
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig22 V10 %s@%v: %w", PairLabel(p), split, err)
 	}
@@ -145,11 +144,11 @@ func (c *Context) Fig23() (*report.Table, error) {
 			if err != nil {
 				return "", err
 			}
-			opts := sched.FullOptions()
-			opts.Config = c.Config
-			opts.Config.TimeSlice = slice
-			opts.RequestsPerWorkload = c.Requests
-			res, err := sched.Run([]*trace.Workload{c.workload(p[0]), c.workload(p[1])}, opts)
+			cfg := c.Config
+			cfg.TimeSlice = slice
+			res, err := sched.Run([]*trace.Workload{c.workload(p[0]), c.workload(p[1])}, sched.Options{
+				Config: cfg, Policy: sched.PriorityPreempt, RequestsPerWorkload: c.Requests,
+			})
 			if err != nil {
 				return "", fmt.Errorf("fig23 %s@%d: %w", PairLabel(p), slice, err)
 			}
@@ -200,10 +199,9 @@ func (c *Context) Fig24() (*report.Table, error) {
 			if err != nil {
 				return [2]string{}, fmt.Errorf("fig24 PMT %s@%d: %w", PairLabel(p), vmem, err)
 			}
-			opts := sched.FullOptions()
-			opts.Config = cfg
-			opts.RequestsPerWorkload = c.Requests
-			full, err := sched.Run(mk(), opts)
+			full, err := sched.Run(mk(), sched.Options{
+				Config: cfg, Policy: sched.PriorityPreempt, RequestsPerWorkload: c.Requests,
+			})
 			if err != nil {
 				return [2]string{}, fmt.Errorf("fig24 V10 %s@%d: %w", PairLabel(p), vmem, err)
 			}
@@ -263,10 +261,10 @@ func (c *Context) Fig25() (*report.Table, error) {
 				}
 				rates = append(rates, single.ProgressRate(0))
 			}
-			opts := sched.FullOptions()
-			opts.Config = cfg
-			opts.RequestsPerWorkload = mathx.MaxInt(2, c.Requests/2)
-			res, err := sched.Run(ws, opts)
+			res, err := sched.Run(ws, sched.Options{
+				Config: cfg, Policy: sched.PriorityPreempt,
+				RequestsPerWorkload: mathx.MaxInt(2, c.Requests/2),
+			})
 			if err != nil {
 				return "", fmt.Errorf("fig25 (%d,%d)x%d: %w", n, n, m, err)
 			}

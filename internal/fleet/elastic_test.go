@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,6 +24,21 @@ func elasticOptions() Options {
 	return o
 }
 
+// burstOptions is elasticOptions with demand only in the first 40% of the
+// horizon: the loop scales up under the burst, then drains back to the
+// floor once the fleet idles.
+func burstOptions() Options {
+	o := elasticOptions()
+	o.RateHz = 0
+	o.Arrivals = make([][]int64, len(mixedTenants()))
+	for t := range o.Arrivals {
+		for at := int64(0); at < o.DurationCycles*2/5; at += 20_000 {
+			o.Arrivals[t] = append(o.Arrivals[t], at)
+		}
+	}
+	return o
+}
+
 func TestElasticOptionValidation(t *testing.T) {
 	tenants := mixedTenants()
 	for name, mod := range map[string]func(o *Options){
@@ -38,8 +54,8 @@ func TestElasticOptionValidation(t *testing.T) {
 		"inverted-band": func(o *Options) {
 			o.Elastic = &ctlplane.Config{UpBelow: 0.99, DownAbove: 0.5}
 		},
-		"pinned-placement": func(o *Options) {
-			o.PinnedPlacement = [][]int{{0, 1, 2, 3}, nil, nil}
+		"pinned-off-floor": func(o *Options) {
+			o.PinnedPlacement = [][]int{{0, 1}, {2, 3}, nil}
 		},
 		"bad-admission":      func(o *Options) { o.Admission = "psychic" },
 		"slowdown-below-one": func(o *Options) { o.SlowdownLimit = 0.5 },
@@ -112,17 +128,8 @@ func CheckDiscipline(res *Result) []string {
 }
 
 func TestElasticScaleDownDrainsAndConserves(t *testing.T) {
-	// Demand only in the first 40% of the horizon: the loop scales up under
-	// the burst, then drains back to the floor once the fleet idles.
-	o := elasticOptions()
-	o.RateHz = 0
+	o := burstOptions()
 	tenants := mixedTenants()
-	o.Arrivals = make([][]int64, len(tenants))
-	for t := range o.Arrivals {
-		for at := int64(0); at < o.DurationCycles*2/5; at += 20_000 {
-			o.Arrivals[t] = append(o.Arrivals[t], at)
-		}
-	}
 	var logBuf obs.Log
 	o.Tracer = &logBuf
 	res, err := Run(tenants, o)
@@ -167,6 +174,88 @@ func TestElasticScaleDownDrainsAndConserves(t *testing.T) {
 	}
 	if got := CheckDiscipline(res); len(got) > 0 {
 		t.Fatalf("control discipline violated: %v", got)
+	}
+}
+
+// elasticConserves checks what every elastic composition must keep: the
+// loop scales both ways, each offered request completes or is shed, each
+// drained one is readmitted or shed, and the control loop keeps its
+// discipline.
+func elasticConserves(t *testing.T, res *Result) {
+	t.Helper()
+	if res.Control.ScaleUps == 0 || res.Control.ScaleDowns == 0 {
+		t.Errorf("want both scale directions, got ups=%d downs=%d", res.Control.ScaleUps, res.Control.ScaleDowns)
+	}
+	for _, ts := range res.Tenants {
+		if ts.Offered != ts.Completed+ts.Shed {
+			t.Errorf("tenant %d lost requests: offered %d completed %d shed %d",
+				ts.Tenant, ts.Offered, ts.Completed, ts.Shed)
+		}
+		if ts.Drained != ts.Readmitted+ts.DrainShed {
+			t.Errorf("tenant %d drain accounting broken: %d != %d + %d",
+				ts.Tenant, ts.Drained, ts.Readmitted, ts.DrainShed)
+		}
+	}
+	ctl := res.Control
+	if ctl.DrainVictims != ctl.Readmitted+ctl.DrainShed {
+		t.Errorf("drain victims %d != readmitted %d + drain-shed %d",
+			ctl.DrainVictims, ctl.Readmitted, ctl.DrainShed)
+	}
+	if got := CheckDiscipline(res); len(got) > 0 {
+		t.Errorf("control discipline violated: %v", got)
+	}
+	if res.Completed == 0 {
+		t.Error("elastic fleet completed nothing")
+	}
+}
+
+// TestElasticWithVNPUSlices: autoscaling composes with vNPU slicing, and
+// every core that ran, spares included, reports its slices.
+func TestElasticWithVNPUSlices(t *testing.T) {
+	o := burstOptions()
+	o.VNPUTemplates = halves()
+	res, err := Run(mixedTenants(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticConserves(t, res)
+	ran := 0
+	for _, cr := range res.Cores {
+		if cr.Run == nil {
+			continue
+		}
+		ran++
+		if len(cr.Slices) != len(o.VNPUTemplates) || len(cr.SliceOf) != len(cr.Tenants) {
+			t.Errorf("core %d ran with %d slice stats and %d slice assignments for %d tenants",
+				cr.Core, len(cr.Slices), len(cr.SliceOf), len(cr.Tenants))
+		}
+	}
+	if ran < 2 {
+		t.Fatalf("only %d cores ran; the spares never served", ran)
+	}
+}
+
+// TestElasticWithPinnedPlacement: autoscaling composes with a pinned
+// placement on the always-on cores, and rejects homes off that floor with a
+// typed error.
+func TestElasticWithPinnedPlacement(t *testing.T) {
+	o := burstOptions()
+	o.Elastic.MinCores = 2
+	o.PinnedPlacement = [][]int{{0, 2}, {1, 3}, nil}
+	res, err := Run(mixedTenants(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Placement, o.PinnedPlacement) {
+		t.Fatalf("placement %v, want the pinned %v", res.Placement, o.PinnedPlacement)
+	}
+	elasticConserves(t, res)
+
+	o.PinnedPlacement = [][]int{{0, 2}, {1}, {3}}
+	_, err = Run(mixedTenants(), o)
+	var off *PinnedOffFloorError
+	if !errors.As(err, &off) || *off != (PinnedOffFloorError{Core: 2, Tenant: 3, MinCores: 2}) {
+		t.Fatalf("off-floor pin: got %v, want a PinnedOffFloorError for tenant 3 on core 2", err)
 	}
 }
 

@@ -85,10 +85,11 @@ type Options struct {
 	// Cores is the number of independent NPU cores (default 2).
 	Cores int
 
-	// Scheme is the per-core scheduler: "V10-Full" (default), "V10-Fair",
-	// "V10-Base", or "PMT" (PREMA-style whole-core time slicing, quanta
-	// weighted by priority). Every scheme replays its core's admitted
-	// arrivals, so latencies include dispatcher queueing delay.
+	// Scheme is the per-core scheduler, one of sched.SchemeNames:
+	// "V10-Full" (default), "V10-Fair", "V10-Base", or "PMT" (PREMA-style
+	// whole-core time slicing, quanta weighted by priority). Every scheme
+	// replays its core's admitted arrivals, so latencies include dispatcher
+	// queueing delay.
 	Scheme string
 
 	// Policy picks tenant placement (default least-loaded).
@@ -219,8 +220,9 @@ type Options struct {
 	// plane: tenants are homed on the first Elastic.MinCores cores, the
 	// remaining cores start inactive, and the control loop activates or
 	// drains them against windowed SLO-attainment signals (see ctlplane).
-	// Mutually exclusive with fault injection, vNPU slicing, and pinned
-	// placement.
+	// Mutually exclusive with fault injection. It composes with vNPU slicing,
+	// and with a PinnedPlacement whose homes all lie on the always-on cores
+	// [0, MinCores) (PinnedOffFloorError otherwise).
 	Elastic *ctlplane.Config
 
 	// Admission selects the front-door admission discipline (default
@@ -298,6 +300,9 @@ type Options struct {
 	// the online centroid updates, leaving the collocation model stale as the
 	// mix churns. The recluster-consistency oracle must catch it.
 	skipModelUpdates bool
+
+	// policy is Scheme's scheduler policy, set by withDefaults.
+	policy sched.Policy
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -314,13 +319,13 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("fleet: invalid core count %d", o.Cores)
 	}
 	if o.Scheme == "" {
-		o.Scheme = "V10-Full"
+		o.Scheme = sched.PriorityPreempt.String()
 	}
-	switch o.Scheme {
-	case "V10-Full", "V10-Fair", "V10-Base", "PMT":
-	default:
-		return o, fmt.Errorf("fleet: unknown scheme %q", o.Scheme)
+	policy, err := sched.ParseScheme(o.Scheme)
+	if err != nil {
+		return o, err
 	}
+	o.policy = policy
 	if o.Policy == "" {
 		o.Policy = PolicyLeastLoaded
 	}
@@ -467,15 +472,14 @@ func (o Options) withDefaults() (Options, error) {
 		if !o.Faults.Empty() {
 			return o, fmt.Errorf("fleet: elastic autoscaling and fault injection are mutually exclusive")
 		}
-		if len(o.VNPUTemplates) > 0 {
-			return o, fmt.Errorf("fleet: elastic autoscaling and vNPU slicing are mutually exclusive")
-		}
-		if o.PinnedPlacement != nil {
-			return o, fmt.Errorf("fleet: elastic autoscaling and PinnedPlacement are mutually exclusive")
-		}
 		cfg, err := o.Elastic.WithDefaults(o.Cores, o.DurationCycles)
 		if err != nil {
 			return o, err
+		}
+		for c := cfg.MinCores; c < len(o.PinnedPlacement); c++ {
+			if len(o.PinnedPlacement[c]) > 0 {
+				return o, &PinnedOffFloorError{Core: c, Tenant: o.PinnedPlacement[c][0], MinCores: cfg.MinCores}
+			}
 		}
 		o.Elastic = &cfg
 		if o.StatsWindowCycles == 0 {
@@ -489,6 +493,18 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("fleet: negative StatsWindowCycles %d", o.StatsWindowCycles)
 	}
 	return o, nil
+}
+
+// PinnedOffFloorError reports a PinnedPlacement that homes a tenant on a
+// core elastic autoscaling starts inactive: under Options.Elastic, pinned
+// homes must lie on the always-on cores [0, MinCores).
+type PinnedOffFloorError struct {
+	Core, Tenant, MinCores int
+}
+
+func (e *PinnedOffFloorError) Error() string {
+	return fmt.Sprintf("fleet: PinnedPlacement homes tenant %d on core %d, outside the always-on cores [0, %d)",
+		e.Tenant, e.Core, e.MinCores)
 }
 
 // pinnedHomes validates a PinnedPlacement against the tenant and core counts

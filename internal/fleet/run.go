@@ -539,25 +539,14 @@ func runCore(c int, job coreJob, o Options, p perturb) *coreOut {
 		ArrivalCycles: job.schedules,
 		MaxCycles:     o.MaxCycles,
 		Seed:          o.Seed + 0xc0e + uint64(c),
-		Scheme:        o.Scheme,
+		Policy:        o.policy,
+		PMTWeighted:   true,
 		Tracer:        tr,
 		PreemptMargin: o.PreemptMargin,
 		HaltAtCycle:   p.halt,
 		StallWindows:  p.stall,
 		HBMWindows:    p.hbm,
 		VMemWindows:   p.vmem,
-	}
-	switch o.Scheme {
-	case "V10-Base":
-		so.Policy = sched.RoundRobin
-	case "V10-Fair":
-		so.Policy = sched.Priority
-	case "PMT":
-		so.Policy = sched.PMT
-		so.PMTWeighted = true
-	default: // V10-Full
-		so.Policy = sched.Priority
-		so.Preemption = true
 	}
 	if len(o.VNPUTemplates) > 0 {
 		// A fresh partition per core: slices hold live token-bucket and vmem

@@ -113,31 +113,3 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	}
 	return out, nil
 }
-
-// MapAll runs fn(i) for every i in [0, n) on at most Workers(workers)
-// goroutines and returns every result alongside its per-index error: unlike
-// Map, one failing index does not abort the rest. Sweeps where a single bad
-// input (an infeasible candidate, a degenerate scenario) must not discard the
-// whole batch use this; results and errors are both ordered by input index,
-// so the output is bit-identical at any worker count.
-func MapAll[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, []error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	// ForEach's fn never errors here, so it cannot abort; context
-	// cancellation still stops dispatching new indexes, leaving the
-	// undispatched tail with the context error.
-	done := make([]bool, n)
-	_ = ForEach(ctx, n, workers, func(i int) error {
-		out[i], errs[i] = fn(i)
-		done[i] = true
-		return nil
-	})
-	if err := ctx.Err(); err != nil {
-		for i := range errs {
-			if !done[i] && errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return out, errs
-}

@@ -208,41 +208,3 @@ func TestMemoDistinctKeys(t *testing.T) {
 		t.Fatalf("Len = %d", m.Len())
 	}
 }
-
-func TestMapAllKeepsGoingPastErrors(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		got, errs := MapAll(context.Background(), 20, workers, func(i int) (int, error) {
-			if i%3 == 0 {
-				return 0, fmt.Errorf("bad %d", i)
-			}
-			return i * 10, nil
-		})
-		if len(got) != 20 || len(errs) != 20 {
-			t.Fatalf("workers=%d: len got=%d errs=%d", workers, len(got), len(errs))
-		}
-		for i := 0; i < 20; i++ {
-			if i%3 == 0 {
-				if errs[i] == nil || errs[i].Error() != fmt.Sprintf("bad %d", i) {
-					t.Fatalf("workers=%d: errs[%d] = %v", workers, i, errs[i])
-				}
-			} else if errs[i] != nil || got[i] != i*10 {
-				t.Fatalf("workers=%d: got[%d]=%d errs[%d]=%v", workers, i, got[i], i, errs[i])
-			}
-		}
-	}
-}
-
-func TestMapAllCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, errs := MapAll(ctx, 5, 2, func(i int) (int, error) { return i, nil })
-	undone := 0
-	for _, err := range errs {
-		if errors.Is(err, context.Canceled) {
-			undone++
-		}
-	}
-	if undone == 0 {
-		t.Fatal("cancelled context should surface on undispatched indexes")
-	}
-}

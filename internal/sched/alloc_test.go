@@ -14,7 +14,7 @@ var raceEnabled bool
 func allocOpts(t *testing.T) ([]*trace.Workload, Options) {
 	t.Helper()
 	ws := []*trace.Workload{wl(t, "BERT", 32, 1), wl(t, "DLRM", 32, 2)}
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.Seed = 4
 	opts.Config = cfg
 	opts.Config.VMemBytes = cfg.VMemBytes / 128

@@ -11,7 +11,7 @@ import (
 
 func TestArrivalCyclesServesExactSchedule(t *testing.T) {
 	w := synthetic("S", 1000, 500, 2)
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.ArrivalCycles = [][]int64{{0, 10_000, 10_000, 50_000}}
 	res, err := Run([]*trace.Workload{w}, opts)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestArrivalCyclesEmptySchedule(t *testing.T) {
 	// A workload with no arrivals holds its partition but serves nothing.
 	a := synthetic("A", 1000, 500, 2)
 	b := synthetic("B", 1000, 500, 2)
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.ArrivalCycles = [][]int64{{0, 1000}, {}}
 	res, err := Run([]*trace.Workload{a, b}, opts)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestArrivalCyclesDeterministic(t *testing.T) {
 	mk := func() []*trace.Workload {
 		return []*trace.Workload{synthetic("A", 2000, 10, 4), synthetic("B", 10, 2000, 4)}
 	}
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.ArrivalCycles = [][]int64{{0, 5000, 9000}, {100, 100, 20_000}}
 	r1, err1 := Run(mk(), opts)
 	r2, err2 := Run(mk(), opts)
@@ -133,7 +133,7 @@ func TestOpenLoopRealizedRate(t *testing.T) {
 		meanGap  = 3.0 // cycles — deep in the old clamp's bias regime
 	)
 	w := synthetic("S", 1, 0, 1) // 1-cycle service: queues never build up
-	opts := BaseOptions()
+	opts := Options{Policy: RoundRobin}
 	opts.RequestsPerWorkload = requests
 	opts.ArrivalRateHz = 700e6 / meanGap
 	res, err := Run([]*trace.Workload{w}, opts)

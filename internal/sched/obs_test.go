@@ -63,7 +63,7 @@ func TestTracePreemptionsMatchStats(t *testing.T) {
 	long := synthetic("Long", 500000, 100, 4)
 	short := synthetic("Short", 2000, 2000, 40)
 	ring := obs.NewRing(1 << 20)
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.Tracer = ring
 	res, err := Run([]*trace.Workload{long, short}, opts)
 	if err != nil {
@@ -116,7 +116,7 @@ func TestTraceRunSegmentsMatchActiveCycles(t *testing.T) {
 	}
 
 	ring = obs.NewRing(1 << 20)
-	opts = FullOptions()
+	opts = Options{Policy: PriorityPreempt}
 	opts.Tracer = ring
 	a := synthetic("A", 3000, 200, 12)
 	b := synthetic("B", 200, 3000, 12)
@@ -169,7 +169,7 @@ func TestTraceDispatchAndRequestEvents(t *testing.T) {
 
 func TestCounterSampling(t *testing.T) {
 	log := obs.NewCounterLog()
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.Counters = log
 	opts.CounterInterval = 4096
 	long := synthetic("Long", 500000, 100, 4)
@@ -231,7 +231,7 @@ func benchWorkloads() []*trace.Workload {
 // measurable regression against the pre-observability scheduler.
 func BenchmarkRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(benchWorkloads(), FullOptions()); err != nil {
+		if _, err := Run(benchWorkloads(), Options{Policy: PriorityPreempt}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func BenchmarkRun(b *testing.B) {
 // what enabling tracing costs.
 func BenchmarkRunTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := FullOptions()
+		opts := Options{Policy: PriorityPreempt}
 		opts.Tracer = obs.NewRing(1 << 18)
 		if _, err := Run(benchWorkloads(), opts); err != nil {
 			b.Fatal(err)

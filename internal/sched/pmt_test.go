@@ -101,7 +101,7 @@ func TestPMTvsV10OnComplementaryPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(mk(1), Options{Policy: Priority, Preemption: true, RequestsPerWorkload: 4})
+	full, err := Run(mk(1), Options{Policy: PriorityPreempt, RequestsPerWorkload: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPMTPremaSJFPrefersShortJobs(t *testing.T) {
 }
 
 func TestPMTPolicyString(t *testing.T) {
-	if PMT.String() != "PMT" || PMTPrema.String() != "PREMA" {
+	if PMT.String() != "PMT" || PMTPrema.String() != "PMT" {
 		t.Fatal("PMT policy names wrong")
 	}
 	res, err := Run([]*trace.Workload{synthetic("S", 100, 100, 2)}, Options{Policy: PMTPrema, RequestsPerWorkload: 1})
@@ -305,7 +305,6 @@ func TestPMTPolicyString(t *testing.T) {
 func TestPMTRejectsOperatorKnobs(t *testing.T) {
 	w := []*trace.Workload{synthetic("S", 100, 100, 2)}
 	for name, o := range map[string]Options{
-		"preemption":         {Policy: PMT, Preemption: true},
 		"dispatch latency":   {Policy: PMTPrema, DispatchLatency: 10},
 		"software scheduler": {Policy: PMT, SoftwareScheduler: true},
 	} {

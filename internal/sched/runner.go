@@ -271,7 +271,7 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 			Reason: fmt.Sprintf("ArrivalCycles has %d schedules for %d workloads",
 				len(opts.ArrivalCycles), len(workloads))}
 	}
-	if opts.Preemption {
+	if opts.Policy == PriorityPreempt {
 		r.sliceTimer = engine.NewTimer(cfg.TimeSlice, r.sliceTick)
 	}
 	defer func() {
@@ -348,7 +348,7 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 	}
 
 	result := &metrics.RunResult{
-		Scheme:      opts.scheme(),
+		Scheme:      opts.Policy.String(),
 		TotalCycles: now,
 		NumSA:       cfg.NumSA,
 		NumVU:       cfg.NumVU,
@@ -899,7 +899,7 @@ func (r *runner) pickNext(kind, slice int, now int64) *wlState {
 		switch r.opts.Policy {
 		case RoundRobin:
 			key = float64(wl.lastDispatch)
-		case Priority:
+		case Priority, PriorityPreempt:
 			key = wl.arpAt(now)
 		}
 		// Exact active_rate_p ties fall back to least-recently-dispatched.

@@ -42,7 +42,7 @@ func synthetic(name string, saLen, vuLen int64, pairs int) *trace.Workload {
 
 func TestSingleWorkloadLatencyMatchesSerial(t *testing.T) {
 	w := synthetic("S", 1000, 500, 4)
-	res, err := Run([]*trace.Workload{w}, Options{RequestsPerWorkload: 3, Scheme: "Single"})
+	res, err := Run([]*trace.Workload{w}, Options{RequestsPerWorkload: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	a1, b1 := mk()
 	a2, b2 := mk()
-	r1, err1 := Run([]*trace.Workload{a1, b1}, FullOptions())
-	r2, err2 := Run([]*trace.Workload{a2, b2}, FullOptions())
+	r1, err1 := Run([]*trace.Workload{a1, b1}, Options{Policy: PriorityPreempt})
+	r2, err2 := Run([]*trace.Workload{a2, b2}, Options{Policy: PriorityPreempt})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -154,14 +154,14 @@ func TestPreemptionFiresUnderContention(t *testing.T) {
 	// preemption (the paper's Fig. 12 scenario).
 	long := synthetic("Long", 500000, 100, 4)
 	short := synthetic("Short", 2000, 2000, 40)
-	resFull, err := Run([]*trace.Workload{long, short}, FullOptions())
+	resFull, err := Run([]*trace.Workload{long, short}, Options{Policy: PriorityPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resFull.Workloads[0].Preemptions == 0 {
 		t.Fatal("V10-Full never preempted the long-op workload")
 	}
-	resFair, err := Run([]*trace.Workload{long, short}, FairOptions())
+	resFair, err := Run([]*trace.Workload{long, short}, Options{Policy: Priority})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPreemptionFiresUnderContention(t *testing.T) {
 func TestSwitchOverheadAccounted(t *testing.T) {
 	long := synthetic("Long", 500000, 100, 4)
 	short := synthetic("Short", 2000, 2000, 40)
-	res, err := Run([]*trace.Workload{long, short}, FullOptions())
+	res, err := Run([]*trace.Workload{long, short}, Options{Policy: PriorityPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestPriorityBiasesProgress(t *testing.T) {
 	// timer is what enforces proportional shares.
 	a := synthetic("A", 200000, 10, 10).WithPriority(0.8)
 	b := synthetic("B", 200000, 10, 10).WithPriority(0.2)
-	res, err := Run([]*trace.Workload{a, b}, FullOptions())
+	res, err := Run([]*trace.Workload{a, b}, Options{Policy: PriorityPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,25 +217,13 @@ func TestPriorityBiasesProgress(t *testing.T) {
 	}
 }
 
-func TestSchemeLabels(t *testing.T) {
-	if BaseOptions().scheme() != "V10-Base" ||
-		FairOptions().scheme() != "V10-Fair" ||
-		FullOptions().scheme() != "V10-Full" {
-		t.Fatal("scheme labels wrong")
-	}
-	o := Options{Scheme: "custom"}
-	if o.scheme() != "custom" {
-		t.Fatal("scheme override ignored")
-	}
-}
-
 func TestMultiFUScaling(t *testing.T) {
 	// 4 SA-heavy workloads on a 2-SA/2-VU core: both SAs should be busy.
 	var ws []*trace.Workload
 	for i := 0; i < 4; i++ {
 		ws = append(ws, synthetic("W", 5000, 100, 10))
 	}
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.Config = cfg.WithFUs(2)
 	res, err := Run(ws, opts)
 	if err != nil {
@@ -271,7 +259,7 @@ func TestRealModelsBERTplusNCF(t *testing.T) {
 func TestUtilizationBounds(t *testing.T) {
 	b := wl(t, "BERT", 32, 1)
 	d := wl(t, "DLRM", 32, 2)
-	for _, opts := range []Options{BaseOptions(), FairOptions(), FullOptions()} {
+	for _, opts := range []Options{Options{Policy: RoundRobin}, Options{Policy: Priority}, Options{Policy: PriorityPreempt}} {
 		opts.RequestsPerWorkload = 4
 		res, err := Run([]*trace.Workload{b, d}, opts)
 		if err != nil {
@@ -327,8 +315,12 @@ func TestInvalidOptions(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if RoundRobin.String() != "RR" || Priority.String() != "Priority" {
+	if RoundRobin.String() != "V10-Base" || Priority.String() != "V10-Fair" ||
+		PriorityPreempt.String() != "V10-Full" || Policy(9).String() != "Policy(9)" {
 		t.Fatal("Policy.String wrong")
+	}
+	if _, err := Run([]*trace.Workload{synthetic("S", 100, 100, 2)}, Options{Policy: 9}); err == nil {
+		t.Fatal("unknown policy accepted")
 	}
 }
 
@@ -426,13 +418,13 @@ func TestOpenLoopDeterministic(t *testing.T) {
 // Workload i of a case is seeded i+1.
 func TestPinnedCycles(t *testing.T) {
 	reqs := func(o Options, n int) Options { o.RequestsPerWorkload = n; return o }
-	noHBM := reqs(FullOptions(), 12)
+	noHBM := reqs(Options{Policy: PriorityPreempt}, 12)
 	noHBM.DisableFluidHBM = true
 	slice512 := cfg
 	slice512.TimeSlice = 512
-	preempt := reqs(FullOptions(), 6)
+	preempt := reqs(Options{Policy: PriorityPreempt}, 6)
 	preempt.Config = slice512
-	openLoop := reqs(FullOptions(), 8)
+	openLoop := reqs(Options{Policy: PriorityPreempt}, 8)
 	openLoop.ArrivalRateHz = 20
 	pair := []string{"BERT", "DLRM"}
 
@@ -444,9 +436,9 @@ func TestPinnedCycles(t *testing.T) {
 		batch  int
 		want   int64
 	}{
-		{"pair-full", reqs(FullOptions(), 12), cfg, pair, 32, 397_582_373},
-		{"pair-base", reqs(BaseOptions(), 12), cfg, pair, 32, 337_434_542},
-		{"quad-full", reqs(FullOptions(), 6), cfg, []string{"BERT", "DLRM", "NCF", "Transformer"}, 16, 246_450_849},
+		{"pair-full", reqs(Options{Policy: PriorityPreempt}, 12), cfg, pair, 32, 397_582_373},
+		{"pair-base", reqs(Options{Policy: RoundRobin}, 12), cfg, pair, 32, 337_434_542},
+		{"quad-full", reqs(Options{Policy: PriorityPreempt}, 6), cfg, []string{"BERT", "DLRM", "NCF", "Transformer"}, 16, 246_450_849},
 		{"pair-nohbm", noHBM, cfg, pair, 32, 383_825_090},
 		{"preempt-heavy", preempt, slice512, pair, 32, 195_611_698},
 		{"open-loop", openLoop, cfg, pair, 32, 299_555_291},

@@ -5,18 +5,17 @@
 // The same core runner also simulates the baselines V10 is compared against:
 // PMT, PREMA-style whole-core time slicing, and a workload alone on a core.
 //
-// The schemes the paper evaluates map onto Options:
-//
-//	V10-Base: Policy=RoundRobin, Preemption=false
-//	V10-Fair: Policy=Priority,   Preemption=false
-//	V10-Full: Policy=Priority,   Preemption=true
-//	PMT:      Policy=PMT (round-robin) or PMTPrema, PMTQuantum, PMTWeighted
+// Each scheme the paper evaluates is one Policy, and Schemes lists them in
+// the paper's order: PMT (or PMTPrema, tuned by PMTQuantum and PMTWeighted),
+// V10-Base (RoundRobin), V10-Fair (Priority) and V10-Full (PriorityPreempt).
+// ParseScheme maps a scheme's canonical name back to its Policy.
 package sched
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"v10/internal/metrics"
 	"v10/internal/npu"
@@ -25,14 +24,16 @@ import (
 	"v10/internal/vnpu"
 )
 
-// Policy selects how the operator scheduler picks the next workload when
-// more ready operators exist than free functional units.
+// Policy selects the scheme a core runs: how the scheduler picks the next
+// workload when more ready operators exist than free functional units, and
+// whether it preempts or time-slices. The zero value is V10-Base.
 type Policy int
 
 const (
-	// RoundRobin circulates through workloads with ready operators.
+	// RoundRobin is V10-Base: it circulates through workloads with ready
+	// operators.
 	RoundRobin Policy = iota
-	// Priority implements Algorithm 1: pick the workload with the lowest
+	// Priority is V10-Fair, Algorithm 1: pick the workload with the lowest
 	// active_rate_p = (active_time / total_time) / priority.
 	Priority
 	// PMT is the paper's baseline, preemptive multitasking at task
@@ -47,19 +48,51 @@ const (
 	// with the shortest estimated job wins (SJF tiebreak), and its tokens
 	// reset on dispatch.
 	PMTPrema
+	// PriorityPreempt is V10-Full: Priority plus the §3.3 operator
+	// preemption, checked at every time-slice boundary (Config.TimeSlice
+	// cycles).
+	PriorityPreempt
 )
 
-// String names the policy.
+// labels holds every policy's scheme name, the label its results carry.
+var labels = [...]string{
+	RoundRobin:      "V10-Base",
+	Priority:        "V10-Fair",
+	PMT:             "PMT",
+	PMTPrema:        "PMT",
+	PriorityPreempt: "V10-Full",
+}
+
+// Schemes lists the paper's four designs in its §5 order.
+var Schemes = []Policy{PMT, RoundRobin, Priority, PriorityPreempt}
+
+// String returns the name of the scheme the policy runs; both PMT policies
+// are "PMT".
 func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "RR"
-	case PMT:
-		return "PMT"
-	case PMTPrema:
-		return "PREMA"
+	if p < 0 || int(p) >= len(labels) {
+		return fmt.Sprintf("Policy(%d)", int(p))
 	}
-	return "Priority"
+	return labels[p]
+}
+
+// SchemeNames returns the Schemes' names, in order.
+func SchemeNames() []string {
+	names := make([]string, len(Schemes))
+	for i, p := range Schemes {
+		names[i] = p.String()
+	}
+	return names
+}
+
+// ParseScheme returns the policy of the scheme with the canonical name
+// (one of SchemeNames).
+func ParseScheme(name string) (Policy, error) {
+	for _, p := range Schemes {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("sched: unknown scheme %q (want %s)", name, strings.Join(SchemeNames(), ", "))
 }
 
 // pmt reports whether the policy time-slices whole cores.
@@ -80,10 +113,6 @@ type Window struct {
 type Options struct {
 	Config npu.CoreConfig
 	Policy Policy
-
-	// Preemption enables the §3.3 operator-preemption mechanism, checked at
-	// every time-slice boundary (Config.TimeSlice cycles).
-	Preemption bool
 
 	// PMTQuantum is the whole-core time slice of the PMT policies in cycles.
 	// The default (1.4M cycles ≈ 2 ms) keeps the measured context-switch
@@ -190,9 +219,6 @@ type Options struct {
 	// one entry per workload; invalid otherwise).
 	SliceOf []int
 
-	// Scheme overrides the result label; empty derives it from the options.
-	Scheme string
-
 	// Tracer, when non-nil, receives the run's timeline events (operator
 	// dispatch, stall, run segments, preemption save/restore, HBM
 	// rebalancing). Nil — the default — disables tracing entirely; every
@@ -209,25 +235,6 @@ type Options struct {
 	CounterInterval int64
 }
 
-// scheme returns the label for results.
-func (o Options) scheme() string {
-	if o.Scheme != "" {
-		return o.Scheme
-	}
-	switch {
-	case o.Policy.pmt():
-		return "PMT"
-	case o.Policy == RoundRobin && !o.Preemption:
-		return "V10-Base"
-	case o.Policy == Priority && !o.Preemption:
-		return "V10-Fair"
-	case o.Policy == Priority && o.Preemption:
-		return "V10-Full"
-	default:
-		return fmt.Sprintf("V10(%s,preempt=%v)", o.Policy, o.Preemption)
-	}
-}
-
 // withDefaults normalizes zero-valued options.
 func (o Options) withDefaults() (Options, error) {
 	if o.Config.SADim == 0 {
@@ -235,6 +242,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if err := o.Config.Validate(); err != nil {
 		return o, err
+	}
+	if o.Policy < 0 || int(o.Policy) >= len(labels) {
+		return o, fmt.Errorf("sched: unknown policy %d", int(o.Policy))
 	}
 	if o.PreemptMargin <= 0 {
 		// Preempt only when the waiting workload is meaningfully under-served:
@@ -259,8 +269,8 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Policy.pmt() {
 		// PMT switches whole cores, so the operator-level knobs mean nothing.
-		if o.Preemption || o.DispatchLatency > 0 || o.SoftwareScheduler {
-			return o, fmt.Errorf("sched: policy %s time-slices whole cores; Preemption, DispatchLatency and SoftwareScheduler are operator-level", o.Policy)
+		if o.DispatchLatency > 0 || o.SoftwareScheduler {
+			return o, fmt.Errorf("sched: policy %s time-slices whole cores; DispatchLatency and SoftwareScheduler are operator-level", o.Policy)
 		}
 		if o.PMTQuantum <= 0 {
 			o.PMTQuantum = 1_400_000
@@ -354,15 +364,6 @@ func (o Options) target(i int) int {
 	return o.RequestsPerWorkload
 }
 
-// BaseOptions returns the V10-Base configuration (RR, no preemption).
-func BaseOptions() Options { return Options{Policy: RoundRobin} }
-
-// FairOptions returns the V10-Fair configuration (Algorithm 1, no preemption).
-func FairOptions() Options { return Options{Policy: Priority} }
-
-// FullOptions returns the V10-Full configuration (Algorithm 1 + preemption).
-func FullOptions() Options { return Options{Policy: Priority, Preemption: true} }
-
 // ErrMaxCycles is returned when a run exceeds its cycle cap before every
 // workload finishes its requests.
 var ErrMaxCycles = errors.New("sched: simulation exceeded MaxCycles before completing")
@@ -376,14 +377,13 @@ func kindOf(k trace.Kind) int {
 }
 
 // RunSingle runs one workload alone on a dedicated core ("no sharing"), the
-// ideal-performance baseline.
+// ideal-performance baseline, labeled "Single".
 func RunSingle(w *trace.Workload, cfg npu.CoreConfig, requests int) (*metrics.RunResult, error) {
-	return Run([]*trace.Workload{w}, Options{
-		Config:              cfg,
-		Policy:              RoundRobin,
-		RequestsPerWorkload: requests,
-		Scheme:              "Single",
-	})
+	res, err := Run([]*trace.Workload{w}, Options{Config: cfg, RequestsPerWorkload: requests})
+	if res != nil {
+		res.Scheme = "Single"
+	}
+	return res, err
 }
 
 // SingleTenantRates returns each workload's single-tenant progress rate

@@ -244,7 +244,7 @@ func TestSliceCapHitSkipsPreemption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := FullOptions()
+	opts := Options{Policy: PriorityPreempt}
 	opts.Config = small
 	opts.RequestsPerWorkload = 2
 	opts.Slices = p.Slices
@@ -273,7 +273,7 @@ func TestSlicedRunTracedMatchesUntraced(t *testing.T) {
 			vnpu.Template{Compute: 0.5, VMem: 0.5, HBM: 0.25})
 		a := syntheticHBM("A", 2000, 5, 0.5*cfg.HBMBytesPerCycle()*window)
 		b := synthetic("B", 1000, 500, 4)
-		opts := FullOptions()
+		opts := Options{Policy: PriorityPreempt}
 		opts.RequestsPerWorkload = 3
 		opts.Slices = p.Slices
 		opts.SliceOf = []int{0, 1}

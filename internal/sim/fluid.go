@@ -31,9 +31,6 @@ type FluidTask struct {
 // BytesMoved returns the HBM traffic the task has generated so far.
 func (t *FluidTask) BytesMoved() float64 { return t.bytesMoved }
 
-// Remaining returns the remaining compute cycles at full rate.
-func (t *FluidTask) Remaining() float64 { return t.Work }
-
 // FluidPool advances a set of FluidTasks under a shared bandwidth capacity
 // using max-min (water-filling) allocation. Each change to the task set
 // re-solves the allocation; only tasks whose rate actually changed get their
@@ -80,9 +77,6 @@ func NewFluidPool(engine *Engine, capacityBytesPerCycle float64) *FluidPool {
 // TotalBytes returns all HBM traffic moved through the pool so far,
 // including traffic of still-running tasks up to the last recompute.
 func (p *FluidPool) TotalBytes() float64 { return p.totalBytes }
-
-// Capacity returns the pool's current bytes/cycle bandwidth capacity.
-func (p *FluidPool) Capacity() float64 { return p.capacity }
 
 // ChurnStats reports how many allocation re-solves the pool has done and how
 // many completion events those re-solves actually (re)scheduled. The gap

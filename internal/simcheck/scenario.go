@@ -23,19 +23,20 @@ import (
 	"fmt"
 
 	"v10/internal/npu"
+	"v10/internal/sched"
 	"v10/internal/trace"
 )
 
 // Scheme names accepted in Scenario.Schemes.
-const (
-	SchemePMT  = "PMT"
-	SchemeBase = "V10-Base"
-	SchemeFair = "V10-Fair"
-	SchemeFull = "V10-Full"
+var (
+	SchemePMT  = sched.PMT.String()
+	SchemeBase = sched.RoundRobin.String()
+	SchemeFair = sched.Priority.String()
+	SchemeFull = sched.PriorityPreempt.String()
 )
 
 // AllSchemes lists every runnable scheme in canonical order.
-var AllSchemes = []string{SchemePMT, SchemeBase, SchemeFair, SchemeFull}
+var AllSchemes = sched.SchemeNames()
 
 // OpSpec is one generated tensor operator. Ops chain sequentially (op i
 // depends on op i-1), matching the paper's observation that operators within
@@ -150,10 +151,8 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("simcheck: scenario runs no schemes")
 	}
 	for _, sch := range s.Schemes {
-		switch sch {
-		case SchemePMT, SchemeBase, SchemeFair, SchemeFull:
-		default:
-			return fmt.Errorf("simcheck: unknown scheme %q", sch)
+		if _, err := sched.ParseScheme(sch); err != nil {
+			return err
 		}
 	}
 	if s.ArrivalCycles != nil {

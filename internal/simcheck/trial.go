@@ -93,30 +93,23 @@ func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*me
 		Seed:                sc.Seed,
 		Tracer:              tracer,
 	}
-	if scheme == SchemePMT {
+	policy, err := sched.ParseScheme(scheme)
+	if err != nil {
+		return nil, err
+	}
+	opts.Policy = policy
+	if policy == sched.PMT {
 		// PMT switches whole cores, so the operator-level knobs stay off, and
 		// it tiles at the default reload factor.
-		opts.Policy = sched.PMT
 		if sc.PMTPrema {
 			opts.Policy = sched.PMTPrema
 		}
 		opts.PMTQuantum = sc.PMTQuantum
 		opts.PMTWeighted = sc.PMTWeighted
-		return sched.Run(buildWorkloads(sc.Workloads, reversed), opts)
-	}
-	opts.PreemptMargin = sc.PreemptMargin
-	opts.VMemReloadFactor = sc.VMemReloadFactor
-	opts.DispatchLatency = sc.DispatchLatency
-	switch scheme {
-	case SchemeBase:
-		opts.Policy = sched.RoundRobin
-	case SchemeFair:
-		opts.Policy = sched.Priority
-	case SchemeFull:
-		opts.Policy = sched.Priority
-		opts.Preemption = true
-	default:
-		return nil, fmt.Errorf("simcheck: unknown scheme %q", scheme)
+	} else {
+		opts.PreemptMargin = sc.PreemptMargin
+		opts.VMemReloadFactor = sc.VMemReloadFactor
+		opts.DispatchLatency = sc.DispatchLatency
 	}
 	return sched.Run(buildWorkloads(sc.Workloads, reversed), opts)
 }

@@ -136,15 +136,6 @@ func (g *Graph) IdealSpeedup() float64 {
 	return float64(g.SerialCycles()) / float64(cp)
 }
 
-// TotalFLOPs sums FLOPs across operators.
-func (g *Graph) TotalFLOPs() float64 {
-	s := 0.0
-	for _, op := range g.Ops {
-		s += op.FLOPs
-	}
-	return s
-}
-
 // TotalHBMBytes sums HBM traffic across operators.
 func (g *Graph) TotalHBMBytes() float64 {
 	s := 0.0

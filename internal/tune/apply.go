@@ -1,9 +1,6 @@
 package tune
 
-import (
-	"v10/internal/ctlplane"
-	"v10/internal/fleet"
-)
+import "v10/internal/fleet"
 
 // Apply maps the knob vector onto a fleet configuration. Layer by layer:
 //
@@ -41,14 +38,4 @@ func (k Knobs) Apply(o fleet.Options) fleet.Options {
 		o.Elastic = &cfg
 	}
 	return o
-}
-
-// ApplyElastic rewrites a standalone control-plane config under the knobs —
-// the hook the public serving API uses when it owns the ctlplane.Config
-// directly rather than through fleet.Options.
-func (k Knobs) ApplyElastic(cfg ctlplane.Config) ctlplane.Config {
-	cfg.CooldownCycles = 0
-	cfg.CooldownIntervals = k.CooldownIntervals
-	cfg.DrainOccupancy = k.DrainOccupancy
-	return cfg
 }

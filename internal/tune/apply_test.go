@@ -60,12 +60,3 @@ func TestApplyLayerGating(t *testing.T) {
 		t.Fatalf("elastic knobs misapplied: %+v", got.Elastic)
 	}
 }
-
-func TestApplyElastic(t *testing.T) {
-	k := Tuned()
-	cfg := k.ApplyElastic(ctlplane.Config{MinCores: 3, CooldownCycles: 500})
-	if cfg.CooldownCycles != 0 || cfg.CooldownIntervals != k.CooldownIntervals ||
-		cfg.DrainOccupancy != k.DrainOccupancy || cfg.MinCores != 3 {
-		t.Fatalf("ApplyElastic misapplied: %+v", cfg)
-	}
-}

@@ -201,14 +201,15 @@ type FleetOptions struct {
 	Tracer Tracer
 
 	// Counters, when non-nil, receives every core's counter snapshots under
-	// "core N" sections (V10 schemes only).
+	// "core N" sections.
 	Counters *CounterLog
 
 	// VNPUTemplates, when non-empty, carves every core into spatial vNPU
 	// slices (hardware-assisted partitioning): each tenant is assigned a
 	// (core, slice) pair and V10 temporal interleaving runs within each
-	// slice. Slices enforce hard vector-memory ceilings and windowed
-	// token-bucket HBM-bandwidth throttling. Requires a V10 scheme.
+	// slice (PMT time-slices each slice's tenants instead). Slices enforce
+	// hard vector-memory ceilings and windowed token-bucket HBM-bandwidth
+	// throttling.
 	VNPUTemplates []VNPUTemplate
 
 	// SliceWindowCycles is the HBM token-bucket refill window for vNPU
@@ -219,7 +220,7 @@ type FleetOptions struct {
 	// Elastic, when non-nil, turns on the autoscaling control plane: the
 	// fleet starts at Elastic.MinCores active cores and the control loop
 	// activates/drains spares against windowed SLO-attainment signals.
-	// Requires a V10 scheme; mutually exclusive with Faults and
+	// Mutually exclusive with Faults; composes with every scheme and with
 	// VNPUTemplates.
 	Elastic *ElasticConfig
 
@@ -263,11 +264,6 @@ type FleetOptions struct {
 // control (bounded queues with spill/shed backpressure), and per-tenant SLO
 // accounting follow opt; see FleetOptions.
 func ServeFleet(tenants []*Workload, scheme Scheme, opt FleetOptions) (*FleetResult, error) {
-	switch scheme {
-	case SchemePMT, SchemeV10Base, SchemeV10Fair, SchemeV10Full:
-	default:
-		return nil, fmt.Errorf("v10: unknown scheme %v", scheme)
-	}
 	if opt.Policy == PlaceAdvisor && opt.Advisor == nil {
 		return nil, fmt.Errorf("v10: PlaceAdvisor requires a trained Advisor (see TrainAdvisor)")
 	}

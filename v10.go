@@ -25,6 +25,7 @@ package v10
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"v10/internal/metrics"
 	"v10/internal/models"
@@ -145,7 +146,8 @@ func CustomWorkload(name string, gen func(request int) *Graph) *Workload {
 	return trace.NewWorkload(name, name, 1, gen)
 }
 
-// Scheme selects the multi-tenancy design to simulate.
+// Scheme selects the multi-tenancy design to simulate. The schemes follow
+// the paper's §5 order, the order of sched.Schemes.
 type Scheme int
 
 const (
@@ -162,19 +164,32 @@ const (
 	SchemeV10Full
 )
 
+// policy returns the scheduler policy that runs the scheme.
+func (s Scheme) policy() (sched.Policy, bool) {
+	if s < 0 || int(s) >= len(sched.Schemes) {
+		return 0, false
+	}
+	return sched.Schemes[s], true
+}
+
 // String names the scheme the way the paper does.
 func (s Scheme) String() string {
-	switch s {
-	case SchemePMT:
-		return "PMT"
-	case SchemeV10Base:
-		return "V10-Base"
-	case SchemeV10Fair:
-		return "V10-Fair"
-	case SchemeV10Full:
-		return "V10-Full"
+	if p, ok := s.policy(); ok {
+		return p.String()
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// ParseScheme returns the scheme named name: its canonical name (PMT,
+// V10-Base, V10-Fair, V10-Full) or that name without the "V10-" prefix, in
+// any case.
+func ParseScheme(name string) (Scheme, error) {
+	for i, p := range sched.Schemes {
+		if strings.EqualFold(name, p.String()) || strings.EqualFold(name, strings.TrimPrefix(p.String(), "V10-")) {
+			return Scheme(i), nil
+		}
+	}
+	return 0, fmt.Errorf("v10: unknown scheme %q (want %s)", name, strings.Join(sched.SchemeNames(), ", "))
 }
 
 // Options configure a simulation run. The zero value uses the paper's
@@ -253,8 +268,18 @@ func Profile(w *Workload, opt Options) (*Result, error) {
 // Collocate simulates the workloads sharing one NPU core under the chosen
 // scheme and returns the measured result.
 func Collocate(workloads []*Workload, scheme Scheme, opt Options) (*Result, error) {
-	so := sched.Options{
+	policy, ok := scheme.policy()
+	if !ok {
+		return nil, fmt.Errorf("v10: unknown scheme %v", scheme)
+	}
+	if policy == sched.PMT && opt.PremaBaseline {
+		policy = sched.PMTPrema
+	}
+	return sched.Run(workloads, sched.Options{
 		Config:              opt.config(),
+		Policy:              policy,
+		PMTQuantum:          opt.PMTQuantum,
+		PMTWeighted:         true,
 		RequestsPerWorkload: opt.Requests,
 		MaxCycles:           opt.MaxCycles,
 		PreemptMargin:       opt.PreemptMargin,
@@ -264,26 +289,7 @@ func Collocate(workloads []*Workload, scheme Scheme, opt Options) (*Result, erro
 		Tracer:              opt.Tracer,
 		Counters:            opt.Counters,
 		CounterInterval:     opt.CounterInterval,
-	}
-	switch scheme {
-	case SchemePMT:
-		so.Policy = sched.PMT
-		if opt.PremaBaseline {
-			so.Policy = sched.PMTPrema
-		}
-		so.PMTQuantum = opt.PMTQuantum
-		so.PMTWeighted = true
-	case SchemeV10Base:
-		so.Policy = sched.RoundRobin
-	case SchemeV10Fair:
-		so.Policy = sched.Priority
-	case SchemeV10Full:
-		so.Policy = sched.Priority
-		so.Preemption = true
-	default:
-		return nil, fmt.Errorf("v10: unknown scheme %v", scheme)
-	}
-	return sched.Run(workloads, so)
+	})
 }
 
 // sectioner is implemented by sinks that group a multi-run sweep (the
@@ -310,7 +316,8 @@ func CompareSchemes(workloads []*Workload, opt Options) (map[string]*Result, []f
 	}
 	out := make(map[string]*Result, 4)
 	var errs []error
-	for _, s := range []Scheme{SchemePMT, SchemeV10Base, SchemeV10Fair, SchemeV10Full} {
+	for i := range sched.Schemes {
+		s := Scheme(i)
 		if sec, ok := opt.Tracer.(sectioner); ok && opt.Tracer != nil {
 			sec.BeginSection(s.String())
 		}

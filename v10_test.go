@@ -3,6 +3,7 @@ package v10
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -165,6 +166,45 @@ func TestAdvisorEndToEnd(t *testing.T) {
 	// Cluster assignment must be deterministic.
 	if adv.Cluster(bert) != adv.Cluster(bert) {
 		t.Fatal("cluster assignment nondeterministic")
+	}
+}
+
+// TestAdvisorPlanPairsPinned pins the greedy pairing on a fixed model-zoo set
+// at three benefit thresholds, ties in predicted gain included.
+func TestAdvisorPlanPairsPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	var ws []*Workload
+	for i, name := range []string{"BERT", "DLRM", "NCF", "ResNet", "Transformer",
+		"MNIST", "RetinaNet", "EfficientNet", "ResNet-RS", "DLRM"} {
+		batch := 32
+		if i == 9 {
+			batch = 8
+		}
+		w, err := NewWorkload(name, batch, uint64(i+1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	for _, tc := range []struct {
+		threshold float64
+		pairs     [][2]int
+		alone     []int
+	}{
+		{0, [][2]int{{1, 9}, {3, 6}, {2, 5}, {0, 7}, {4, 8}}, nil},
+		{1.45, [][2]int{{1, 9}, {3, 6}, {2, 5}, {0, 7}}, []int{4, 8}},
+		{1.49, [][2]int{{1, 9}, {3, 6}}, []int{0, 2, 4, 5, 7, 8}},
+	} {
+		adv, err := TrainAdvisor(ws, AdvisorOptions{Clusters: 4, ProfileRequests: 2, PairSamples: 4,
+			Seed: 3, Threshold: tc.threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, alone := adv.PlanPairs(ws)
+		if fmt.Sprint(pairs) != fmt.Sprint(tc.pairs) || fmt.Sprint(alone) != fmt.Sprint(tc.alone) {
+			t.Errorf("threshold %v: pairs %v alone %v, want %v and %v",
+				tc.threshold, pairs, alone, tc.pairs, tc.alone)
+		}
 	}
 }
 
