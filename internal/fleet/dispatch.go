@@ -320,6 +320,12 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 		deadJobs:   map[int]coreJob{},
 		log:        &obs.Log{},
 	}
+	// The dispatcher's events attribute tenants by their global index.
+	names := make([]string, len(tenants))
+	for t, w := range tenants {
+		names[t] = w.Name
+	}
+	out.log.WorkloadNames(names)
 	for c := range out.admitted {
 		out.admitted[c] = make([][]int64, nT)
 		out.debts[c] = make([][]int64, nT)
@@ -725,8 +731,7 @@ func (d *dispatcher) migrate(now int64, m *migration) {
 		if m.drained {
 			d.ctl.readmitted[m.tenant]++
 			d.out.log.Emit(obs.Event{
-				Time: now, Type: obs.EvReadmit,
-				Workload: d.tenantName(m.tenant), WIdx: m.tenant,
+				Time: now, Type: obs.EvReadmit, WIdx: int32(m.tenant),
 				FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
 				Arg0: float64(best), Arg1: float64(now - m.arrivedAt),
 			})
@@ -735,8 +740,7 @@ func (d *dispatcher) migrate(now int64, m *migration) {
 		d.out.migrated[m.tenant]++
 		d.out.migCycles[m.tenant] += now - m.detectAt
 		d.out.log.Emit(obs.Event{
-			Time: now, Type: obs.EvMigrate,
-			Workload: d.tenantName(m.tenant), WIdx: m.tenant,
+			Time: now, Type: obs.EvMigrate, WIdx: int32(m.tenant),
 			FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
 			Arg0: float64(best), Arg1: float64(now - m.arrivedAt),
 		})
@@ -763,18 +767,10 @@ func (d *dispatcher) shedMigration(now int64, m *migration) {
 		d.out.migShed[m.tenant]++
 	}
 	d.out.log.Emit(obs.Event{
-		Time: now, Type: obs.EvMigrateShed,
-		Workload: d.tenantName(m.tenant), WIdx: m.tenant,
+		Time: now, Type: obs.EvMigrateShed, WIdx: int32(m.tenant),
 		FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
 		Arg0: float64(m.attempts),
 	})
-}
-
-func (d *dispatcher) tenantName(t int) string {
-	if t < len(d.tenants) {
-		return d.tenants[t].Name
-	}
-	return ""
 }
 
 // arrive runs front-door admission control for one arrival. This is the

@@ -1,8 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"v10/internal/collocate"
@@ -377,4 +382,118 @@ func TestFleetTraceCarriesFaultEvents(t *testing.T) {
 	if got := len(eventsOf(log, obs.EvHeartbeatMiss)); got != 3 {
 		t.Fatalf("%d heartbeat-miss events, want 3 (default MissedBeats)", got)
 	}
+}
+
+// TestFleetTraceNamesTracksPerSection: a core's events index its roster and
+// the dispatcher's index the global tenant list, so each trace section must
+// resolve names from its own announced table. Core 1 hosts the non-prefix
+// roster {1, 3}: its tracks must read vu0/vu1, not the global names at its
+// local indices 0/1 (sa0/vu0), and the fleet section must name core 2's
+// shed victims by their global index.
+func TestFleetTraceNamesTracksPerSection(t *testing.T) {
+	o := quickOptions()
+	o.Cores = 3
+	o.PinnedPlacement = [][]int{{0}, {1, 3}, {2}}
+	o.NoSpill = true
+	o.NoMigration = true
+	o.Faults = mustParseFaults(t, "fail@2:1000000")
+	o.HeartbeatCycles = 100_000
+	rosters := map[int][]int{}
+	var mu sync.Mutex
+	o.CoreTracer = func(core int, tenants []int) obs.Tracer {
+		mu.Lock()
+		rosters[core] = tenants
+		mu.Unlock()
+		return nil
+	}
+	w := obs.NewChromeWriter(0)
+	o.Tracer = w
+	if _, err := Run(mixedTenants(), o); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rosters[1], []int{1, 3}) {
+		t.Fatalf("core 1 roster = %v, want [1 3]", rosters[1])
+	}
+
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	section := map[int]string{}
+	tracks := map[string][]string{}           // section -> workload track names
+	workloads := map[string]map[string]bool{} // section -> "workload" args
+	for _, e := range f.TraceEvents {
+		switch {
+		case e.Name == "process_name":
+			section[e.Pid], _ = e.Args["name"].(string)
+		case e.Name == "thread_name" && e.Tid >= 201 && e.Tid < 401:
+			name, _ := e.Args["name"].(string)
+			tracks[section[e.Pid]] = append(tracks[section[e.Pid]], name)
+		case e.Ph != "M":
+			if name, ok := e.Args["workload"].(string); ok {
+				if workloads[section[e.Pid]] == nil {
+					workloads[section[e.Pid]] = map[string]bool{}
+				}
+				workloads[section[e.Pid]][name] = true
+			}
+		}
+	}
+	for sec, want := range map[string][]string{
+		"core 0": {"sa0"}, "core 1": {"vu0", "vu1"}, "core 2": {"sa1"},
+	} {
+		got := append([]string(nil), tracks[sec]...)
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s workload tracks = %v, want %v", sec, got, want)
+		}
+		for name := range workloads[sec] {
+			if !slices.Contains(want, name) {
+				t.Errorf("%s attributes an event to %q, not one of its tenants %v", sec, name, want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(workloads["fleet"], map[string]bool{"sa1": true}) {
+		t.Errorf("fleet section attributes events to %v, want core 2's tenant sa1 only", workloads["fleet"])
+	}
+}
+
+// eventCount is a Tracer that only counts.
+type eventCount int
+
+func (c *eventCount) Emit(obs.Event) { *c++ }
+
+// BenchmarkTracedFleetRun measures a fleet run with a shared tracer: every
+// core buffers its whole event stream in a per-core log, replayed into the
+// tracer after the run, the path simcheck's fleet arms take on every trial.
+// It reports ns/event, B/event and allocs/event over the replayed events.
+func BenchmarkTracedFleetRun(b *testing.B) {
+	var events eventCount
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := quickOptions()
+		o.Tracer = &events
+		if _, err := Run(mixedTenants(), o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
 }

@@ -149,7 +149,9 @@ type Options struct {
 	// Tracer, when non-nil, receives every core's timeline replayed in core
 	// order after the run; a sink with BeginSection (ChromeWriter) gets one
 	// "core N" section per core so a whole fleet run lands in one Perfetto
-	// file.
+	// file. The dispatcher's "fleet" events index the global tenant list, a
+	// core's events its roster; each replay announces its own name table
+	// (obs.NameSink) first.
 	Tracer obs.Tracer
 
 	// Counters, when non-nil, receives every core's counter snapshots, one

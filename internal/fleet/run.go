@@ -613,7 +613,7 @@ func replayObservability(disp *dispatchOutcome, outs []*coreOut, o Options) {
 				sec.BeginSection(fmt.Sprintf("core %d", c))
 			}
 			out.log.Replay(o.Tracer)
-			out.log.Events = out.log.Events[:0]
+			out.log.Events, out.log.Names = out.log.Events[:0], nil
 			logPool.Put(out.log)
 			out.log = nil
 		}

@@ -5,7 +5,14 @@
 // switch (§3.3) and the tensor-operator-scheduler overhead (Table 3).
 package npu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// MaxFUs bounds a core's functional units of each kind, counted across all
+// of its vNPU slices: trace events carry an FU's index as an int16.
+const MaxFUs = math.MaxInt16
 
 // CoreConfig describes one NPU core. The zero value is not meaningful;
 // start from DefaultConfig.
@@ -51,6 +58,10 @@ func (c CoreConfig) Validate() error {
 		return fmt.Errorf("npu: SADim must be positive, got %d", c.SADim)
 	case c.NumSA <= 0 || c.NumVU <= 0:
 		return fmt.Errorf("npu: need at least one SA and one VU, got %d/%d", c.NumSA, c.NumVU)
+	case c.NumSA > MaxFUs:
+		return fmt.Errorf("npu: NumSA %d exceeds the %d functional units a core may have", c.NumSA, MaxFUs)
+	case c.NumVU > MaxFUs:
+		return fmt.Errorf("npu: NumVU %d exceeds the %d functional units a core may have", c.NumVU, MaxFUs)
 	case c.FrequencyHz <= 0:
 		return fmt.Errorf("npu: non-positive frequency %v", c.FrequencyHz)
 	case c.VMemBytes <= 0 || c.HBMBytes <= 0:

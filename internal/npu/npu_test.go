@@ -2,6 +2,7 @@ package npu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,27 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		mutate(&c)
 		if c.Validate() == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestValidateBoundsFUCount pins the FU-count ceiling at the width trace
+// events carry an FU index in: one past it is an error naming the field.
+func TestValidateBoundsFUCount(t *testing.T) {
+	for _, field := range []string{"NumSA", "NumVU"} {
+		c := DefaultConfig()
+		n := &c.NumSA
+		if field == "NumVU" {
+			n = &c.NumVU
+		}
+		*n = MaxFUs
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s = MaxFUs rejected: %v", field, err)
+		}
+		*n = 1 << 15
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s = 1<<15: error %v, want one naming %s", field, err, field)
 		}
 	}
 }

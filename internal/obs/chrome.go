@@ -31,20 +31,28 @@ const (
 // CompareSchemes sweep) and the runs appear side by side in the UI. Events
 // emitted before any BeginSection land in a default "sim" section.
 //
+// Workload tracks and run segments take their names from the table the run
+// announced (WorkloadNames); each section starts without one.
+//
 // The writer buffers raw events and renders on WriteTo; under the simulator's
 // determinism contract the byte output is stable for a given run, which the
 // golden-file test pins down.
 type ChromeWriter struct {
 	cyclesPerUS float64
 	sections    []string
+	names       []string // the current section's announced workload names
 	events      []sectionedEvent
 }
 
 type sectionedEvent struct {
 	Event
-	pid int
-	seq int
+	pid   int
+	seq   int
+	names []string // the workload names in effect when the event arrived
 }
+
+// workload returns the event's workload name, or "".
+func (e *sectionedEvent) workload() string { return NameOf(e.names, e.WIdx) }
 
 // NewChromeWriter creates a writer converting cycle timestamps to trace
 // microseconds at the given rate (CoreConfig.CyclesPerMicrosecond(); 700 for
@@ -60,14 +68,19 @@ func NewChromeWriter(cyclesPerMicrosecond float64) *ChromeWriter {
 // to it.
 func (w *ChromeWriter) BeginSection(label string) {
 	w.sections = append(w.sections, label)
+	w.names = nil
 }
+
+// WorkloadNames implements NameSink: names label the current section's
+// workload tracks from the next event on.
+func (w *ChromeWriter) WorkloadNames(names []string) { w.names = names }
 
 // Emit buffers one event into the current section.
 func (w *ChromeWriter) Emit(e Event) {
 	if len(w.sections) == 0 {
 		w.sections = append(w.sections, "sim")
 	}
-	w.events = append(w.events, sectionedEvent{Event: e, pid: len(w.sections), seq: len(w.events)})
+	w.events = append(w.events, sectionedEvent{Event: e, pid: len(w.sections), seq: len(w.events), names: w.names})
 }
 
 // chromeEvent is one record of the trace-event format.
@@ -89,15 +102,15 @@ type chromeFile struct {
 
 // tid returns the thread track an event belongs on, with a display name for
 // the first encounter, or 0 for track-less records (counters).
-func (e sectionedEvent) tid() (tid int, name string) {
+func (e *sectionedEvent) tid() (tid int, name string) {
 	switch e.Type {
 	case EvStall, EvRequestDone:
 		if e.WIdx >= 0 {
-			name = e.Workload
+			name = e.workload()
 			if name == "" {
 				name = fmt.Sprintf("workload %d", e.WIdx)
 			}
-			return tidWorkload + e.WIdx, name
+			return tidWorkload + int(e.WIdx), name
 		}
 	case EvDMA:
 		return tidDMA, "DMA"
@@ -117,27 +130,28 @@ func (e sectionedEvent) tid() (tid int, name string) {
 	}
 	switch e.FUKind {
 	case FUSA:
-		return tidSA + e.FUIndex, fmt.Sprintf("SA %d", e.FUIndex)
+		return tidSA + int(e.FUIndex), fmt.Sprintf("SA %d", e.FUIndex)
 	case FUVU:
-		return tidVU + e.FUIndex, fmt.Sprintf("VU %d", e.FUIndex)
+		return tidVU + int(e.FUIndex), fmt.Sprintf("VU %d", e.FUIndex)
 	}
 	// Unattributed event: fall back to the workload track.
 	if e.WIdx >= 0 {
-		return tidWorkload + e.WIdx, e.Workload
+		return tidWorkload + int(e.WIdx), e.workload()
 	}
 	return tidDMA + 1, "misc"
 }
 
 // render converts one buffered event.
-func (w *ChromeWriter) render(e sectionedEvent) chromeEvent {
+func (w *ChromeWriter) render(e *sectionedEvent) chromeEvent {
 	ts := float64(e.Time-e.Dur) / w.cyclesPerUS
 	out := chromeEvent{Ts: ts, Pid: e.pid, Name: e.Type.String()}
 	tid, _ := e.tid()
 	out.Tid = tid
 
+	workload := e.workload()
 	args := map[string]any{}
-	if e.Workload != "" {
-		args["workload"] = e.Workload
+	if workload != "" {
+		args["workload"] = workload
 	}
 	if e.Request >= 0 {
 		args["request"] = e.Request
@@ -156,8 +170,8 @@ func (w *ChromeWriter) render(e sectionedEvent) chromeEvent {
 	case EvRunSegment:
 		// Name run segments after the workload so the FU track reads as the
 		// paper's Fig. 16 timeline.
-		if e.Workload != "" {
-			out.Name = e.Workload
+		if workload != "" {
+			out.Name = workload
 		}
 	case EvPreempt:
 		args["remaining_cycles"] = e.Arg0
@@ -229,7 +243,8 @@ func (w *ChromeWriter) WriteTo(out io.Writer) (int64, error) {
 	// Thread metadata: first-encounter order per (pid, tid).
 	type track struct{ pid, tid int }
 	seen := map[track]bool{}
-	for _, e := range w.events {
+	for i := range w.events {
+		e := &w.events[i]
 		tid, name := e.tid()
 		if tid == 0 || name == "" || seen[track{e.pid, tid}] {
 			continue
@@ -252,8 +267,8 @@ func (w *ChromeWriter) WriteTo(out io.Writer) (int64, error) {
 		}
 		return evs[i].seq < evs[j].seq
 	})
-	for _, e := range evs {
-		f.TraceEvents = append(f.TraceEvents, w.render(e))
+	for i := range evs {
+		f.TraceEvents = append(f.TraceEvents, w.render(&evs[i]))
 	}
 
 	data, err := json.MarshalIndent(&f, "", " ")

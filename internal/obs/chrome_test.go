@@ -28,30 +28,32 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // section. It mirrors the shape of a real V10-Full run in miniature.
 func goldenEvents(w *ChromeWriter) {
 	w.BeginSection("V10-Full")
-	w.Emit(Event{Time: 0, Type: EvDispatch, Workload: "BERT-b32", WIdx: 0,
+	w.WorkloadNames([]string{"BERT-b32", "NCF-b32"})
+	w.Emit(Event{Time: 0, Type: EvDispatch, WIdx: 0,
 		FUKind: FUSA, FUIndex: 0, Request: 0, Op: 0})
-	w.Emit(Event{Time: 700, Dur: 700, Type: EvStall, Workload: "BERT-b32",
+	w.Emit(Event{Time: 700, Dur: 700, Type: EvStall,
 		WIdx: 0, FUKind: FUNone, FUIndex: -1, Request: 0, Op: 0})
-	w.Emit(Event{Time: 1400, Dur: 700, Type: EvRunSegment, Workload: "BERT-b32",
+	w.Emit(Event{Time: 1400, Dur: 700, Type: EvRunSegment,
 		WIdx: 0, FUKind: FUSA, FUIndex: 0, Request: 0, Op: 0})
-	w.Emit(Event{Time: 1400, Type: EvPreempt, Workload: "BERT-b32", WIdx: 0,
+	w.Emit(Event{Time: 1400, Type: EvPreempt, WIdx: 0,
 		FUKind: FUSA, FUIndex: 0, Request: 0, Op: 0, Arg0: 2100})
-	w.Emit(Event{Time: 1500, Dur: 100, Type: EvCtxSave, Workload: "BERT-b32",
+	w.Emit(Event{Time: 1500, Dur: 100, Type: EvCtxSave,
 		WIdx: 0, FUKind: FUSA, FUIndex: 0, Request: 0, Op: 0})
-	w.Emit(Event{Time: 2100, Dur: 600, Type: EvRunSegment, Workload: "NCF-b32",
+	w.Emit(Event{Time: 2100, Dur: 600, Type: EvRunSegment,
 		WIdx: 1, FUKind: FUVU, FUIndex: 0, Request: 0, Op: 0})
-	w.Emit(Event{Time: 2200, Dur: 100, Type: EvCtxRestore, Workload: "BERT-b32",
+	w.Emit(Event{Time: 2200, Dur: 100, Type: EvCtxRestore,
 		WIdx: 0, FUKind: FUSA, FUIndex: 0, Request: 0, Op: 0})
-	w.Emit(Event{Time: 2300, Dur: 50, Type: EvDispatchDelay, Workload: "NCF-b32",
+	w.Emit(Event{Time: 2300, Dur: 50, Type: EvDispatchDelay,
 		WIdx: 1, FUKind: FUVU, FUIndex: 0, Request: 0, Op: 1})
 	w.Emit(Event{Time: 2400, Type: EvHBMRebalance, WIdx: -1, FUKind: FUNone,
 		FUIndex: -1, Request: -1, Op: -1, Arg0: 2, Arg1: 471.4})
 	w.Emit(Event{Time: 3500, Dur: 1000, Type: EvDMA, WIdx: -1, FUKind: FUNone,
 		FUIndex: -1, Request: -1, Op: -1, Arg0: 65536, Arg1: 300})
-	w.Emit(Event{Time: 4200, Type: EvRequestDone, Workload: "NCF-b32", WIdx: 1,
+	w.Emit(Event{Time: 4200, Type: EvRequestDone, WIdx: 1,
 		FUKind: FUNone, FUIndex: -1, Request: 0, Op: -1, Arg0: 4200})
 	w.BeginSection("V10-Base")
-	w.Emit(Event{Time: 700, Dur: 700, Type: EvRunSegment, Workload: "BERT-b32",
+	w.WorkloadNames([]string{"BERT-b32", "NCF-b32"})
+	w.Emit(Event{Time: 700, Dur: 700, Type: EvRunSegment,
 		WIdx: 0, FUKind: FUSA, FUIndex: 0, Request: 0, Op: 0})
 }
 
@@ -163,7 +165,7 @@ func TestChromeWriterJSONShape(t *testing.T) {
 // land in an implicit "sim" process.
 func TestChromeWriterDefaultSection(t *testing.T) {
 	w := NewChromeWriter(0) // rate <= 0 keeps raw cycles
-	w.Emit(Event{Time: 10, Dur: 10, Type: EvRunSegment, Workload: "w", WIdx: 0,
+	w.Emit(Event{Time: 10, Dur: 10, Type: EvRunSegment, WIdx: 0,
 		FUKind: FUSA, FUIndex: 0, Request: 0, Op: 0})
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {

@@ -17,7 +17,8 @@
 // Events carry workload / functional-unit / request attribution so a
 // timeline can answer the questions the paper's Figs. 16–17 and §3.3
 // preemption accounting ask: which operator ran where, when, and what the
-// context-switch overhead around it was.
+// context-switch overhead around it was. Workloads are attributed by index;
+// a run announces their names once (see NameSink).
 package obs
 
 import "fmt"
@@ -195,20 +196,24 @@ const (
 // Time is the cycle the span finished and Time-Dur the cycle it began, which
 // lets producers emit a segment once its length is known instead of pairing
 // begin/end records.
+//
+// An Event is 48 bytes and holds no pointers: sinks copy it by value on every
+// emission and buffer millions of them, so it stays small enough to copy
+// inline and pass in registers, and []Event buffers are never GC-scanned.
+// Workload names are run metadata, announced once per run (see NameSink).
 type Event struct {
 	Time int64 // cycle the event fired (span end when Dur > 0)
 	Dur  int64 // span length in cycles; 0 = instant event
-	Type EventType
-
-	Workload string // workload display name; "" when not attributed
-	WIdx     int    // workload index within the run; -1 when not attributed
-	FUKind   int    // FUSA, FUVU, or FUNone
-	FUIndex  int    // index within the FU kind; -1 when not attributed
-	Request  int    // request ordinal within the workload; -1 when n/a
-	Op       int    // operator index within the request; -1 when n/a
 
 	Arg0 float64 // type-specific payload (see the EventType docs)
 	Arg1 float64
+
+	WIdx    int32 // workload index within the run; -1 when not attributed
+	Request int32 // request ordinal within the workload; -1 when n/a
+	Op      int32 // operator index within the request; -1 when n/a
+	FUIndex int16 // index within the FU kind; -1 when not attributed
+	Type    EventType
+	FUKind  int8 // FUSA, FUVU, or FUNone
 }
 
 // Tracer receives simulation events. Implementations must not retain the
@@ -219,6 +224,31 @@ type Tracer interface {
 	Emit(e Event)
 }
 
+// NameSink is implemented by tracers that resolve Event.WIdx to a workload's
+// display name. A producer announces its run's names once, before the run's
+// first event: names[i] names the events with WIdx == i until the next
+// announcement. Sinks may keep names; producers never modify it afterwards.
+type NameSink interface {
+	WorkloadNames(names []string)
+}
+
+// AnnounceNames hands names to t when t resolves workload names.
+func AnnounceNames(t Tracer, names []string) {
+	if ns, ok := t.(NameSink); ok {
+		ns.WorkloadNames(names)
+	}
+}
+
+// NameOf resolves an event's WIdx against an announced name table: it
+// returns names[widx], or "" when widx is not attributed or the table does
+// not cover it.
+func NameOf(names []string, widx int32) string {
+	if widx < 0 || int(widx) >= len(names) {
+		return ""
+	}
+	return names[widx]
+}
+
 // Log is the simplest Tracer: it records the full event stream in memory, in
 // emission order. The fleet runner uses one per core so parallel core runs
 // can be re-emitted deterministically into a shared sink afterwards; the
@@ -226,15 +256,27 @@ type Tracer interface {
 // two runs disagree on.
 type Log struct {
 	Events []Event
+	Names  []string // the run's announced workload names
 }
 
 // Emit implements Tracer.
 func (l *Log) Emit(e Event) { l.Events = append(l.Events, e) }
 
-// Replay re-emits every recorded event into sink in order.
+// WorkloadNames implements NameSink. A Log records one run, so the last
+// announcement names every event.
+func (l *Log) WorkloadNames(names []string) { l.Names = names }
+
+// Name returns the workload name of Events[i], or "".
+func (l *Log) Name(i int) string { return NameOf(l.Names, l.Events[i].WIdx) }
+
+// Replay re-announces the recorded names, then re-emits every recorded
+// event into sink in order.
 func (l *Log) Replay(sink Tracer) {
 	if sink == nil {
 		return
+	}
+	if l.Names != nil {
+		AnnounceNames(sink, l.Names)
 	}
 	for _, e := range l.Events {
 		sink.Emit(e)
@@ -247,6 +289,14 @@ type multi []Tracer
 func (m multi) Emit(e Event) {
 	for _, t := range m {
 		t.Emit(e)
+	}
+}
+
+// WorkloadNames implements NameSink by forwarding to every sink that
+// resolves names.
+func (m multi) WorkloadNames(names []string) {
+	for _, t := range m {
+		AnnounceNames(t, names)
 	}
 }
 

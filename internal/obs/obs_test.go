@@ -1,9 +1,65 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestEventLayout pins Event at 48 bytes with no pointers. check-sweep's
+// checked runs copy every event into several sinks and the fleet buffers
+// whole runs of them: a larger Event is copied through runtime.duffcopy and
+// spilled to the stack on every Emit, and a pointer-bearing one makes every
+// []Event buffer a GC scan.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 48 {
+		t.Errorf("obs.Event is %d bytes, want <= 48 (check-sweep copies every event into each sink)", size)
+	}
+	typ := reflect.TypeOf(Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Bool:
+		default:
+			t.Errorf("obs.Event.%s is a %s: a pointer-bearing field makes check-sweep's event buffers GC-scanned; announce run metadata through NameSink instead",
+				f.Name, f.Type)
+		}
+	}
+}
+
+// nameOrder records the order of a run's announcements and events.
+type nameOrder struct{ calls []string }
+
+func (n *nameOrder) Emit(e Event) { n.calls = append(n.calls, e.Type.String()) }
+func (n *nameOrder) WorkloadNames(names []string) {
+	n.calls = append(n.calls, strings.Join(names, "+"))
+}
+
+func TestLogReplayReannouncesNames(t *testing.T) {
+	var l Log
+	// Multi forwards the announcement to the sinks that take it.
+	m := Multi(&l, NewRing(4))
+	AnnounceNames(m, []string{"BERT", "NCF"})
+	m.Emit(Event{Type: EvDispatch, WIdx: 1})
+	m.Emit(Event{Type: EvRequestDone, WIdx: 0})
+	if got := l.Name(0) + "," + l.Name(1); got != "NCF,BERT" {
+		t.Fatalf("logged names = %q, want NCF,BERT", got)
+	}
+
+	var sink nameOrder
+	l.Replay(&sink)
+	if got := strings.Join(sink.calls, " "); got != "BERT+NCF dispatch request-done" {
+		t.Fatalf("replay = %q, want the names announced before the events", got)
+	}
+	// A sink without names only sees the events.
+	r := NewRing(4)
+	l.Replay(r)
+	if r.Len() != 2 {
+		t.Fatalf("ring holds %d replayed events, want 2", r.Len())
+	}
+}
 
 func TestEventTypeStrings(t *testing.T) {
 	for ty := EventType(0); ty < numEventTypes; ty++ {

@@ -63,7 +63,7 @@ func (r *Ring) SumDur(t EventType, widx int) int64 {
 	var sum int64
 	for i := 0; i < r.n; i++ {
 		e := r.buf[(r.start+i)%len(r.buf)]
-		if e.Type == t && (widx < 0 || e.WIdx == widx) {
+		if e.Type == t && (widx < 0 || int(e.WIdx) == widx) {
 			sum += e.Dur
 		}
 	}

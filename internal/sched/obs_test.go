@@ -8,6 +8,7 @@ import (
 
 	"v10/internal/obs"
 	"v10/internal/trace"
+	"v10/internal/vnpu"
 )
 
 func TestInvalidPriorityRejected(t *testing.T) {
@@ -86,10 +87,10 @@ func TestTracePreemptionsMatchStats(t *testing.T) {
 		t.Fatalf("EvCtxSave count = %d, want one per preemption (%d)", got, preempts)
 	}
 	// Per-workload attribution must match too.
-	for _, wl := range res.Workloads {
+	for i, wl := range res.Workloads {
 		var n int64
 		for _, e := range ring.Events() {
-			if e.Type == obs.EvPreempt && e.Workload == wl.Name {
+			if e.Type == obs.EvPreempt && int(e.WIdx) == i {
 				n++
 			}
 		}
@@ -245,6 +246,39 @@ func BenchmarkRunTraced(b *testing.B) {
 		opts.Tracer = obs.NewRing(1 << 18)
 		if _, err := Run(benchWorkloads(), opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunRejectsWrappingFUIndex: trace events carry an FU's index as an
+// int16, so a core with 1<<15 FUs of a kind, or slices adding up to that
+// many, must fail with an error naming the cause before anything runs: no
+// panic and no event with a wrapped index.
+func TestRunRejectsWrappingFUIndex(t *testing.T) {
+	wide := cfg
+	wide.NumSA = 1 << 15
+	half := cfg
+	half.NumSA = 1 << 14
+	p := partition(t, 0,
+		vnpu.Template{Compute: 0.5, VMem: 0.5, HBM: 0.5},
+		vnpu.Template{Compute: 0.5, VMem: 0.5, HBM: 0.5})
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"NumSA", Options{Config: wide}, "NumSA 32768"},
+		{"slices", Options{Config: half, Slices: p.Slices, SliceOf: []int{0, 1}}, "2 slices of 16384 FUs"},
+	} {
+		ring := obs.NewRing(16)
+		tc.opts.Tracer = ring
+		tc.opts.RequestsPerWorkload = 1
+		_, err := Run([]*trace.Workload{synthetic("A", 100, 100, 2), synthetic("B", 100, 100, 2)}, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if ring.Len() != 0 {
+			t.Errorf("%s: rejected run emitted %d events", tc.name, ring.Len())
 		}
 	}
 }

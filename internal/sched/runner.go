@@ -180,20 +180,21 @@ type runner struct {
 
 // event builds a workload/FU-attributed trace event. Call sites guard on
 // r.tr != nil before constructing the event, keeping the disabled path free.
+// The FU index fits the event's int16: withDefaults bounds a core's FUs of
+// each kind, across its slices, by npu.MaxFUs.
 func (r *runner) event(t obs.EventType, now, dur int64, wl *wlState, fu *fuState) obs.Event {
 	e := obs.Event{
 		Time: now, Dur: dur, Type: t,
 		WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
 	}
 	if wl != nil {
-		e.Workload = wl.w.Name
-		e.WIdx = wl.idx
-		e.Request = wl.requestNo
-		e.Op = wl.opIdx
+		e.WIdx = int32(wl.idx)
+		e.Request = int32(wl.requestNo)
+		e.Op = int32(wl.opIdx)
 	}
 	if fu != nil {
-		e.FUKind = fu.kind
-		e.FUIndex = fu.idx
+		e.FUKind = int8(fu.kind)
+		e.FUIndex = int16(fu.idx)
 	}
 	return e
 }
@@ -255,6 +256,13 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 	vmemPart := cfg.VMemBytes / int64(len(workloads))
 	r.hbmBase = capacity
 	r.pool.Tracer = opts.Tracer
+	if r.tr != nil {
+		names := make([]string, len(workloads))
+		for i, w := range workloads {
+			names[i] = w.Name
+		}
+		obs.AnnounceNames(r.tr, names)
+	}
 	// Fault hooks are scheduled before the workloads so a halt tied with an
 	// arrival (or any other same-cycle event) fires first and wins the tie.
 	r.scheduleFaults()

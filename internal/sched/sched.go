@@ -314,6 +314,10 @@ func (o Options) withDefaults() (Options, error) {
 	if len(o.Slices) == 0 && o.SliceOf != nil {
 		return o, errors.New("sched: SliceOf set without Slices")
 	}
+	if n := len(o.Slices) * max(o.Config.NumSA, o.Config.NumVU); n > npu.MaxFUs {
+		return o, fmt.Errorf("sched: %d slices of %d FUs each exceed the %d functional units a core may have",
+			len(o.Slices), max(o.Config.NumSA, o.Config.NumVU), npu.MaxFUs)
+	}
 	for i, s := range o.Slices {
 		if s == nil {
 			return o, fmt.Errorf("sched: Slices[%d] is nil", i)

@@ -166,7 +166,7 @@ func TestSliceDispatchStaysInsideSlice(t *testing.T) {
 		if e.FUKind == obs.FUVU {
 			perSlice = cfg.NumVU
 		}
-		if got := e.FUIndex / perSlice; got != e.WIdx {
+		if got := int(e.FUIndex) / perSlice; got != int(e.WIdx) {
 			t.Fatalf("workload %d dispatched onto slice %d's FU (index %d)", e.WIdx, got, e.FUIndex)
 		}
 	}

@@ -273,10 +273,6 @@ func (c *Checker) Emit(e obs.Event) {
 		c.fatalf("%s at cycle %d has bad workload index %d", e.Type, e.Time, e.WIdx)
 		return
 	}
-	if e.Workload != wl.name {
-		c.failf("%s at cycle %d names workload %q, index %d is %q", e.Type, e.Time, e.Workload, e.WIdx, wl.name)
-	}
-
 	if e.Type == obs.EvRequestDone {
 		c.requestDone(wl, e)
 		return
@@ -291,8 +287,8 @@ func (c *Checker) Emit(e obs.Event) {
 	}
 }
 
-func (c *Checker) wl(idx int) *wlCheck {
-	if idx < 0 || idx >= len(c.wls) {
+func (c *Checker) wl(idx int32) *wlCheck {
+	if idx < 0 || int(idx) >= len(c.wls) {
 		return nil
 	}
 	return c.wls[idx]
@@ -304,19 +300,20 @@ func (c *Checker) curOp(wl *wlCheck) expOp { return c.exp[wl.id][wl.curOp] }
 // validating that operators execute strictly in stream order.
 func (c *Checker) advance(wl *wlCheck, e obs.Event) bool {
 	n := len(c.exp[wl.id])
-	if e.Request < 0 || e.Op < 0 || e.Op >= n {
+	req, op := int(e.Request), int(e.Op)
+	if req < 0 || op < 0 || op >= n {
 		c.fatalf("%s at cycle %d for %s has bad position req=%d op=%d (stream has %d ops)",
-			e.Type, e.Time, wl.name, e.Request, e.Op, n)
+			e.Type, e.Time, wl.name, req, op, n)
 		return false
 	}
-	if e.Request == wl.curReq && e.Op == wl.curOp {
+	if req == wl.curReq && op == wl.curOp {
 		return true
 	}
-	next := e.Request == wl.curReq && e.Op == wl.curOp+1
-	wrap := e.Request == wl.curReq+1 && e.Op == 0 && wl.curOp == n-1
+	next := req == wl.curReq && op == wl.curOp+1
+	wrap := req == wl.curReq+1 && op == 0 && wl.curOp == n-1
 	if !next && !wrap {
 		c.fatalf("%s at cycle %d for %s jumps from (req %d, op %d) to (req %d, op %d)",
-			e.Type, e.Time, wl.name, wl.curReq, wl.curOp, e.Request, e.Op)
+			e.Type, e.Time, wl.name, wl.curReq, wl.curOp, req, op)
 		return false
 	}
 	// The cursor only moves once the previous operator completed, which
@@ -324,10 +321,10 @@ func (c *Checker) advance(wl *wlCheck, e obs.Event) bool {
 	// the runner abandoned an operator mid-flight.
 	if wl.stallSeen || wl.dispatches > 0 || wl.runSegs > 0 {
 		c.fatalf("%s at cycle %d for %s advances to (req %d, op %d) before op (req %d, op %d) completed",
-			e.Type, e.Time, wl.name, e.Request, e.Op, wl.curReq, wl.curOp)
+			e.Type, e.Time, wl.name, req, op, wl.curReq, wl.curOp)
 		return false
 	}
-	wl.curReq, wl.curOp = e.Request, e.Op
+	wl.curReq, wl.curOp = req, op
 	return true
 }
 
@@ -354,7 +351,7 @@ func (c *Checker) resolvePreempted(p *obs.Event, e *obs.Event) {
 		c.failf("preempt for %s at cycle %d reports remaining work %g of an op with compute %d", wl.name, e.Time, e.Arg0, op.compute)
 	}
 	fu := wl.fu
-	if fu == nil || fu.kind != e.FUKind || fu.idx != e.FUIndex {
+	if fu == nil || fu.kind != int(e.FUKind) || fu.idx != int(e.FUIndex) {
 		c.fatalf("preempt for %s at cycle %d on FU %d/%d it does not hold", wl.name, e.Time, e.FUKind, e.FUIndex)
 		return
 	}
@@ -507,7 +504,7 @@ func (c *Checker) v10Event(wl *wlCheck, e obs.Event) {
 		wl.runningSince = e.Time
 
 	case obs.EvRunSegment:
-		if !wl.running || wl.fu == nil || wl.fu.kind != e.FUKind || wl.fu.idx != e.FUIndex {
+		if !wl.running || wl.fu == nil || wl.fu.kind != int(e.FUKind) || wl.fu.idx != int(e.FUIndex) {
 			c.fatalf("run segment for %s at cycle %d without a running operator on FU %d/%d", wl.name, e.Time, e.FUKind, e.FUIndex)
 			return
 		}
@@ -560,11 +557,11 @@ func (c *Checker) v10CtxSave(e obs.Event) {
 	fu.saving = false
 }
 
-func (c *Checker) fuAt(kind, idx int) *fuCheck {
+func (c *Checker) fuAt(kind int8, idx int16) *fuCheck {
 	if kind != 0 && kind != 1 {
 		return nil
 	}
-	if idx < 0 || idx >= len(c.fus[kind]) {
+	if idx < 0 || int(idx) >= len(c.fus[kind]) {
 		return nil
 	}
 	return c.fus[kind][idx]
@@ -603,7 +600,7 @@ func (c *Checker) pmtEvent(wl *wlCheck, e obs.Event) {
 			c.fatalf("PMT reactivated %s at cycle %d without a preemption since its last slice", wl.name, e.Time)
 			return
 		}
-		if e.FUKind != op.kind {
+		if int(e.FUKind) != op.kind {
 			c.failf("PMT activated %s at cycle %d on FU kind %d, current op is kind %d", wl.name, e.Time, e.FUKind, op.kind)
 		}
 		c.pmtActive = wl.id
@@ -639,7 +636,7 @@ func (c *Checker) pmtEvent(wl *wlCheck, e obs.Event) {
 			c.fatalf("PMT run segment for %s at cycle %d without a running operator", wl.name, e.Time)
 			return
 		}
-		if e.FUKind != op.kind {
+		if int(e.FUKind) != op.kind {
 			c.failf("PMT run segment for %s op (req %d, op %d) on FU kind %d, trace says %d",
 				wl.name, wl.curReq, wl.curOp, e.FUKind, op.kind)
 		}
@@ -703,7 +700,7 @@ func (c *Checker) pmtCtxSave(e obs.Event) {
 		return
 	}
 	wl := c.wls[c.pmtSwitchFrom]
-	if e.WIdx != c.pmtSwitchFrom {
+	if int(e.WIdx) != c.pmtSwitchFrom {
 		c.failf("PMT context save at cycle %d attributed to wl %d, switch was from %d", e.Time, e.WIdx, c.pmtSwitchFrom)
 	}
 	if e.Dur < c.pmtLo || e.Dur > c.pmtHi {
@@ -721,10 +718,10 @@ func (c *Checker) pmtCtxSave(e obs.Event) {
 
 func (c *Checker) requestDone(wl *wlCheck, e obs.Event) {
 	n := len(c.exp[wl.id])
-	if e.Op != n {
+	if int(e.Op) != n {
 		c.failf("request-done for %s at cycle %d carries op %d, want the stream length %d", wl.name, e.Time, e.Op, n)
 	}
-	if e.Request != wl.curReq {
+	if int(e.Request) != wl.curReq {
 		c.failf("request-done for %s at cycle %d carries request %d, current is %d", wl.name, e.Time, e.Request, wl.curReq)
 	}
 	if wl.completedOps == 0 || wl.completedOps%n != 0 {
@@ -762,7 +759,7 @@ func (c *Checker) Finalize(res *metrics.RunResult, runErr error) []string {
 			// Either way the segment cycles are real; op completion is
 			// uncertain.
 			c.wl(p.WIdx).running = false
-			pendingWl = p.WIdx
+			pendingWl = int(p.WIdx)
 		} else {
 			c.resolveCompleted(p)
 		}

@@ -228,6 +228,9 @@ func (f *filterTracer) Emit(e obs.Event) {
 	}
 }
 
+// WorkloadNames implements obs.NameSink by passing the names through.
+func (f *filterTracer) WorkloadNames(names []string) { obs.AnnounceNames(f.next, names) }
+
 // checkIsolation is CheckIsolationScenario with at most width fleet runs in
 // flight (1 = strictly serial) and mutation hooks: mutate may corrupt or drop
 // events between the runner and the oracles, mutateRes may corrupt the noisy

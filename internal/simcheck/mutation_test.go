@@ -243,7 +243,7 @@ func TestMutationDroppedEventCaughtByDigest(t *testing.T) {
 func TestMutationSwappedEventsCaughtByDigest(t *testing.T) {
 	sc := mutationScenario()
 	for _, scheme := range sc.Schemes {
-		events := RunScheme(sc, scheme, false).relog()
+		events := RunScheme(sc, scheme, false).relog().Events
 		at := len(events) / 2
 		for at+1 < len(events) && events[at] == events[at+1] {
 			at++

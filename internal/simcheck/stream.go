@@ -14,13 +14,19 @@ import (
 // can emit tens of millions of them.
 
 // EventDigest is the determinism oracle's tracer: an event count plus an
-// order-sensitive 64-bit digest over every field of every event. Two runs
-// with equal digests emitted the same stream (up to a hash collision);
-// checkDeterminism reruns both sides with a full log only when they differ.
+// order-sensitive 64-bit digest over every field of every event, the
+// attributed workload's announced name included. Two runs with equal digests
+// emitted the same stream (up to a hash collision); checkDeterminism reruns
+// both sides with a full log only when they differ.
 type EventDigest struct {
 	Count int
 	Sum   uint64
+
+	names []string
 }
+
+// WorkloadNames implements obs.NameSink.
+func (d *EventDigest) WorkloadNames(names []string) { d.names = names }
 
 // xxHash64's primes; mix is its accumulator round, which is not commutative,
 // so reordering two events changes the digest.
@@ -39,9 +45,10 @@ func (d *EventDigest) Emit(e obs.Event) {
 	h = mix(h, uint64(e.Time))
 	h = mix(h, uint64(e.Dur))
 	h = mix(h, uint64(e.Type))
-	h = mix(h, uint64(len(e.Workload)))
-	for i := 0; i < len(e.Workload); i++ {
-		h = mix(h, uint64(e.Workload[i]))
+	name := obs.NameOf(d.names, e.WIdx)
+	h = mix(h, uint64(len(name)))
+	for i := 0; i < len(name); i++ {
+		h = mix(h, uint64(name[i]))
 	}
 	h = mix(h, uint64(e.WIdx))
 	h = mix(h, uint64(e.FUKind))
@@ -55,25 +62,26 @@ func (d *EventDigest) Emit(e obs.Event) {
 
 // firstDivergence returns the index of the first event at which a and b
 // differ, or -1 when they are identical.
-func firstDivergence(a, b []obs.Event) int {
-	n := min(len(a), len(b))
+func firstDivergence(a, b *obs.Log) int {
+	n := min(len(a.Events), len(b.Events))
 	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
+		if a.Events[i] != b.Events[i] || a.Name(i) != b.Name(i) {
 			return i
 		}
 	}
-	if len(a) != len(b) {
+	if len(a.Events) != len(b.Events) {
 		return n
 	}
 	return -1
 }
 
-// eventAt formats events[i], or "<none>" past the end of the stream.
-func eventAt(events []obs.Event, i int) string {
-	if i >= len(events) {
+// eventAt formats the log's event i with its workload's name, or "<none>"
+// past the end of the stream.
+func eventAt(log *obs.Log, i int) string {
+	if i >= len(log.Events) {
 		return "<none>"
 	}
-	return fmt.Sprintf("%+v", events[i])
+	return fmt.Sprintf("%+v workload %q", log.Events[i], log.Name(i))
 }
 
 // serialTracer is the serial oracle's streaming half: every run segment and

@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"runtime"
 	"testing"
 
 	"v10/internal/obs"
@@ -47,6 +48,48 @@ func TestCheckerAllocationFreePerEvent(t *testing.T) {
 			t.Fatalf("%s: replay flagged: %s", scheme, join(p))
 		}
 	}
+}
+
+// BenchmarkCheckedEmit measures the sinks runScheme attaches to every
+// simcheck run, obs.Multi(Checker, &EventDigest), per event: one recorded
+// V10-Full run of the mutation scenario is replayed, names first, into fresh
+// sinks built off the clock in batches. It reports ns/event and
+// allocs/event.
+func BenchmarkCheckedEmit(b *testing.B) {
+	sc := mutationScenario()
+	log := &obs.Log{}
+	if _, err := Execute(sc, SchemeFull, false, log); err != nil {
+		b.Fatal(err)
+	}
+	const batch = 64
+	sinks := make([]obs.Tracer, batch)
+	checkers := make([]*Checker, batch)
+	var mallocs uint64
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		n := min(batch, b.N-done)
+		b.StopTimer()
+		for i := range checkers[:n] {
+			checkers[i] = NewChecker(sc, SchemeFull, false)
+			sinks[i] = obs.Multi(checkers[i], &EventDigest{})
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for _, tr := range sinks[:n] {
+			log.Replay(tr)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if p := checkers[0].problems; len(p) != 0 {
+			b.Fatalf("replay flagged: %s", join(p))
+		}
+		b.StartTimer()
+	}
+	events := float64(b.N) * float64(len(log.Events))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(mallocs)/events, "allocs/event")
 }
 
 // TestRunSchemeMemoryIndependentOfEvents pins that no oracle retains the

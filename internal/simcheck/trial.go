@@ -20,7 +20,7 @@ type Outcome struct {
 	Err      error
 
 	serial *serialTracer // nil unless the serial oracle applies
-	relog  func() []obs.Event
+	relog  func() *obs.Log
 }
 
 // Violation is a failed CheckScenario: the scenario plus every oracle and
@@ -45,10 +45,10 @@ func runScheme(sc *Scenario, scheme string, reversed bool, wrap func(obs.Tracer)
 		wrap = func(t obs.Tracer) obs.Tracer { return t }
 	}
 	out = &Outcome{Scheme: scheme}
-	out.relog = func() []obs.Event {
+	out.relog = func() *obs.Log {
 		log := &obs.Log{}
 		stream(sc, scheme, reversed, wrap(log))
-		return log.Events
+		return log
 	}
 	ck := NewChecker(sc, scheme, reversed)
 	sinks := []obs.Tracer{ck, &out.Events}

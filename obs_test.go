@@ -71,6 +71,7 @@ func TestCompareSchemesSections(t *testing.T) {
 		TraceEvents []struct {
 			Name string         `json:"name"`
 			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -78,10 +79,25 @@ func TestCompareSchemesSections(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	sections := map[string]bool{}
+	pids := map[int]string{}
+	tracks := map[string]string{} // section -> its thread names
 	for _, e := range f.TraceEvents {
-		if e.Ph == "M" && e.Name == "process_name" {
-			name, _ := e.Args["name"].(string)
+		name, _ := e.Args["name"].(string)
+		switch {
+		case e.Ph == "M" && e.Name == "process_name":
 			sections[name] = true
+			pids[e.Pid] = name
+		case e.Ph == "M" && e.Name == "thread_name":
+			tracks[pids[e.Pid]] += name + ";"
+		}
+	}
+	// Each run announces its workloads' names, so every section's tracks
+	// are named after them.
+	for _, sec := range []string{"V10-Base", "V10-Fair", "V10-Full"} {
+		for _, want := range []string{"MNST", "NCF"} {
+			if !strings.Contains(tracks[sec], want) {
+				t.Errorf("section %s names no %s track: %s", sec, want, tracks[sec])
+			}
 		}
 	}
 	// PMT runs untraced but still gets its (empty) section; the V10 schemes

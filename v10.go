@@ -65,7 +65,11 @@ type WorkloadResult = metrics.WorkloadStats
 // Tracer receives simulation timeline events.
 type Tracer = obs.Tracer
 
-// TraceEvent is one timeline record.
+// TraceEvent is one timeline record: 48 bytes, no pointers. It attributes
+// a workload by its index in the run (WIdx, in submission order), not by
+// name: resolve names[e.WIdx] from the workloads the run was given, or give
+// the Tracer a WorkloadNames(names []string) method, which each run calls
+// once with its workloads' names before its first event.
 type TraceEvent = obs.Event
 
 // ChromeTrace renders the event stream as Chrome trace-event JSON, loadable
