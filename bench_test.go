@@ -14,9 +14,7 @@ import (
 
 	"v10/internal/bf16"
 	"v10/internal/collocate"
-	"v10/internal/dma"
 	"v10/internal/experiments"
-	"v10/internal/isa"
 	"v10/internal/mathx"
 	"v10/internal/models"
 	"v10/internal/sched"
@@ -352,38 +350,6 @@ func BenchmarkSystolicStream(b *testing.B) {
 	}
 }
 
-// BenchmarkISALayer measures the instruction interpreter running a compiled
-// FC+ReLU layer.
-func BenchmarkISALayer(b *testing.B) {
-	rng := mathx.NewRNG(2)
-	layout := isa.Layout{Dim: 8, Rows: 32, In: 0, Weights: 100000, Bias: 200000, Out: 300000}
-	in := make([][]float32, layout.Rows)
-	for i := range in {
-		in[i] = make([]float32, layout.Dim)
-		for j := range in[i] {
-			in[i][j] = float32(rng.Uniform(-1, 1))
-		}
-	}
-	w := in[:layout.Dim]
-	prog, err := isa.BuildFCReLU(layout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core := isa.NewCore(systolic.New(layout.Dim), isa.NewVMem(1<<20))
-		if err := isa.PackRows(core.VMem, layout.In, in); err != nil {
-			b.Fatal(err)
-		}
-		if err := isa.PackRows(core.VMem, layout.Weights, w); err != nil {
-			b.Fatal(err)
-		}
-		if err := core.Run(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBF16Quantize measures the bfloat16 conversion kernel.
 func BenchmarkBF16Quantize(b *testing.B) {
 	xs := make([]float32, 4096)
@@ -394,19 +360,5 @@ func BenchmarkBF16Quantize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bf16.QuantizeSlice(xs)
-	}
-}
-
-// BenchmarkDMADoubleBuffer measures the §2.1 overlap pipeline.
-func BenchmarkDMADoubleBuffer(b *testing.B) {
-	chunks := make([]dma.Chunk, 64)
-	for i := range chunks {
-		chunks[i] = dma.Chunk{Bytes: 4096, ComputeCycles: 40}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dma.DoubleBuffer(471, chunks); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

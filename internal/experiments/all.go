@@ -76,19 +76,6 @@ func IDs() []string {
 	return ids
 }
 
-// RunAll executes every generator, returning the tables in paper order.
-func RunAll(c *Context) ([]*report.Table, error) {
-	var out []*report.Table
-	for _, g := range Generators() {
-		t, err := g.Run(c)
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", g.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // Summary computes the paper's headline geomean improvements of V10-Full
 // over PMT across the evaluation pairs: aggregate utilization, throughput,
 // average latency, and tail latency.

@@ -134,8 +134,12 @@ func TestSAPreemptionCostsMatchPaper(t *testing.T) {
 func TestVUPreemptCyclesSmall(t *testing.T) {
 	c := DefaultConfig()
 	got := c.VUPreemptCycles()
-	if got <= 0 || got > 128 {
-		t.Fatalf("VU preempt cycles = %d, want small positive", got)
+	// 10 moves one subunit's share of the register file (4 cycles each way
+	// plus the PC); all eight subunits take 32 cycles each way. Every pin
+	// depends on the 10, so it stays until a deliberate re-baseline: see
+	// "VU context-switch cost" under Known deviations in EXPERIMENTS.md.
+	if got != 10 {
+		t.Fatalf("VU preempt cycles = %d, want 10", got)
 	}
 	// VU preemption must be far cheaper than SA preemption.
 	if got >= c.SAPreemptCycles() {

@@ -10,13 +10,13 @@ import (
 
 // Track layout inside one trace section (= one Chrome "process"): functional
 // units get the low thread IDs so Perfetto sorts them to the top, each
-// workload gets its own track for stall/request events, and the DMA channel
-// sits below.
+// workload gets its own track for stall/request events, and unattributed
+// events share a misc track below those.
 const (
 	tidSA       = 1   // SA i → tidSA + i
 	tidVU       = 101 // VU j → tidVU + j
 	tidWorkload = 201 // workload w → tidWorkload + w
-	tidDMA      = 401
+	tidMisc     = 402 // unattributed events
 	tidFaults   = 421 // fault-injection and resilience events
 	tidVNPU     = 441 // vNPU slice s → tidVNPU + s (throttle/cap enforcement)
 	tidCtl      = 481 // control-plane decisions (scale/drain/readmit/recluster)
@@ -112,8 +112,6 @@ func (e *sectionedEvent) tid() (tid int, name string) {
 			}
 			return tidWorkload + int(e.WIdx), name
 		}
-	case EvDMA:
-		return tidDMA, "DMA"
 	case EvHBMRebalance:
 		return 0, ""
 	case EvCoreFail, EvCoreStall, EvHBMDegrade, EvVMemPressure,
@@ -138,7 +136,7 @@ func (e *sectionedEvent) tid() (tid int, name string) {
 	if e.WIdx >= 0 {
 		return tidWorkload + int(e.WIdx), e.workload()
 	}
-	return tidDMA + 1, "misc"
+	return tidMisc, "misc"
 }
 
 // render converts one buffered event.
@@ -177,9 +175,6 @@ func (w *ChromeWriter) render(e *sectionedEvent) chromeEvent {
 		args["remaining_cycles"] = e.Arg0
 	case EvRequestDone:
 		args["latency_cycles"] = e.Arg0
-	case EvDMA:
-		args["bytes"] = e.Arg0
-		args["queue_wait_cycles"] = e.Arg1
 	case EvCoreFail, EvHeartbeatMiss:
 		if e.Arg0 >= 0 {
 			args["core"] = e.Arg0

@@ -24,7 +24,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenEvents is a synthetic timeline exercising every event type, both
-// phases (span and instant), FU/workload/DMA track routing, and a second
+// phases (span and instant), FU/workload track routing, and a second
 // section. It mirrors the shape of a real V10-Full run in miniature.
 func goldenEvents(w *ChromeWriter) {
 	w.BeginSection("V10-Full")
@@ -47,8 +47,6 @@ func goldenEvents(w *ChromeWriter) {
 		WIdx: 1, FUKind: FUVU, FUIndex: 0, Request: 0, Op: 1})
 	w.Emit(Event{Time: 2400, Type: EvHBMRebalance, WIdx: -1, FUKind: FUNone,
 		FUIndex: -1, Request: -1, Op: -1, Arg0: 2, Arg1: 471.4})
-	w.Emit(Event{Time: 3500, Dur: 1000, Type: EvDMA, WIdx: -1, FUKind: FUNone,
-		FUIndex: -1, Request: -1, Op: -1, Arg0: 65536, Arg1: 300})
 	w.Emit(Event{Time: 4200, Type: EvRequestDone, WIdx: 1,
 		FUKind: FUNone, FUIndex: -1, Request: 0, Op: -1, Arg0: 4200})
 	w.BeginSection("V10-Base")

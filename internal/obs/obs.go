@@ -1,11 +1,10 @@
 // Package obs is the simulator's observability layer: a zero-cost-when-
 // disabled tracing hook plus counter-snapshot export, threaded through the
-// discrete-event engine, the fluid HBM pool, the DMA engine, and the V10
-// operator scheduler.
+// discrete-event engine, the fluid HBM pool, and the V10 operator scheduler.
 //
 // The design splits event *production* from event *consumption*:
 //
-//   - Producers (sched.runner, sim.FluidPool, dma.Engine) hold a Tracer that
+//   - Producers (sched.runner, sim.FluidPool) hold a Tracer that
 //     is nil by default. Every emission site is guarded by a nil check, so a
 //     run without tracing pays only an untaken branch — the acceptance bar is
 //     that BenchmarkRun shows no measurable regression with tracing off.
@@ -56,10 +55,9 @@ const (
 	// allocation (instant). Arg0 is the number of active tasks, Arg1 the
 	// total allocated bandwidth in bytes/cycle.
 	EvHBMRebalance
-	// EvDMA spans one DMA transfer on the channel (Dur cycles). Arg0 is the
-	// transfer size in bytes, Arg1 the cycles it waited behind earlier
-	// transfers in the FIFO.
-	EvDMA
+	// Value 9 is reserved and never emitted: event digests hash the numeric
+	// type, so the values after it must keep their numbers.
+	_
 	// EvCoreFail marks a fail-stop: the core halts at this cycle and serves
 	// nothing afterwards (instant). Arg0 is the core index when the emitter
 	// knows it (fleet level); -1 from inside a core's own run.
@@ -147,8 +145,6 @@ func (t EventType) String() string {
 		return "request-done"
 	case EvHBMRebalance:
 		return "hbm-rebalance"
-	case EvDMA:
-		return "dma"
 	case EvCoreFail:
 		return "core-fail"
 	case EvCoreStall:

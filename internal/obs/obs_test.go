@@ -61,8 +61,14 @@ func TestLogReplayReannouncesNames(t *testing.T) {
 	}
 }
 
+// reservedEventType is the value the iota block skips with "_".
+const reservedEventType = EventType(9)
+
 func TestEventTypeStrings(t *testing.T) {
 	for ty := EventType(0); ty < numEventTypes; ty++ {
+		if ty == reservedEventType {
+			continue
+		}
 		s := ty.String()
 		if s == "" || strings.HasPrefix(s, "EventType(") {
 			t.Errorf("EventType %d has no name", ty)
@@ -70,6 +76,26 @@ func TestEventTypeStrings(t *testing.T) {
 	}
 	if !strings.HasPrefix(EventType(250).String(), "EventType(") {
 		t.Error("unknown event type should render its number")
+	}
+}
+
+// TestEventTypeNumbering pins the values after the reserved slot: event
+// digests hash the numeric type, so renumbering would move every digest.
+func TestEventTypeNumbering(t *testing.T) {
+	for _, c := range []struct {
+		ty   EventType
+		want uint8
+	}{
+		{EvCoreFail, 10}, {EvCoreStall, 11}, {EvHBMDegrade, 12},
+		{EvVMemPressure, 13}, {EvHeartbeatMiss, 14}, {EvCoreDead, 15},
+		{EvMigrate, 16}, {EvMigrateShed, 17}, {EvSliceHBM, 18},
+		{EvSliceThrottle, 19}, {EvSliceCapHit, 20}, {EvScaleUp, 21},
+		{EvScaleDown, 22}, {EvCoreDrain, 23}, {EvReadmit, 24},
+		{EvRecluster, 25}, {numEventTypes, 26},
+	} {
+		if uint8(c.ty) != c.want {
+			t.Errorf("%v = %d, want %d", c.ty, uint8(c.ty), c.want)
+		}
 	}
 }
 

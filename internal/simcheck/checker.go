@@ -248,8 +248,6 @@ func (c *Checker) Emit(e obs.Event) {
 			c.failf("HBM rebalance at cycle %d allocated %g over capacity %g", e.Time, e.Arg1, c.capacity)
 		}
 		return
-	case obs.EvDMA:
-		return
 	case obs.EvCoreFail, obs.EvCoreStall, obs.EvHBMDegrade, obs.EvVMemPressure,
 		obs.EvHeartbeatMiss, obs.EvCoreDead, obs.EvMigrate, obs.EvMigrateShed:
 		// Fault-injection and fleet-resilience events: not workload-state

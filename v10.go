@@ -96,7 +96,6 @@ const (
 	EvDispatchDelay = obs.EvDispatchDelay
 	EvRequestDone   = obs.EvRequestDone
 	EvHBMRebalance  = obs.EvHBMRebalance
-	EvDMA           = obs.EvDMA
 )
 
 // NewChromeTrace creates a Perfetto-loadable trace writer whose timestamps
