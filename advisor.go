@@ -48,12 +48,7 @@ func TrainAdvisor(training []*Workload, opt AdvisorOptions) (*Advisor, error) {
 	if requests <= 0 {
 		requests = 3
 	}
-	feats := make([]collocate.Features, len(training))
-	for i, w := range training {
-		feats[i] = collocate.ExtractFeatures(w, cfg, requests)
-	}
-	perf := collocate.SimPairPerf(cfg, requests)
-	model, err := collocate.Train(training, feats, perf, collocate.TrainConfig{
+	model, err := collocate.TrainSimulated(training, cfg, requests, collocate.TrainConfig{
 		K:           opt.Clusters,
 		Threshold:   opt.Threshold,
 		PairSamples: opt.PairSamples,

@@ -64,7 +64,7 @@ func main() {
 		{"advisor (clustered)", adv.PlanPlacement(ws)},
 		{"naive (adjacent)", v10.NaivePlacement(len(ws))},
 	} {
-		res, err := v10.SimulateCluster(ws, plan.p, v10.ClusterOptions{Requests: 5})
+		res, err := v10.SimulateCluster(ws, plan.p, v10.SchemeV10Full, v10.Options{Requests: 5})
 		if err != nil {
 			log.Fatal(err)
 		}

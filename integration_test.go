@@ -133,11 +133,11 @@ func TestAdvisorClusterPipeline(t *testing.T) {
 	if err := planned.Validate(len(ws)); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := SimulateCluster(ws, planned, ClusterOptions{Requests: 4})
+	plan, err := SimulateCluster(ws, planned, SchemeV10Full, Options{Requests: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := SimulateCluster(ws, NaivePlacement(len(ws)), ClusterOptions{Requests: 4})
+	blind, err := SimulateCluster(ws, NaivePlacement(len(ws)), SchemeV10Full, Options{Requests: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -329,6 +329,18 @@ func Train(workloads []*trace.Workload, feats []Features, perf PairPerf, tc Trai
 	return m, nil
 }
 
+// TrainSimulated trains on workloads profiled at one depth: each workload's
+// features come from its first requests requests (ExtractFeatures), and
+// pairwise performance from simulating requests requests per pair
+// (SimPairPerf).
+func TrainSimulated(workloads []*trace.Workload, cfg npu.CoreConfig, requests int, tc TrainConfig) (*Model, error) {
+	feats := make([]Features, len(workloads))
+	for i, w := range workloads {
+		feats[i] = ExtractFeatures(w, cfg, requests)
+	}
+	return Train(workloads, feats, SimPairPerf(cfg, requests), tc)
+}
+
 func clusterPairs(a, b []int, same bool) [][2]int {
 	var out [][2]int
 	if same {
@@ -389,8 +401,8 @@ func (m *Model) clears(perf float64) bool { return perf >= m.cfg.Threshold }
 // GroupFit scores adding candidate cand to an already-formed group: the
 // minimum pairwise predicted performance between cand and every member, or 0
 // when any pair falls below the benefit threshold (the group is incompatible)
-// or the group is empty. Both the cluster placement planner and the fleet
-// dispatcher's spill path rank candidate cores with it.
+// or the group is empty. Both PlanGroups and the fleet dispatcher's spill
+// path rank candidate cores with it.
 func (m *Model) GroupFit(feats []Features, group []int, cand int) float64 {
 	minPerf := math.Inf(1)
 	for _, g := range group {
@@ -406,6 +418,97 @@ func (m *Model) GroupFit(feats []Features, group []int, cand int) float64 {
 		return 0
 	}
 	return minPerf
+}
+
+// PlanPairs places workloads two per core at most: the highest
+// predicted-gain compatible pairs share cores, greedily, and leftovers get
+// dedicated cores. It returns the workload indices of each core.
+func (m *Model) PlanPairs(feats []Features) [][]int {
+	n := len(feats)
+	type cand struct {
+		i, j int
+		gain float64
+	}
+	var cands []cand
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if m.ShouldCollocate(feats[i], feats[j]) {
+				cands = append(cands, cand{i, j, m.PredictPerf(feats[i], feats[j])})
+			}
+		}
+	}
+	// Descending gain, ties by index pair: a total order, so the plan is
+	// deterministic.
+	sort.Slice(cands, func(a, b int) bool {
+		x, y := cands[a], cands[b]
+		if x.gain != y.gain {
+			return x.gain > y.gain
+		}
+		return x.i < y.i || (x.i == y.i && x.j < y.j)
+	})
+	used := make([]bool, n)
+	var p [][]int
+	for _, c := range cands {
+		if used[c.i] || used[c.j] {
+			continue
+		}
+		used[c.i], used[c.j] = true, true
+		p = append(p, []int{c.i, c.j})
+	}
+	for i := 0; i < n; i++ {
+		if !used[i] {
+			p = append(p, []int{i})
+		}
+	}
+	return p
+}
+
+// PlanGroups generalizes PlanPairs to groups of up to maxPerCore workloads
+// (the paper's §5.9 shows cores hosting "two or more collocated workloads
+// grouped by our clustering mechanism"). Groups start from PlanPairs' pairs
+// and grow greedily: each adds the unplaced workload with the best GroupFit
+// until none fits or the group is full.
+func (m *Model) PlanGroups(feats []Features, maxPerCore int) [][]int {
+	n := len(feats)
+	if maxPerCore <= 1 {
+		p := make([][]int, n)
+		for i := range p {
+			p[i] = []int{i}
+		}
+		return p
+	}
+	assigned := make([]bool, n)
+	var p [][]int
+	for _, pair := range m.PlanPairs(feats) {
+		var g []int
+		for _, w := range pair {
+			if !assigned[w] {
+				g = append(g, w)
+				assigned[w] = true
+			}
+		}
+		if len(g) == 0 {
+			continue // fully absorbed into an earlier group
+		}
+		for len(g) < maxPerCore {
+			best, bestFit := -1, 0.0
+			for cand := 0; cand < n; cand++ {
+				if assigned[cand] {
+					continue
+				}
+				if fit := m.GroupFit(feats, g, cand); fit > bestFit {
+					best, bestFit = cand, fit
+				}
+			}
+			if best < 0 {
+				break
+			}
+			g = append(g, best)
+			assigned[best] = true
+		}
+		p = append(p, g)
+	}
+	return p
 }
 
 // Predictor decides whether to collocate a pair, given their features.
@@ -468,49 +571,6 @@ type EvalResult struct {
 type TestPair struct {
 	A, B Features
 	Perf float64 // ground-truth collocation performance
-}
-
-// Evaluate scores a predictor against labeled pairs with the given benefit
-// threshold.
-func Evaluate(p Predictor, pairs []TestPair, threshold float64) EvalResult {
-	var tp, tn, fp, fn int
-	worst := math.Inf(1)
-	for _, tc := range pairs {
-		pred := p.Predict(tc.A, tc.B)
-		actual := tc.Perf >= threshold
-		switch {
-		case pred && actual:
-			tp++
-		case !pred && !actual:
-			tn++
-		case pred && !actual:
-			fp++
-		default:
-			fn++
-		}
-		if pred && tc.Perf < worst {
-			worst = tc.Perf
-		}
-	}
-	n := len(pairs)
-	res := EvalResult{Predictor: p.Name(), N: n}
-	if n > 0 {
-		res.Accuracy = float64(tp+tn) / float64(n)
-	}
-	if tp+fn > 0 {
-		res.TPRate = float64(tp) / float64(tp+fn)
-		res.FNRate = float64(fn) / float64(tp+fn)
-	}
-	if tn+fp > 0 {
-		res.TNRate = float64(tn) / float64(tn+fp)
-		res.FPRate = float64(fp) / float64(tn+fp)
-	}
-	if math.IsInf(worst, 1) {
-		res.WorstPerf = 1
-	} else {
-		res.WorstPerf = worst
-	}
-	return res
 }
 
 // CrossValidate runs the paper's leave-two-models-out protocol: for every

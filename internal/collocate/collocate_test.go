@@ -169,6 +169,15 @@ func TestBaselinePredictors(t *testing.T) {
 	}
 }
 
+// evaluate scores p's predictions on pairs the way CrossValidate does.
+func evaluate(p Predictor, pairs []TestPair, threshold float64) EvalResult {
+	preds := make([]bool, len(pairs))
+	for i, tc := range pairs {
+		preds[i] = p.Predict(tc.A, tc.B)
+	}
+	return scorePredictions(p.Name(), pairs, preds, threshold)
+}
+
 func TestEvaluateConfusion(t *testing.T) {
 	pairs := []TestPair{
 		{Perf: 1.5}, // positive
@@ -176,7 +185,7 @@ func TestEvaluateConfusion(t *testing.T) {
 		{Perf: 1.0}, // negative
 		{Perf: 0.9}, // negative
 	}
-	res := Evaluate(RandomPolicy{}, pairs, 1.3)
+	res := evaluate(RandomPolicy{}, pairs, 1.3)
 	if res.Accuracy != 0.5 || res.TPRate != 1 || res.TNRate != 0 || res.FPRate != 1 {
 		t.Fatalf("Random eval wrong: %+v", res)
 	}
@@ -192,7 +201,7 @@ func (never) Predict(a, b Features) bool { return false }
 
 func TestEvaluateNeverPredictor(t *testing.T) {
 	pairs := []TestPair{{Perf: 1.5}, {Perf: 1.0}}
-	res := Evaluate(never{}, pairs, 1.3)
+	res := evaluate(never{}, pairs, 1.3)
 	if res.Accuracy != 0.5 || res.TNRate != 1 || res.TPRate != 0 {
 		t.Fatalf("never eval wrong: %+v", res)
 	}

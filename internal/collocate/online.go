@@ -80,17 +80,6 @@ func (m *Model) Observe(f Features) (cluster int, moved float64) {
 	return cluster, moved
 }
 
-// ObserveBatch folds a window of observed features in order and returns the
-// total centroid movement of the batch.
-func (m *Model) ObserveBatch(fs []Features) float64 {
-	total := 0.0
-	for _, f := range fs {
-		_, moved := m.Observe(f)
-		total += moved
-	}
-	return total
-}
-
 // OnlineDrift returns the cumulative Euclidean centroid movement accumulated
 // by Observe since the clone, and the number of observations folded in.
 func (m *Model) OnlineDrift() (drift float64, observations int) {

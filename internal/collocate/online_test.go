@@ -70,29 +70,12 @@ func TestObserveLearningRateDecays(t *testing.T) {
 	}
 }
 
-func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
-	m, fs := trainedZooModel(t)
-	a := m.CloneForOnline()
-	b := m.CloneForOnline()
-	total := 0.0
-	for _, f := range fs {
-		_, moved := a.Observe(f)
-		total += moved
-	}
-	if got := b.ObserveBatch(fs); got != total {
-		t.Fatalf("ObserveBatch %v != sequential total %v", got, total)
-	}
-	da, na := a.OnlineDrift()
-	db, nb := b.OnlineDrift()
-	if da != db || na != nb {
-		t.Fatalf("divergent online state: (%v,%d) vs (%v,%d)", da, na, db, nb)
-	}
-}
-
 func TestCloneOfCloneCarriesOnlineState(t *testing.T) {
 	m, fs := trainedZooModel(t)
 	c1 := m.CloneForOnline()
-	c1.ObserveBatch(fs[:3])
+	for _, f := range fs[:3] {
+		c1.Observe(f)
+	}
 	d1, n1 := c1.OnlineDrift()
 	c2 := c1.CloneForOnline()
 	d2, n2 := c2.OnlineDrift()
@@ -100,7 +83,9 @@ func TestCloneOfCloneCarriesOnlineState(t *testing.T) {
 		t.Fatalf("re-clone lost online state: (%v,%d) vs (%v,%d)", d1, n1, d2, n2)
 	}
 	// And the two streams are independent from here on.
-	c2.ObserveBatch(fs[3:])
+	for _, f := range fs[3:] {
+		c2.Observe(f)
+	}
 	if d, n := c1.OnlineDrift(); d != d1 || n != n1 {
 		t.Fatalf("observing the re-clone mutated its parent: (%v,%d)", d, n)
 	}

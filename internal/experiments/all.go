@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"v10/internal/mathx"
 	"v10/internal/report"
@@ -63,17 +62,6 @@ func ByID(id string) (Generator, bool) {
 		}
 	}
 	return Generator{}, false
-}
-
-// IDs returns all experiment IDs, sorted.
-func IDs() []string {
-	gens := Generators()
-	ids := make([]string, len(gens))
-	for i, g := range gens {
-		ids[i] = g.ID
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Summary computes the paper's headline geomean improvements of V10-Full

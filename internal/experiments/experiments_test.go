@@ -58,9 +58,6 @@ func TestGeneratorsRegistryComplete(t *testing.T) {
 	if _, ok := ByID("nonsense"); ok {
 		t.Error("ByID accepted unknown id")
 	}
-	if len(IDs()) != len(want) {
-		t.Error("IDs() length mismatch")
-	}
 }
 
 func TestFig3UtilizationRisesWithBatch(t *testing.T) {

@@ -47,11 +47,7 @@ var faultConfigs = []struct {
 // every strategy faces the identical failures.
 func (c *Context) Faults() (*report.Table, error) {
 	tenants := c.fleetTenants()
-	feats := make([]collocate.Features, len(tenants))
-	for i, w := range tenants {
-		feats[i] = collocate.ExtractFeatures(w, c.Config, c.ProfileRequests)
-	}
-	model, err := collocate.Train(tenants, feats, collocate.SimPairPerf(c.Config, c.ProfileRequests),
+	model, err := collocate.TrainSimulated(tenants, c.Config, c.ProfileRequests,
 		collocate.TrainConfig{K: 4, PairSamples: 8, Seed: c.Seed, Parallel: c.Parallel})
 	if err != nil {
 		return nil, fmt.Errorf("faults: training advisor: %w", err)

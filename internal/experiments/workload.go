@@ -5,6 +5,7 @@ import (
 
 	"v10/internal/collocate"
 	"v10/internal/fleet"
+	"v10/internal/mathx"
 	"v10/internal/report"
 	"v10/internal/trace"
 	"v10/internal/workload"
@@ -66,11 +67,7 @@ func (c *Context) WorkloadSweep() (*report.Table, error) {
 	}
 	goodput := map[string]map[fleet.Policy]float64{}
 	for _, sc := range c.workloadScenarios() {
-		feats := make([]collocate.Features, len(sc.tenants))
-		for i, w := range sc.tenants {
-			feats[i] = collocate.ExtractFeatures(w, c.Config, c.ProfileRequests)
-		}
-		model, err := collocate.Train(sc.tenants, feats, collocate.SimPairPerf(c.Config, c.ProfileRequests),
+		model, err := collocate.TrainSimulated(sc.tenants, c.Config, c.ProfileRequests,
 			collocate.TrainConfig{K: 4, PairSamples: 8, Seed: c.Seed, Parallel: c.Parallel})
 		if err != nil {
 			return nil, fmt.Errorf("workload: training advisor for %s: %w", sc.name, err)
@@ -107,8 +104,13 @@ func (c *Context) WorkloadSweep() (*report.Table, error) {
 				}
 				good[i] = float64(ts.Good)
 			}
+			// Jain's index over good completions; zero-good runs report 0.
+			fairness := 0.0
+			if res.Good > 0 {
+				fairness = mathx.JainFairness(good)
+			}
 			t.AddRow(sc.name, string(policy), res.Offered, res.Shed, res.Completed,
-				res.GoodputHz, p99/c.Config.CyclesPerMicrosecond()/1e3, jain(good))
+				res.GoodputHz, p99/c.Config.CyclesPerMicrosecond()/1e3, fairness)
 		}
 	}
 	t.Note = fmt.Sprintf(
@@ -116,18 +118,4 @@ func (c *Context) WorkloadSweep() (*report.Table, error) {
 		deltaPct(goodput["bursty"][fleet.PolicyAdvisor], goodput["bursty"][fleet.PolicyLeastLoaded]),
 		deltaPct(goodput["prefill/decode"][fleet.PolicyAdvisor], goodput["prefill/decode"][fleet.PolicyLeastLoaded]))
 	return t, nil
-}
-
-// jain is Jain's fairness index over per-tenant values: (Σx)²/(n·Σx²),
-// 1 when all equal, 1/n under total capture. Zero-good runs report 0.
-func jain(xs []float64) float64 {
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sq)
 }

@@ -57,15 +57,3 @@ func TestWorkloadSweepDeterministic(t *testing.T) {
 		t.Fatal("WorkloadSweep is nondeterministic across contexts")
 	}
 }
-
-func TestJain(t *testing.T) {
-	if j := jain([]float64{5, 5, 5, 5}); j != 1 {
-		t.Errorf("equal shares: jain = %v, want 1", j)
-	}
-	if j := jain([]float64{10, 0, 0, 0}); j != 0.25 {
-		t.Errorf("total capture: jain = %v, want 0.25", j)
-	}
-	if j := jain([]float64{0, 0}); j != 0 {
-		t.Errorf("all-zero: jain = %v, want 0", j)
-	}
-}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"cmp"
 	"container/heap"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -11,7 +12,9 @@ import (
 	"v10/internal/ctlplane"
 	"v10/internal/mathx"
 	"v10/internal/obs"
+	"v10/internal/sched"
 	"v10/internal/trace"
+	"v10/internal/workload"
 )
 
 // arrival is one tenant request hitting the front end.
@@ -27,8 +30,9 @@ type arrival struct {
 // a tenant's stream is independent of the fleet size and of the other
 // tenants. Arrival times accumulate in float64 and are floored only on
 // emission: truncating each gap to int64 with a gap<1 clamp would inflate
-// the realized rate above the nominal RateHz (badly so at high rates).
-func genArrivals(tenants int, o Options) []arrival {
+// the realized rate above the nominal RateHz (badly so at high rates). A
+// Poisson stream past workload.MaxArrivalsPerTenant is an *ArrivalError.
+func genArrivals(tenants int, o Options) ([]arrival, error) {
 	var all []arrival
 	if o.Arrivals != nil {
 		for t, schedule := range o.Arrivals {
@@ -41,7 +45,7 @@ func genArrivals(tenants int, o Options) []arrival {
 		for t := 0; t < tenants; t++ {
 			rng := mathx.NewRNG(o.Seed + 0xf1ee7 + uint64(t)*7919)
 			at := 0.0
-			for {
+			for n := 0; ; n++ {
 				u := rng.Float64()
 				for u == 0 {
 					u = rng.Float64()
@@ -49,6 +53,11 @@ func genArrivals(tenants int, o Options) []arrival {
 				at -= meanGap * math.Log(u)
 				if at >= float64(o.DurationCycles) {
 					break
+				}
+				if n == workload.MaxArrivalsPerTenant {
+					return nil, &sched.ArrivalError{Workload: t, Index: -1,
+						Reason: fmt.Sprintf("RateHz %g over %d cycles draws more than %d arrivals",
+							o.RateHz, o.DurationCycles, workload.MaxArrivalsPerTenant)}
 				}
 				all = append(all, arrival{at: int64(at), tenant: t})
 			}
@@ -62,7 +71,7 @@ func genArrivals(tenants int, o Options) []arrival {
 		}
 		return cmp.Compare(a.tenant, b.tenant)
 	})
-	return all
+	return all, nil
 }
 
 // dispatchOutcome is the admission-control phase's verdict over the whole

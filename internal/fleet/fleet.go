@@ -367,18 +367,8 @@ func (o Options) withDefaults() (Options, error) {
 			return o, &sched.ArrivalError{Workload: -1, Index: -1,
 				Reason: "fleet Arrivals and RateHz are mutually exclusive"}
 		}
-		for t, schedule := range o.Arrivals {
-			prev := int64(0)
-			for k, at := range schedule {
-				if at < prev {
-					reason := "decreases"
-					if at < 0 {
-						reason = "is negative"
-					}
-					return o, &sched.ArrivalError{Workload: t, Index: k, Value: at, Reason: reason}
-				}
-				prev = at
-			}
+		if err := sched.ValidateArrivals(o.Arrivals); err != nil {
+			return o, err
 		}
 	}
 	if o.RateHz == 0 && o.Arrivals == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"v10/internal/collocate"
@@ -265,12 +266,21 @@ func TestDispatchDrainsFinishedWork(t *testing.T) {
 	}
 }
 
+func mustGenArrivals(tb testing.TB, tenants int, o Options) []arrival {
+	tb.Helper()
+	arrivals, err := genArrivals(tenants, o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return arrivals
+}
+
 func TestGenArrivalsWindowAndOrdering(t *testing.T) {
 	o, err := Options{Config: cfg, RateHz: 5000, DurationCycles: 2_000_000, Seed: 11}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals := genArrivals(3, o)
+	arrivals := mustGenArrivals(t, 3, o)
 	if len(arrivals) == 0 {
 		t.Fatal("no arrivals generated")
 	}
@@ -286,7 +296,7 @@ func TestGenArrivalsWindowAndOrdering(t *testing.T) {
 	}
 	// Per-tenant streams are independent of fleet size: tenant 0's stream in
 	// a 1-tenant fleet equals its stream in the 3-tenant fleet.
-	solo := genArrivals(1, o)
+	solo := mustGenArrivals(t, 1, o)
 	var t0 []arrival
 	for _, a := range arrivals {
 		if a.tenant == 0 {
@@ -497,7 +507,7 @@ func TestGenArrivalsRealizedRate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := float64(len(genArrivals(tc.tenants, o)))
+			got := float64(len(mustGenArrivals(t, tc.tenants, o)))
 			want := tc.rateHz / cfg.FrequencyHz * float64(o.DurationCycles) * float64(tc.tenants)
 			if rel := (got - want) / want; rel < -tc.tol || rel > tc.tol {
 				t.Errorf("realized %v arrivals, want %v ±%v%% (rel err %+.4f)",
@@ -535,6 +545,29 @@ func TestArrivalsOptionValidation(t *testing.T) {
 	o.Arrivals = [][]int64{{0}}
 	if _, err := Run(mixedTenants(), o); !errors.As(err, &ae) || ae.Workload != -1 {
 		t.Fatalf("length mismatch: err = %v, want option-level *sched.ArrivalError", err)
+	}
+}
+
+// TestPoissonArrivalCap runs one tenant whose Poisson stream draws about
+// 2.1M arrivals, just past workload.MaxArrivalsPerTenant: Run must refuse it
+// with a tenant-level *sched.ArrivalError once the cap is crossed, before
+// any dispatch or simulation allocates per-request state.
+func TestPoissonArrivalCap(t *testing.T) {
+	o := quickOptions()
+	o.DurationCycles = 3_000_000
+	o.RateHz = 1.05 * workload.MaxArrivalsPerTenant * cfg.FrequencyHz / float64(o.DurationCycles)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run([]*trace.Workload{synthetic("flood", 100, 100, 1)}, o)
+	runtime.ReadMemStats(&after)
+	var ae *sched.ArrivalError
+	if !errors.As(err, &ae) || ae.Workload != 0 || ae.Index != -1 {
+		t.Fatalf("err = %v, want *sched.ArrivalError for tenant 0", err)
+	}
+	// The capped arrival slice is 2M 16-byte entries (32 MB); append's
+	// growth steps allocate about five times that in all.
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 256 {
+		t.Fatalf("a refused run allocated %d MB", mb)
 	}
 }
 

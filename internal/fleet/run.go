@@ -321,7 +321,10 @@ func runOnce(tenants []*trace.Workload, o Options) (*Result, error) {
 	} else {
 		homes = place(profs, o, mathx.NewRNG(o.Seed+0x9f1e))
 	}
-	arrivals := genArrivals(len(tenants), o)
+	arrivals, err := genArrivals(len(tenants), o)
+	if err != nil {
+		return nil, err
+	}
 	disp := dispatch(tenants, arrivals, homes, profs, o)
 	jobs := buildJobs(tenants, homes, disp, o)
 

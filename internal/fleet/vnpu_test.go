@@ -231,7 +231,7 @@ func BenchmarkTenantStats(b *testing.B) {
 	}
 	profs := profileTenants(tenants, o)
 	homes := place(profs, o, mathx.NewRNG(o.Seed+0x9f1e))
-	arrivals := genArrivals(len(tenants), o)
+	arrivals := mustGenArrivals(b, len(tenants), o)
 	disp := dispatch(tenants, arrivals, homes, profs, o)
 	jobs := buildJobs(tenants, homes, disp, o)
 	outs, err := runCores(jobs, disp, o)

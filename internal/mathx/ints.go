@@ -21,14 +21,6 @@ func MaxInt64(a, b int64) int64 {
 	return b
 }
 
-// MinInt returns the smaller of a and b.
-func MinInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MaxInt returns the larger of a and b.
 func MaxInt(a, b int) int {
 	if a > b {

@@ -64,26 +64,6 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Mul returns m×b. It panics on a dimension mismatch.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mathx: mul dimension mismatch %dx%d × %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
 // ColMeans returns the mean of each column.
 func (m *Matrix) ColMeans() []float64 {
 	means := make([]float64, m.Cols)

@@ -46,29 +46,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMul(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := range want {
-		for j := range want[i] {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("Mul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMulDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dimension mismatch did not panic")
-		}
-	}()
-	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
-}
-
 func TestColMeansAndStdDevs(t *testing.T) {
 	m := MatrixFromRows([][]float64{{1, 10}, {3, 10}})
 	means := m.ColMeans()

@@ -57,15 +57,13 @@ func FitPCA(data *Matrix, k int) *PCA {
 	return &PCA{Means: means, Scales: scales, Components: comp, Explained: explained}
 }
 
-// Transform projects a single observation onto the fitted components.
-func (p *PCA) Transform(x []float64) []float64 { return p.TransformInto(nil, x) }
-
-// TransformInto projects x like Transform, writing the components into dst's
-// storage when it has the capacity (a caller's stack buffer keeps the
-// projection allocation-free) and returning the filled slice.
+// TransformInto projects a single observation x onto the fitted components,
+// writing them into dst's storage when it has the capacity (a caller's stack
+// buffer keeps the projection allocation-free) and returning the filled
+// slice.
 func (p *PCA) TransformInto(dst, x []float64) []float64 {
 	if len(x) != len(p.Means) {
-		panic("mathx: PCA.Transform feature-count mismatch")
+		panic("mathx: PCA.TransformInto feature-count mismatch")
 	}
 	k := p.Components.Cols
 	if cap(dst) < k {

@@ -63,7 +63,7 @@ func TestPCAKClamped(t *testing.T) {
 func TestPCAConstantFeatureSafe(t *testing.T) {
 	data := MatrixFromRows([][]float64{{1, 5}, {2, 5}, {3, 5}})
 	p := FitPCA(data, 2)
-	out := p.Transform([]float64{2, 5})
+	out := p.TransformInto(nil, []float64{2, 5})
 	for _, v := range out {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("constant feature produced non-finite projection: %v", out)
@@ -78,7 +78,7 @@ func TestPCATransformDimMismatchPanics(t *testing.T) {
 			t.Fatal("dimension mismatch did not panic")
 		}
 	}()
-	p.Transform([]float64{1, 2, 3})
+	p.TransformInto(nil, []float64{1, 2, 3})
 }
 
 // Property: explained variance fractions are in [0,1], non-increasing, and

@@ -81,16 +81,3 @@ func (r *RNG) LogNormalMean(mean, cv float64) float64 {
 	mu := math.Log(mean) - sigma2/2
 	return r.LogNormal(mu, math.Sqrt(sigma2))
 }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -25,19 +25,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance([]float64{3}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -2, 8, 0}
 	if Min(xs) != -2 || Max(xs) != 8 || Sum(xs) != 9 {
@@ -102,8 +89,6 @@ func TestRatio(t *testing.T) {
 func TestNoNaNOnDegenerateInputs(t *testing.T) {
 	checks := map[string]float64{
 		"Mean(nil)":        Mean(nil),
-		"Variance(nil)":    Variance(nil),
-		"StdDev(nil)":      StdDev(nil),
 		"Percentile(nil)":  Percentile(nil, 95),
 		"GeoMean(nil)":     GeoMean(nil),
 		"GeoMean(zeros)":   GeoMean([]float64{0, 0}),

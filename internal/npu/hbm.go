@@ -1,27 +1,17 @@
 package npu
 
-// WaterFill allocates bandwidth capacity to flows with the given demands
-// using max-min fairness: every flow receives min(demand, fair share), and
+// WaterFillInto allocates bandwidth capacity to flows with the given demands
+// using max-min fairness, writing one allocation per demand into alloc
+// (len(alloc) must equal len(demands)), so hot paths re-solve allocations
+// without allocating. Every flow receives min(demand, fair share), and
 // capacity left by under-demanding flows is redistributed to the rest.
-// The returned slice has one allocation per demand. Demands must be
-// non-negative; the sum of allocations never exceeds capacity, and no flow
-// ever receives more than its demand.
+// Demands must be non-negative; the sum of allocations never exceeds
+// capacity, and no flow ever receives more than its demand.
 //
 // This is the fluid model the simulator uses for HBM: concurrently executing
 // operators stream their traffic at their natural rate when bandwidth is
 // plentiful and are throttled proportionally when the collocated workloads
 // oversubscribe the interface (the §5.6 DLRM+RsNt effect).
-func WaterFill(demands []float64, capacity float64) []float64 {
-	alloc := make([]float64, len(demands))
-	WaterFillInto(alloc, demands, capacity)
-	return alloc
-}
-
-// WaterFillInto is WaterFill writing into a caller-provided slice (len(alloc)
-// must equal len(demands)), so hot paths re-solve allocations without
-// allocating. The arithmetic — rounds, per-round visit order, and the order
-// capacity is reclaimed in — is identical to WaterFill, so the two produce
-// bit-identical allocations.
 func WaterFillInto(alloc, demands []float64, capacity float64) {
 	for i := range alloc {
 		alloc[i] = 0

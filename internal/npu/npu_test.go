@@ -246,15 +246,21 @@ func TestOverheadTable3Rows(t *testing.T) {
 	}
 }
 
+func waterFill(demands []float64, capacity float64) []float64 {
+	alloc := make([]float64, len(demands))
+	WaterFillInto(alloc, demands, capacity)
+	return alloc
+}
+
 func TestWaterFillUnderSubscribed(t *testing.T) {
-	alloc := WaterFill([]float64{10, 20}, 100)
+	alloc := waterFill([]float64{10, 20}, 100)
 	if alloc[0] != 10 || alloc[1] != 20 {
 		t.Fatalf("under-subscribed flows should get full demand: %v", alloc)
 	}
 }
 
 func TestWaterFillOverSubscribedEqual(t *testing.T) {
-	alloc := WaterFill([]float64{100, 100}, 60)
+	alloc := waterFill([]float64{100, 100}, 60)
 	if alloc[0] != 30 || alloc[1] != 30 {
 		t.Fatalf("equal oversubscription should split evenly: %v", alloc)
 	}
@@ -262,7 +268,7 @@ func TestWaterFillOverSubscribedEqual(t *testing.T) {
 
 func TestWaterFillMaxMin(t *testing.T) {
 	// Small flow satisfied, leftovers to the big ones.
-	alloc := WaterFill([]float64{10, 100, 100}, 90)
+	alloc := waterFill([]float64{10, 100, 100}, 90)
 	if alloc[0] != 10 {
 		t.Fatalf("small flow should be satisfied: %v", alloc)
 	}
@@ -272,11 +278,11 @@ func TestWaterFillMaxMin(t *testing.T) {
 }
 
 func TestWaterFillZeroCapacityAndEmpty(t *testing.T) {
-	alloc := WaterFill([]float64{5, 5}, 0)
+	alloc := waterFill([]float64{5, 5}, 0)
 	if alloc[0] != 0 || alloc[1] != 0 {
 		t.Fatal("zero capacity must allocate nothing")
 	}
-	if len(WaterFill(nil, 100)) != 0 {
+	if len(waterFill(nil, 100)) != 0 {
 		t.Fatal("empty demands must return empty allocation")
 	}
 }
@@ -292,7 +298,7 @@ func TestWaterFillProperty(t *testing.T) {
 			demands[i] = rng.Uniform(0, 100)
 		}
 		capacity := rng.Uniform(0, 300)
-		alloc := WaterFill(demands, capacity)
+		alloc := waterFill(demands, capacity)
 		total, unsatisfied := 0.0, false
 		for i := range alloc {
 			if alloc[i] < -1e-9 || alloc[i] > demands[i]+1e-9 {

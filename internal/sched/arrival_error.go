@@ -30,3 +30,23 @@ func (e *ArrivalError) Error() string {
 	return fmt.Sprintf("sched: invalid arrival ArrivalCycles[%d][%d] = %d: %s",
 		e.Workload, e.Index, e.Value, e.Reason)
 }
+
+// ValidateArrivals returns an *ArrivalError naming the first arrival in
+// schedules that is negative or earlier than its predecessor, or nil when
+// every schedule is nondecreasing from cycle 0.
+func ValidateArrivals(schedules [][]int64) error {
+	for i, schedule := range schedules {
+		prev := int64(0)
+		for k, at := range schedule {
+			if at < prev {
+				reason := "decreases"
+				if at < 0 {
+					reason = "is negative"
+				}
+				return &ArrivalError{Workload: i, Index: k, Value: at, Reason: reason}
+			}
+			prev = at
+		}
+	}
+	return nil
+}

@@ -291,18 +291,8 @@ func (o Options) withDefaults() (Options, error) {
 			return o, &ArrivalError{Workload: -1, Index: -1,
 				Reason: "ArrivalCycles and ArrivalRateHz are mutually exclusive"}
 		}
-		for i, schedule := range o.ArrivalCycles {
-			prev := int64(0)
-			for k, at := range schedule {
-				if at < prev {
-					reason := "decreases"
-					if at < 0 {
-						reason = "is negative"
-					}
-					return o, &ArrivalError{Workload: i, Index: k, Value: at, Reason: reason}
-				}
-				prev = at
-			}
+		if err := ValidateArrivals(o.ArrivalCycles); err != nil {
+			return o, err
 		}
 	}
 	if o.CounterInterval == 0 {

@@ -244,14 +244,6 @@ func (e *Engine) ScheduleCallEach(times []Cycle, cb func(payload any, now Cycle)
 	}
 }
 
-// After registers fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn func(now Cycle)) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.Schedule(e.now+delay, fn)
-}
-
 // Pending reports whether any uncanceled events remain. It is O(1): the
 // engine tracks the live-event count as events are scheduled, canceled, and
 // fired.
@@ -401,15 +393,6 @@ func timerTick(payload any, now Cycle) {
 	t := payload.(*Timer)
 	t.ev = nil
 	t.fn(now)
-}
-
-// Park cancels the pending tick, if any.
-func (t *Timer) Park() {
-	if t.ev == nil {
-		return
-	}
-	t.ev.Cancel()
-	t.ev = nil
 }
 
 // Armed reports whether a tick is pending.

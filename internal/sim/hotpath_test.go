@@ -258,19 +258,16 @@ func TestTimerParkAndGridAlignment(t *testing.T) {
 	if e.Pending() {
 		t.Fatal("un-rearmed timer left an event pending")
 	}
-	// Arm then park: no tick may fire, the heap must drain clean.
+	// Arming an armed timer is a no-op: one tick, at the next grid point.
 	tm.Arm()
-	tm.Arm() // arming an armed timer is a no-op
+	tm.Arm()
 	if !tm.Armed() {
 		t.Fatal("timer did not arm")
 	}
-	tm.Park()
-	tm.Park() // parking a parked timer is a no-op
-	if tm.Armed() || e.Pending() {
-		t.Fatal("parked timer still pending")
+	for e.Step() {
 	}
-	if len(ticks) != 3 {
-		t.Fatalf("parked timer ticked: %v", ticks)
+	if len(ticks) != 4 || ticks[3] != 4096 || tm.Armed() || e.Pending() {
+		t.Fatalf("re-armed timer ticked %v, want one more tick at 4096", ticks)
 	}
 }
 

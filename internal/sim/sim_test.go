@@ -173,7 +173,7 @@ func TestEngineAfterAndNestedScheduling(t *testing.T) {
 	var e Engine
 	var times []Cycle
 	e.Schedule(10, func(now Cycle) {
-		e.After(5, func(now2 Cycle) { times = append(times, now2) })
+		e.Schedule(now+5, func(now2 Cycle) { times = append(times, now2) })
 	})
 	for e.Step() {
 	}
@@ -186,11 +186,11 @@ func TestEngineRunUntil(t *testing.T) {
 	var e Engine
 	count := 0
 	var tick func(Cycle)
-	tick = func(Cycle) {
+	tick = func(now Cycle) {
 		count++
-		e.After(10, tick)
+		e.Schedule(now+10, tick)
 	}
-	e.After(10, tick)
+	e.Schedule(10, tick)
 	ok := e.RunUntil(func() bool { return count >= 5 }, 1_000_000)
 	if !ok || count != 5 {
 		t.Fatalf("RunUntil stopped with count=%d ok=%v", count, ok)

@@ -161,7 +161,7 @@ func serialScenario(t *testing.T) *Scenario {
 // and the serial oracle independently pins the expected value.
 func TestMutationMakespanCaughtBySerialOracle(t *testing.T) {
 	sc := serialScenario(t)
-	out := RunScheme(sc, SchemeBase, false)
+	out := runScheme(sc, SchemeBase, false, nil)
 	if len(out.Problems) != 0 || out.Err != nil {
 		t.Fatalf("baseline run flagged: %v %s", out.Err, join(out.Problems))
 	}
@@ -221,7 +221,7 @@ func indexedFilter(fn func(i int, e obs.Event) (obs.Event, bool)) func(obs.Trace
 // rerunWith is the determinism oracle over one scheme, with the rerun's event
 // stream (its digest and its logged replay alike) passed through fn.
 func rerunWith(sc *Scenario, scheme string, fn func(i int, e obs.Event) (obs.Event, bool)) []string {
-	return checkDeterminism(RunScheme(sc, scheme, false), runScheme(sc, scheme, false, indexedFilter(fn)))
+	return checkDeterminism(runScheme(sc, scheme, false, nil), runScheme(sc, scheme, false, indexedFilter(fn)))
 }
 
 // TestMutationDroppedEventCaughtByDigest drops one event from the rerun: the
@@ -243,7 +243,7 @@ func TestMutationDroppedEventCaughtByDigest(t *testing.T) {
 func TestMutationSwappedEventsCaughtByDigest(t *testing.T) {
 	sc := mutationScenario()
 	for _, scheme := range sc.Schemes {
-		events := RunScheme(sc, scheme, false).relog().Events
+		events := runScheme(sc, scheme, false, nil).relog().Events
 		at := len(events) / 2
 		for at+1 < len(events) && events[at] == events[at+1] {
 			at++

@@ -109,7 +109,7 @@ func TestSerialOracleKnownValue(t *testing.T) {
 		t.Fatalf("hand scenario violated:\n%s", join(v.Problems))
 	}
 	for _, scheme := range AllSchemes {
-		out := RunScheme(sc, scheme, false)
+		out := runScheme(sc, scheme, false, nil)
 		if out.Err != nil || out.Result == nil {
 			t.Fatalf("%s: %v", scheme, out.Err)
 		}

@@ -117,11 +117,11 @@ func TestRunSchemeMemoryIndependentOfEvents(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		out := RunScheme(sc, SchemeFull, false)
+		out := runScheme(sc, SchemeFull, false, nil)
 		if out.Err != nil || len(out.Problems) != 0 {
 			t.Fatalf("%d requests: %v %s", n, out.Err, join(out.Problems))
 		}
-		return testing.AllocsPerRun(3, func() { RunScheme(sc, SchemeFull, false) }), out.Events.Count
+		return testing.AllocsPerRun(3, func() { runScheme(sc, SchemeFull, false, nil) }), out.Events.Count
 	}
 	const n = 200
 	a1, e1 := allocs(n)

@@ -30,16 +30,12 @@ type Violation struct {
 	Problems []string  `json:"problems"`
 }
 
-// RunScheme executes one scheme over the scenario with the invariant checker,
+// runScheme executes one scheme over the scenario with the invariant checker,
 // the serial oracle and the determinism digest riding the tracer hook,
 // recovering panics into problems. reversed flips the workload submission
-// order (the permutation oracles' second run).
-func RunScheme(sc *Scenario, scheme string, reversed bool) *Outcome {
-	return runScheme(sc, scheme, reversed, nil)
-}
-
-// runScheme is RunScheme with an optional wrap between the runner and every
-// oracle tracer (the mutation tests corrupt one determinism side with it).
+// order (the permutation oracles' second run). wrap, when non-nil, sits
+// between the runner and every oracle tracer (the mutation tests corrupt one
+// determinism side with it).
 func runScheme(sc *Scenario, scheme string, reversed bool, wrap func(obs.Tracer) obs.Tracer) (out *Outcome) {
 	if wrap == nil {
 		wrap = func(t obs.Tracer) obs.Tracer { return t }
@@ -81,7 +77,7 @@ func stream(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) {
 }
 
 // Execute runs one scheme over the scenario with an arbitrary tracer and no
-// checking — the raw substrate under RunScheme, also used by the mutation
+// checking — the raw substrate under runScheme, also used by the mutation
 // tests to wedge fault-injecting tracers between runner and checker.
 func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*metrics.RunResult, error) {
 	opts := sched.Options{

@@ -136,15 +136,6 @@ func (g *Graph) IdealSpeedup() float64 {
 	return float64(g.SerialCycles()) / float64(cp)
 }
 
-// TotalHBMBytes sums HBM traffic across operators.
-func (g *Graph) TotalHBMBytes() float64 {
-	s := 0.0
-	for _, op := range g.Ops {
-		s += op.HBMBytes
-	}
-	return s
-}
-
 // Stats are the per-request operator statistics used for characterization
 // and as collocation features (§3.4).
 type Stats struct {

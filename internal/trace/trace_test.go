@@ -204,8 +204,8 @@ func TestTileForVMemSplitsOversized(t *testing.T) {
 		t.Fatalf("compute not conserved: %d", compute)
 	}
 	// HBM traffic amplified: 300 * (1 + 0.5*2) = 600 for the split op.
-	if !almostEq(out.TotalHBMBytes(), 600, 1e-9) {
-		t.Fatalf("HBM bytes = %v, want 600", out.TotalHBMBytes())
+	if !almostEq(hbmBytes(out), 600, 1e-9) {
+		t.Fatalf("HBM bytes = %v, want 600", hbmBytes(out))
 	}
 	// Dependent op must now depend on the last tile.
 	last := out.Ops[3]
@@ -263,7 +263,7 @@ func TestTileForVMemConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return gc == oc && out.TotalHBMBytes() >= g.TotalHBMBytes()-1e-6
+		return gc == oc && hbmBytes(out) >= hbmBytes(g)-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -396,4 +396,13 @@ func almostEq(a, b, tol float64) bool {
 		d = -d
 	}
 	return d <= tol
+}
+
+// hbmBytes sums HBM traffic across g's operators.
+func hbmBytes(g *Graph) float64 {
+	s := 0.0
+	for _, op := range g.Ops {
+		s += op.HBMBytes
+	}
+	return s
 }

@@ -7,6 +7,7 @@ import (
 	"v10/internal/ctlplane"
 	"v10/internal/faults"
 	"v10/internal/fleet"
+	"v10/internal/mathx"
 	"v10/internal/models"
 	"v10/internal/npu"
 	"v10/internal/trace"
@@ -90,11 +91,7 @@ func DefaultCorpus(seed uint64, parallel int) ([]Scenario, error) {
 	}
 
 	const profileRequests = 3
-	feats := make([]collocate.Features, len(tenants))
-	for i, w := range tenants {
-		feats[i] = collocate.ExtractFeatures(w, cfg, profileRequests)
-	}
-	model, err := collocate.Train(tenants, feats, collocate.SimPairPerf(cfg, profileRequests),
+	model, err := collocate.TrainSimulated(tenants, cfg, profileRequests,
 		collocate.TrainConfig{K: 4, PairSamples: 8, Seed: seed, Parallel: parallel})
 	if err != nil {
 		return nil, fmt.Errorf("tune: training corpus advisor: %w", err)
@@ -207,20 +204,9 @@ func score(name string, res *fleet.Result) ScenarioScore {
 		}
 		good[i] = float64(ts.Good)
 	}
-	s.Fairness = jain(good)
+	// Jain's index over good completions; zero-good runs score 0.
+	if res.Good > 0 {
+		s.Fairness = mathx.JainFairness(good)
+	}
 	return s
-}
-
-// jain is Jain's fairness index: (Σx)² / (n·Σx²) — 1 when every tenant gets
-// an equal share, 1/n under total capture, 0 when nothing completed.
-func jain(xs []float64) float64 {
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sq)
 }

@@ -3,21 +3,30 @@ package tune
 import (
 	"math"
 	"testing"
+
+	"v10/internal/fleet"
 )
 
+// TestJain checks score's fairness: Jain's index over per-tenant good
+// completions, and 0 when nothing completed in time.
 func TestJain(t *testing.T) {
 	cases := []struct {
-		xs   []float64
+		good []int
 		want float64
 	}{
-		{[]float64{5, 5, 5, 5}, 1},
-		{[]float64{1, 0, 0, 0}, 0.25},
-		{[]float64{0, 0}, 0},
+		{[]int{5, 5, 5, 5}, 1},
+		{[]int{1, 0, 0, 0}, 0.25},
+		{[]int{0, 0}, 0},
 		{nil, 0},
 	}
 	for _, c := range cases {
-		if got := jain(c.xs); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("jain(%v) = %v, want %v", c.xs, got, c.want)
+		res := &fleet.Result{}
+		for _, g := range c.good {
+			res.Tenants = append(res.Tenants, fleet.TenantStats{Good: g})
+			res.Good += g
+		}
+		if got := score("x", res).Fairness; math.Abs(got-c.want) > 1e-12 {
+			t.Fatalf("fairness of good %v = %v, want %v", c.good, got, c.want)
 		}
 	}
 }

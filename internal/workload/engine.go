@@ -8,11 +8,12 @@ import (
 	"v10/internal/npu"
 )
 
-// maxArrivalsPerTenant guards against runaway schedules (a mis-set rate times
-// a long horizon). One tenant offering two million requests in a single run
-// is far beyond anything the fleet can serve; hitting the cap is a config
-// error, not a legitimate workload.
-const maxArrivalsPerTenant = 2_000_000
+// MaxArrivalsPerTenant guards against runaway schedules (a mis-set rate
+// times a long horizon). One tenant offering two million requests in a
+// single run is far beyond anything the fleet can serve; hitting the cap is
+// a config error, not a legitimate workload. The fleet's Poisson front end
+// applies the same cap.
+const MaxArrivalsPerTenant = 2_000_000
 
 // Engine turns per-tenant Specs into absolute arrival-cycle schedules over a
 // fixed horizon. The zero Config means npu.DefaultConfig (the clock converts
@@ -96,8 +97,8 @@ type gen struct {
 
 // emit records one arrival at real-valued time t (absolute cycles).
 func (g *gen) emit(t float64) error {
-	if len(g.out) >= maxArrivalsPerTenant {
-		return fmt.Errorf("schedule exceeds %d arrivals — rate × horizon is misconfigured", maxArrivalsPerTenant)
+	if len(g.out) >= MaxArrivalsPerTenant {
+		return fmt.Errorf("schedule exceeds %d arrivals — rate × horizon is misconfigured", MaxArrivalsPerTenant)
 	}
 	g.out = append(g.out, int64(t))
 	return nil

@@ -258,14 +258,18 @@ func (o Options) config() Config {
 	return cfg
 }
 
+// requests returns the requests each workload completes (default 20).
+func (o Options) requests() int {
+	if o.Requests <= 0 {
+		return 20
+	}
+	return o.Requests
+}
+
 // Profile runs a workload alone on a dedicated core and reports its
 // characterization (the Figs. 3–8 methodology).
 func Profile(w *Workload, opt Options) (*Result, error) {
-	requests := opt.Requests
-	if requests <= 0 {
-		requests = 20
-	}
-	return sched.RunSingle(w, opt.config(), requests)
+	return sched.RunSingle(w, opt.config(), opt.requests())
 }
 
 // Collocate simulates the workloads sharing one NPU core under the chosen
@@ -299,6 +303,17 @@ func Collocate(workloads []*Workload, scheme Scheme, opt Options) (*Result, erro
 // ChromeTrace writer and the CounterLog both do).
 type sectioner interface{ BeginSection(label string) }
 
+// beginSection starts a labelled section in every sink of o that supports
+// one, so each run of a sweep lands in its own section of one file.
+func (o Options) beginSection(label string) {
+	if sec, ok := o.Tracer.(sectioner); ok {
+		sec.BeginSection(label)
+	}
+	if o.Counters != nil {
+		o.Counters.BeginSection(label)
+	}
+}
+
 // CompareSchemes runs all four designs on the same workload set and returns
 // results keyed by scheme name, plus the single-tenant progress rates needed
 // to compute STP (Result.STP). When opt.Tracer or opt.Counters support
@@ -309,11 +324,7 @@ type sectioner interface{ BeginSection(label string) }
 // per-scheme errors come back joined, so errors.Is(err, ErrMaxCycles) still
 // identifies timeouts.
 func CompareSchemes(workloads []*Workload, opt Options) (map[string]*Result, []float64, error) {
-	requests := opt.Requests
-	if requests <= 0 {
-		requests = 20
-	}
-	rates, err := sched.SingleTenantRates(workloads, opt.config(), requests)
+	rates, err := sched.SingleTenantRates(workloads, opt.config(), opt.requests())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -321,12 +332,7 @@ func CompareSchemes(workloads []*Workload, opt Options) (map[string]*Result, []f
 	var errs []error
 	for i := range sched.Schemes {
 		s := Scheme(i)
-		if sec, ok := opt.Tracer.(sectioner); ok && opt.Tracer != nil {
-			sec.BeginSection(s.String())
-		}
-		if opt.Counters != nil {
-			opt.Counters.BeginSection(s.String())
-		}
+		opt.beginSection(s.String())
 		res, err := Collocate(workloads, s, opt)
 		if res != nil {
 			out[s.String()] = res

@@ -251,14 +251,14 @@ func TestSimulateClusterFacade(t *testing.T) {
 		}
 		ws = append(ws, w)
 	}
-	res, err := SimulateCluster(ws, NaivePlacement(len(ws)), ClusterOptions{Requests: 3})
+	res, err := SimulateCluster(ws, NaivePlacement(len(ws)), SchemeV10Full, Options{Requests: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CoresUsed != 2 || res.TotalSTP <= 1 {
 		t.Fatalf("cluster result wrong: %+v", res)
 	}
-	pmt, err := SimulateCluster(ws, NaivePlacement(len(ws)), ClusterOptions{Requests: 3, UsePMT: true})
+	pmt, err := SimulateCluster(ws, NaivePlacement(len(ws)), SchemePMT, Options{Requests: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestAdvisorPlanGroups(t *testing.T) {
 		}
 	}
 	// Grouped placements must still simulate.
-	res, err := SimulateCluster(ws, p, ClusterOptions{Requests: 3})
+	res, err := SimulateCluster(ws, p, SchemeV10Full, Options{Requests: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
