@@ -35,6 +35,11 @@ type arrival struct {
 func genArrivals(tenants int, o Options) ([]arrival, error) {
 	var all []arrival
 	if o.Arrivals != nil {
+		n := 0
+		for _, schedule := range o.Arrivals {
+			n += len(schedule)
+		}
+		all = make([]arrival, 0, n)
 		for t, schedule := range o.Arrivals {
 			for _, at := range schedule {
 				all = append(all, arrival{at: at, tenant: t})
@@ -42,6 +47,15 @@ func genArrivals(tenants int, o Options) ([]arrival, error) {
 		}
 	} else {
 		meanGap := o.Config.FrequencyHz / o.RateHz
+		// Size for each tenant's expected draw plus four standard deviations.
+		// A rate whose expected draw passes the cap will have a stream
+		// refuse the run, so it gets one tenant's worth at the cap.
+		expected := float64(o.DurationCycles) / meanGap
+		hint := workload.MaxArrivalsPerTenant
+		if expected <= workload.MaxArrivalsPerTenant {
+			hint = tenants * int(math.Min(expected+4*math.Sqrt(expected)+1, workload.MaxArrivalsPerTenant))
+		}
+		all = make([]arrival, 0, hint)
 		for t := 0; t < tenants; t++ {
 			rng := mathx.NewRNG(o.Seed + 0xf1ee7 + uint64(t)*7919)
 			at := 0.0
@@ -497,7 +511,9 @@ func (d *dispatcher) detect(now int64, c int) {
 	if len(job.roster) == 0 {
 		return
 	}
-	out := runCore(c, job, d.o, perturbFor(d.o.Faults, c))
+	// Buffered, not streamed: the shared trace takes this core's section at
+	// its turn in core order, after the dispatcher's.
+	out := runCore(c, job, d.o, perturbFor(d.o.Faults, c), false)
 	d.out.deadOuts[c] = out
 
 	for k, t := range job.roster {

@@ -474,26 +474,35 @@ type eventCount int
 
 func (c *eventCount) Emit(obs.Event) { *c++ }
 
-// BenchmarkTracedFleetRun measures a fleet run with a shared tracer: every
+// BenchmarkTracedFleetRun measures a fleet run with a shared tracer, the
+// path simcheck's fleet arms take on every trial. At the default width every
 // core buffers its whole event stream in a per-core log, replayed into the
-// tracer after the run, the path simcheck's fleet arms take on every trial.
-// It reports ns/event, B/event and allocs/event over the replayed events.
+// tracer after the run; serially the cores stream into it as they run. It
+// reports ns/event, B/event and allocs/event over the traced events.
 func BenchmarkTracedFleetRun(b *testing.B) {
-	var events eventCount
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := quickOptions()
-		o.Tracer = &events
-		if _, err := Run(mixedTenants(), o); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name     string
+		parallel int
+	}{{"default", 0}, {"serial", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var events eventCount
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := quickOptions()
+				o.Parallel = bc.parallel
+				o.Tracer = &events
+				if _, err := Run(mixedTenants(), o); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(events)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(events)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
 }

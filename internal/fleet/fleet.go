@@ -146,12 +146,14 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = serial). Results are bit-identical at any width.
 	Parallel int
 
-	// Tracer, when non-nil, receives every core's timeline replayed in core
-	// order after the run; a sink with BeginSection (ChromeWriter) gets one
-	// "core N" section per core so a whole fleet run lands in one Perfetto
-	// file. The dispatcher's "fleet" events index the global tenant list, a
-	// core's events its roster; each replay announces its own name table
-	// (obs.NameSink) first.
+	// Tracer, when non-nil, receives the dispatcher's "fleet" events and then
+	// every core's timeline in core order: streamed live when the cores run
+	// serially (Parallel 1), buffered and replayed after the run otherwise,
+	// with the same result either way. A sink with BeginSection
+	// (ChromeWriter) gets one "core N" section per core so a whole fleet run
+	// lands in one Perfetto file. The dispatcher's events index the global
+	// tenant list, a core's events its roster; each section announces its
+	// own name table (obs.NameSink) first.
 	Tracer obs.Tracer
 
 	// Counters, when non-nil, receives every core's counter snapshots, one

@@ -564,9 +564,9 @@ func TestPoissonArrivalCap(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Workload != 0 || ae.Index != -1 {
 		t.Fatalf("err = %v, want *sched.ArrivalError for tenant 0", err)
 	}
-	// The capped arrival slice is 2M 16-byte entries (32 MB); append's
-	// growth steps allocate about five times that in all.
-	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 256 {
+	// The capped arrival slice is 2M 16-byte entries (32 MB), sized once
+	// up front instead of grown by append.
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 64 {
 		t.Fatalf("a refused run allocated %d MB", mb)
 	}
 }

@@ -328,6 +328,12 @@ func runOnce(tenants []*trace.Workload, o Options) (*Result, error) {
 	disp := dispatch(tenants, arrivals, homes, profs, o)
 	jobs := buildJobs(tenants, homes, disp, o)
 
+	// The dispatcher's log is complete before any core runs, so its section
+	// leads the shared trace whether the cores then stream or replay.
+	if o.Tracer != nil && len(disp.log.Events) > 0 {
+		beginSection(o.Tracer, "fleet")
+		disp.log.Replay(o.Tracer)
+	}
 	outs, runErr := runCores(jobs, disp, o)
 
 	res := &Result{
@@ -337,7 +343,7 @@ func runOnce(tenants []*trace.Workload, o Options) (*Result, error) {
 		DurationCycles: o.DurationCycles,
 		FailedCores:    disp.failed,
 	}
-	replayObservability(disp, outs, o)
+	replayObservability(outs, o)
 	for c, job := range jobs {
 		cr := CoreResult{Core: c, Tenants: job.roster, Admitted: job.admitted, SliceOf: job.sliceOf}
 		if outs[c] != nil {
@@ -520,15 +526,20 @@ func windowsOf(s *faults.Schedule, core int, kind faults.Kind) []sched.Window {
 }
 
 // logPool recycles the per-core event buffers runCore fills when
-// Options.Tracer is set; replayObservability returns each one once replayed.
+// Options.Tracer is set and the core does not stream; replayCoreLog returns
+// each one once replayed.
 var logPool = sync.Pool{New: func() any { return new(obs.Log) }}
 
 // runCore executes one core's cycle-accurate simulation under its fault
-// perturbations, with its own engine, event log, and counter log.
-func runCore(c int, job coreJob, o Options, p perturb) *coreOut {
+// perturbations, with its own engine and counter log. With Options.Tracer
+// set, a streaming core emits straight into it; any other core buffers its
+// events in a pooled log for replay.
+func runCore(c int, job coreJob, o Options, p perturb, stream bool) *coreOut {
 	out := &coreOut{}
 	var sinks []obs.Tracer
-	if o.Tracer != nil {
+	if stream {
+		sinks = append(sinks, o.Tracer)
+	} else if o.Tracer != nil {
 		out.log = logPool.Get().(*obs.Log)
 		sinks = append(sinks, out.log)
 	}
@@ -574,9 +585,18 @@ func runCore(c int, job coreJob, o Options, p perturb) *coreOut {
 // failed cores reuse the simulation already run at detection time. Per-core
 // errors (cycle caps) are joined, labeled with the core; partial results are
 // kept.
+//
+// With one worker the cores run inline in core order, the order the replay
+// would re-emit them in, so each core's section goes to Options.Tracer as it
+// runs: a live core streams into it, and a failed core replays the log it
+// buffered at detection time.
 func runCores(jobs []coreJob, disp *dispatchOutcome, o Options) ([]*coreOut, error) {
+	stream := o.Tracer != nil && parallel.Workers(o.Parallel) == 1
 	outs, _ := parallel.Map(context.Background(), len(jobs), o.Parallel, func(c int) (*coreOut, error) {
 		if out, ok := disp.deadOuts[c]; ok {
+			if stream {
+				replayCoreLog(c, out, o)
+			}
 			return out, nil
 		}
 		if _, dead := disp.deadJobs[c]; dead {
@@ -585,7 +605,10 @@ func runCores(jobs []coreJob, disp *dispatchOutcome, o Options) ([]*coreOut, err
 		if len(jobs[c].roster) == 0 {
 			return nil, nil
 		}
-		return runCore(c, jobs[c], o, perturbFor(o.Faults, c)), nil
+		if stream {
+			beginSection(o.Tracer, coreSection(c))
+		}
+		return runCore(c, jobs[c], o, perturbFor(o.Faults, c), stream), nil
 	})
 	var errs []error
 	for c, out := range outs {
@@ -596,38 +619,46 @@ func runCores(jobs []coreJob, disp *dispatchOutcome, o Options) ([]*coreOut, err
 	return outs, errors.Join(errs...)
 }
 
-// replayObservability re-emits the fleet-level fault/migration events and
-// then every core's captured events and counter rows into the shared sinks,
-// in core order, under "fleet" / "core N" sections — one deterministic
-// Perfetto timeline (and counter log) for the whole fleet.
-func replayObservability(disp *dispatchOutcome, outs []*coreOut, o Options) {
-	if o.Tracer != nil && len(disp.log.Events) > 0 {
-		if sec, ok := o.Tracer.(sectioner); ok {
-			sec.BeginSection("fleet")
-		}
-		disp.log.Replay(o.Tracer)
-	}
+// replayObservability re-emits every core's buffered events and counter rows
+// into the shared sinks, in core order, under "core N" sections, after the
+// "fleet" section runOnce emitted — one deterministic Perfetto timeline (and
+// counter log) for the whole fleet. Cores that already streamed their events
+// hold no log and contribute only their counter rows.
+func replayObservability(outs []*coreOut, o Options) {
 	for c, out := range outs {
 		if out == nil {
 			continue
 		}
-		if o.Tracer != nil && out.log != nil {
-			if sec, ok := o.Tracer.(sectioner); ok {
-				sec.BeginSection(fmt.Sprintf("core %d", c))
-			}
-			out.log.Replay(o.Tracer)
-			out.log.Events, out.log.Names = out.log.Events[:0], nil
-			logPool.Put(out.log)
-			out.log = nil
+		if out.log != nil {
+			replayCoreLog(c, out, o)
 		}
 		if o.Counters != nil && out.counters != nil {
-			o.Counters.BeginSection(fmt.Sprintf("core %d", c))
+			o.Counters.BeginSection(coreSection(c))
 			for _, row := range out.counters.Rows {
 				o.Counters.Add(row)
 			}
 		}
 	}
 }
+
+// replayCoreLog re-emits core c's buffered events into Options.Tracer under
+// the core's section and returns the log to the pool.
+func replayCoreLog(c int, out *coreOut, o Options) {
+	beginSection(o.Tracer, coreSection(c))
+	out.log.Replay(o.Tracer)
+	out.log.Events, out.log.Names = out.log.Events[:0], nil
+	logPool.Put(out.log)
+	out.log = nil
+}
+
+// beginSection starts a labeled section on sinks that group output.
+func beginSection(t obs.Tracer, label string) {
+	if sec, ok := t.(sectioner); ok {
+		sec.BeginSection(label)
+	}
+}
+
+func coreSection(c int) string { return fmt.Sprintf("core %d", c) }
 
 // intAt / int64At index the dispatch outcome's optional recovery slices,
 // treating nil (hand-built fault-free outcomes) as all-zero.

@@ -168,6 +168,41 @@ func TestTraceDispatchAndRequestEvents(t *testing.T) {
 	}
 }
 
+// TestTraceDispatchDelaySpans checks the software-dispatch path: every
+// EvDispatchDelay spans exactly DispatchLatency and closes the latest
+// dispatch on its FU, to the same workload.
+func TestTraceDispatchDelaySpans(t *testing.T) {
+	const lat = 700
+	log := &obs.Log{}
+	_, err := Run([]*trace.Workload{synthetic("A", 3000, 200, 12), synthetic("B", 200, 3000, 12)},
+		Options{Policy: PriorityPreempt, RequestsPerWorkload: 3, DispatchLatency: lat, Tracer: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fuKey struct {
+		kind int8
+		idx  int16
+	}
+	last := map[fuKey]obs.Event{}
+	delays := 0
+	for _, e := range log.Events {
+		k := fuKey{e.FUKind, e.FUIndex}
+		switch e.Type {
+		case obs.EvDispatch:
+			last[k] = e
+		case obs.EvDispatchDelay:
+			delays++
+			d, ok := last[k]
+			if e.Dur != lat || !ok || d.WIdx != e.WIdx || d.Time != e.Time-lat {
+				t.Fatalf("delay %+v does not close dispatch %+v (ok=%v) after %d cycles", e, d, ok, lat)
+			}
+		}
+	}
+	if delays == 0 {
+		t.Fatal("no EvDispatchDelay traced; the check is vacuous")
+	}
+}
+
 func TestCounterSampling(t *testing.T) {
 	log := obs.NewCounterLog()
 	opts := Options{Policy: PriorityPreempt}

@@ -737,15 +737,22 @@ func (r *runner) dispatchTo(fu *fuState, wl *wlState, now int64) {
 		fu.switching = true
 		r.setSwitching(now, fu.kind, +1)
 		wl.stats.SwitchCycles += lat
-		r.engine.Schedule(now+lat, func(t int64) {
-			fu.switching = false
-			r.setSwitching(t, fu.kind, -1)
-			if r.tr != nil {
-				r.tr.Emit(r.event(obs.EvDispatchDelay, t, lat, wl, fu))
-			}
-			r.finishDispatch(fu, wl, t)
-		})
+		r.engine.ScheduleCall(now+lat, dispatchDelayCB, fu)
 		return
+	}
+	r.finishDispatch(fu, wl, now)
+}
+
+// dispatchDelayCB delivers a delayed scheduling decision. The switching FU
+// cannot be preempted or completed, so fu.running is still the workload
+// dispatchTo bound, and the delay is the run's fixed DispatchLatency.
+func dispatchDelayCB(payload any, now int64) {
+	fu := payload.(*fuState)
+	r, wl := fu.r, fu.running
+	fu.switching = false
+	r.setSwitching(now, fu.kind, -1)
+	if r.tr != nil {
+		r.tr.Emit(r.event(obs.EvDispatchDelay, now, r.opts.DispatchLatency, wl, fu))
 	}
 	r.finishDispatch(fu, wl, now)
 }

@@ -426,6 +426,10 @@ func TestPinnedCycles(t *testing.T) {
 	preempt.Config = slice512
 	openLoop := reqs(Options{Policy: PriorityPreempt}, 8)
 	openLoop.ArrivalRateHz = 20
+	software := reqs(Options{Policy: PriorityPreempt}, 12)
+	software.SoftwareScheduler = true
+	dispatch700 := reqs(Options{Policy: PriorityPreempt}, 12)
+	dispatch700.DispatchLatency = 700
 	pair := []string{"BERT", "DLRM"}
 
 	for _, tc := range []struct {
@@ -442,6 +446,8 @@ func TestPinnedCycles(t *testing.T) {
 		{"pair-nohbm", noHBM, cfg, pair, 32, 383_825_090},
 		{"preempt-heavy", preempt, slice512, pair, 32, 195_611_698},
 		{"open-loop", openLoop, cfg, pair, 32, 299_555_291},
+		{"software-scheduler", software, cfg, pair, 32, 524_320_278},
+		{"dispatch-latency-700", dispatch700, cfg, pair, 32, 407_913_996},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := make([]*trace.Workload, len(tc.models))

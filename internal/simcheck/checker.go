@@ -157,7 +157,7 @@ func NewChecker(sc *Scenario, scheme string, reversed bool) *Checker {
 		var ops []expOp
 		var serial int64
 		var hbm, hbmLo float64
-		for _, op := range g.Linearize() {
+		for _, op := range g.Ops {
 			kind := 1
 			if op.Kind == trace.KindSA {
 				kind = 0

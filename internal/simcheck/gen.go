@@ -216,7 +216,7 @@ func serveCycles(s *Scenario, i int) float64 {
 	g := trace.TileForVMem(s.Workloads[i].graph(), part, reload)
 	capacity := s.Config.HBMBytesPerCycle()
 	var t float64
-	for _, op := range g.Linearize() {
+	for _, op := range g.Ops {
 		t += float64(op.Stall + s.DispatchLatency + fluidCycles(op, capacity))
 	}
 	return t

@@ -50,7 +50,7 @@ func serialExpectation(sc *Scenario, scheme string, wi int) ([]trace.Op, int64) 
 	}
 	part := sc.Config.VMemBytes / int64(len(sc.Workloads))
 	g := trace.TileForVMem(sc.Workloads[wi].graph(), part, reload)
-	ops := g.Linearize()
+	ops := g.Ops
 	capacity := sc.Config.HBMBytesPerCycle()
 	var perReq int64
 	for _, op := range ops {

@@ -84,7 +84,9 @@ type Scenario struct {
 }
 
 // graph materializes one workload's operator DAG (fresh per call so callers
-// may tile or mutate it freely).
+// may tile or mutate it freely). Its Ops carry ascending IDs, and so do
+// TileForVMem's, so the estimators walk a graph's Ops in place as the
+// scheduler's LinearizeInto order.
 func (w WorkloadSpec) graph() *trace.Graph {
 	g := &trace.Graph{Ops: make([]trace.Op, len(w.Ops))}
 	for i, op := range w.Ops {

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"v10/internal/mathx"
+	"v10/internal/npu"
+	"v10/internal/trace"
 )
 
 func TestGenScenarioDeterministic(t *testing.T) {
@@ -207,4 +209,52 @@ func join(problems []string) string {
 		s += "  - " + p + "\n"
 	}
 	return s
+}
+
+// TestGeneratedGraphsInExecutionOrder backs the estimators' in-place walk of
+// a graph's Ops: for every arm's generated workloads, untiled and tiled, Ops
+// already is the scheduler's LinearizeInto order.
+func TestGeneratedGraphsInExecutionOrder(t *testing.T) {
+	for _, arm := range Arms {
+		tiled := 0
+		for seed := uint64(0); seed < 20; seed++ {
+			var cfg npu.CoreConfig
+			var specs []WorkloadSpec
+			switch sc := arm.Gen(seed).(type) {
+			case *Scenario:
+				cfg, specs = sc.Config, sc.Workloads
+			case *ChaosScenario:
+				cfg, specs = sc.Config, sc.Workloads
+			case *IsolationScenario:
+				cfg, specs = sc.Config, sc.Workloads
+			case *ElasticScenario:
+				cfg, specs = sc.Config, sc.Workloads
+			default:
+				t.Fatalf("%s arm: unexpected scenario type %T", arm.Name, sc)
+			}
+			for wi, spec := range specs {
+				g := spec.graph()
+				var maxVMem int64
+				for _, op := range g.Ops {
+					maxVMem = max(maxVMem, op.VMemBytes)
+				}
+				// The arm's own vmem partition, then one that forces tiling.
+				for _, part := range []int64{cfg.VMemBytes / int64(len(specs)), maxVMem / 2} {
+					tg := trace.TileForVMem(g, part, 0.5)
+					if tg != g {
+						tiled++
+					}
+					for _, h := range []*trace.Graph{g, tg} {
+						if !reflect.DeepEqual(h.LinearizeInto(nil), h.Ops) {
+							t.Fatalf("%s arm seed %d workload %d (partition %d): Ops is not in LinearizeInto order",
+								arm.Name, seed, wi, part)
+						}
+					}
+				}
+			}
+		}
+		if tiled == 0 {
+			t.Errorf("%s arm: no generated graph tiled; the tiled case is vacuous", arm.Name)
+		}
+	}
 }

@@ -205,15 +205,11 @@ func (g *Graph) ComputeStats() Stats {
 	return s
 }
 
-// Linearize returns the operator execution order used by the schedulers: the
-// compiled sequential stream. Operators are emitted in topological order; for
-// generator-produced graphs this is simply ID order, which Validate enforces.
-func (g *Graph) Linearize() []Op {
-	return g.LinearizeInto(nil)
-}
-
-// LinearizeInto is Linearize appending into buf (reused across requests by
-// the scheduler's hot path; pass buf[:0] to recycle a previous stream).
+// LinearizeInto appends the operator execution order used by the schedulers,
+// the compiled sequential stream, to buf (reused across requests by the
+// scheduler's hot path; pass buf[:0] to recycle a previous stream).
+// Operators are emitted in topological order; for generator-produced graphs
+// this is simply ID order, which Validate enforces.
 // Generated and tiled graphs already carry dense ascending IDs, so the
 // common case is a straight copy with no sort.
 func (g *Graph) LinearizeInto(buf []Op) []Op {

@@ -380,13 +380,13 @@ func TestTileForVMemIntoMatchesFresh(t *testing.T) {
 
 func TestLinearizePreservesOps(t *testing.T) {
 	g := chainGraph(1, 2, 3)
-	lin := g.Linearize()
+	lin := g.LinearizeInto(nil)
 	if len(lin) != 3 || lin[0].Compute != 1 || lin[2].Compute != 3 {
-		t.Fatal("Linearize broken")
+		t.Fatal("LinearizeInto broken")
 	}
 	lin[0].Compute = 99
 	if g.Ops[0].Compute == 99 {
-		t.Fatal("Linearize must copy")
+		t.Fatal("LinearizeInto must copy")
 	}
 }
 

@@ -195,8 +195,10 @@ type FleetOptions struct {
 	// of migrating — the shed-only resilience baseline.
 	NoMigration bool
 
-	// Tracer, when non-nil, receives every core's timeline after the run —
-	// a ChromeTrace sink gets one "core N" section per core, so the whole
+	// Tracer, when non-nil, receives every core's timeline in core order,
+	// streamed live when the cores run serially (Parallel 1) and buffered
+	// and replayed after the run otherwise, with the same output either way.
+	// A ChromeTrace sink gets one "core N" section per core, so the whole
 	// fleet lands in one Perfetto file.
 	Tracer Tracer
 
