@@ -20,7 +20,7 @@ func allocOpts(t *testing.T) ([]*trace.Workload, Options) {
 	opts.Config.VMemBytes = cfg.VMemBytes / 128
 	part := opts.Config.VMemBytes / int64(len(ws))
 	for _, w := range ws {
-		if g := w.Request(0); trace.TileForVMem(g, part, 0.5) == g {
+		if g := w.Request(0); trace.TileForVMemInto(nil, g, part, 0.5) == g {
 			t.Fatalf("%s needs no tiling at a %d-byte partition", w.Name, part)
 		}
 	}

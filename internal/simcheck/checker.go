@@ -127,53 +127,63 @@ const maxProblems = 40
 // fresh checker ready to be passed as the run's Tracer.
 func NewChecker(sc *Scenario, scheme string, reversed bool) *Checker {
 	cfg := sc.Config
+	t := sc.tiling(scheme)
+	nw := len(sc.Workloads)
 	c := &Checker{
 		scheme:    scheme,
 		pmt:       scheme == SchemePMT,
 		closed:    sc.ArrivalRateHz == 0 && sc.ArrivalCycles == nil,
 		cfg:       cfg,
-		lat:       sc.DispatchLatency,
+		lat:       t.latency,
 		pmtLo:     cfg.PMTContextSwitchCycles(0),
 		pmtHi:     cfg.PMTContextSwitchCycles(1),
 		capacity:  cfg.HBMBytesPerCycle(),
 		pmtActive: -1,
+		exp:       make([][]expOp, nw),
+		serialMin: make([]int64, nw),
+		reqHBM:    make([]float64, nw),
+		reqHBMLo:  make([]float64, nw),
+		wls:       make([]*wlCheck, nw),
 	}
-	reload := sc.VMemReloadFactor
-	if reload == 0 {
-		reload = 0.5
+	// Every workload's expected stream is a window of one slice sized to
+	// the scenario's total tile count.
+	n := 0
+	for _, w := range sc.Workloads {
+		n += t.tiles(w)
 	}
-	if c.pmt {
-		reload = 0.5 // Execute runs PMT at the default reload factor
-		c.lat = 0
-	}
-	nw := len(sc.Workloads)
-	part := cfg.VMemBytes / int64(nw)
+	all := make([]expOp, 0, n)
+	shadows := make([]wlCheck, nw)
 	for i := 0; i < nw; i++ {
 		spec := sc.Workloads[i]
 		if reversed {
 			spec = sc.Workloads[nw-1-i]
 		}
-		g := trace.TileForVMem(spec.graph(), part, reload)
-		var ops []expOp
+		start := len(all)
 		var serial int64
 		var hbm, hbmLo float64
-		for _, op := range g.Ops {
+		for _, op := range spec.Ops {
+			k, first, rest := t.tile(op)
 			kind := 1
-			if op.Kind == trace.KindSA {
+			if first.Kind == trace.KindSA {
 				kind = 0
 			}
-			ops = append(ops, expOp{kind: kind, compute: op.Compute, stall: op.Stall, hbm: op.HBMBytes})
-			serial += op.Stall + op.Compute
-			hbm += op.HBMBytes
-			if op.Compute > 0 {
-				hbmLo += op.HBMBytes
+			for j := int64(0); j < k; j++ {
+				tile := rest
+				if j == 0 {
+					tile = first
+				}
+				all = append(all, expOp{kind: kind, compute: tile.Compute, stall: tile.Stall, hbm: tile.HBMBytes})
+				serial += tile.Stall + tile.Compute
+				hbm += tile.HBMBytes
+				if tile.Compute > 0 {
+					hbmLo += tile.HBMBytes
+				}
 			}
 		}
-		c.exp = append(c.exp, ops)
-		c.serialMin = append(c.serialMin, serial)
-		c.reqHBM = append(c.reqHBM, hbm)
-		c.reqHBMLo = append(c.reqHBMLo, hbmLo)
-		c.wls = append(c.wls, &wlCheck{id: i, name: spec.Name})
+		c.exp[i] = all[start:len(all):len(all)]
+		c.serialMin[i], c.reqHBM[i], c.reqHBMLo[i] = serial, hbm, hbmLo
+		shadows[i] = wlCheck{id: i, name: spec.Name}
+		c.wls[i] = &shadows[i]
 	}
 	for i := 0; i < cfg.NumSA; i++ {
 		c.fus[0] = append(c.fus[0], &fuCheck{kind: 0, idx: i, owner: -1})

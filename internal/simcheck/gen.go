@@ -5,7 +5,6 @@ import (
 
 	"v10/internal/mathx"
 	"v10/internal/npu"
-	"v10/internal/trace"
 )
 
 // maxTrialEvents caps the estimated event count of one generated trial. The
@@ -14,11 +13,11 @@ import (
 // billions of rebalance events — a single trial then runs for hours and its
 // observation log alone exceeds memory (seed 126 hit 34 GB). Scenarios whose
 // cost estimate exceeds the cap are rejected and deterministically resampled;
-// the probe over 3000 seeds rejects ~1.5% at this threshold.
+// at this threshold 33 of seeds 0-2999 (1.1%) are rejected on attempt 0.
 const maxTrialEvents = 2e7
 
-// genAttempts bounds the resample loop. At a ~1.5% rejection rate the chance
-// of exhausting it is (0.015)^32 ≈ 1e-58; if that ever happens we fall back
+// genAttempts bounds the resample loop. At a 1.1% rejection rate the chance
+// of exhausting it is (0.011)^32 ≈ 2e-63; if that ever happens we fall back
 // to the cheapest scenario seen, which is still deterministic.
 const genAttempts = 32
 
@@ -208,18 +207,8 @@ func balanceDurations(s *Scenario) {
 // serveCycles estimates one request's uncontended service time for workload
 // i under the V10 schemes: tiled stalls + dispatch latency + fluid compute.
 func serveCycles(s *Scenario, i int) float64 {
-	part := s.Config.VMemBytes / int64(len(s.Workloads))
-	reload := s.VMemReloadFactor
-	if reload == 0 {
-		reload = 0.5
-	}
-	g := trace.TileForVMem(s.Workloads[i].graph(), part, reload)
-	capacity := s.Config.HBMBytesPerCycle()
-	var t float64
-	for _, op := range g.Ops {
-		t += float64(op.Stall + s.DispatchLatency + fluidCycles(op, capacity))
-	}
-	return t
+	t := s.tiling(SchemeFull) // every V10 scheme tiles alike
+	return float64(t.serviceCycles(s.Workloads[i], s.Config.HBMBytesPerCycle()))
 }
 
 // roundServeCycles is one request of every workload served back to back, the

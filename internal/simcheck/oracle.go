@@ -36,27 +36,75 @@ func fluidCycles(op trace.Op, capacity float64) int64 {
 	return int64(ic)
 }
 
+// tiling is how the runner tiles and dispatches a scenario's workloads under
+// one scheme.
+type tiling struct {
+	partition int64   // each tenant's vector-memory share
+	reload    float64 // extra HBM traffic per additional tile
+	latency   int64   // exposed dispatch latency per operator
+}
+
+// tiling returns the scheme's tiling: the vector memory split evenly between
+// the workloads, the scenario's reload factor (0 means the runner's default,
+// 0.5) and its dispatch latency. PMT switches whole cores, so Execute runs it
+// at the default reload factor and with no dispatch latency.
+func (s *Scenario) tiling(scheme string) tiling {
+	t := tiling{
+		partition: s.Config.VMemBytes / int64(len(s.Workloads)),
+		reload:    s.VMemReloadFactor,
+		latency:   s.DispatchLatency,
+	}
+	if t.reload == 0 || scheme == SchemePMT {
+		t.reload = 0.5
+	}
+	if scheme == SchemePMT {
+		t.latency = 0
+	}
+	return t
+}
+
+// tile splits op by the runner's rule (trace.TileOf): k tiles, first carrying
+// the division remainders and rest each of the other k-1.
+func (t tiling) tile(op OpSpec) (k int64, first, rest trace.Op) {
+	return trace.TileOf(op.traceOp(), t.partition, t.reload)
+}
+
+// tiles counts the tiles w's operators split into.
+func (t tiling) tiles(w WorkloadSpec) int {
+	n := 0
+	for _, op := range w.Ops {
+		k, _, _ := t.tile(op)
+		n += int(k)
+	}
+	return n
+}
+
+// serviceCycles is the exact uncontended cycle count of one request of w: for
+// every tile its stall, the dispatch latency and its fluid compute at
+// capacity HBM bytes per cycle.
+func (t tiling) serviceCycles(w WorkloadSpec, capacity float64) int64 {
+	var total int64
+	for _, op := range w.Ops {
+		k, first, rest := t.tile(op)
+		total += op.Stall + k*t.latency + fluidCycles(first, capacity) + (k-1)*fluidCycles(rest, capacity)
+	}
+	return total
+}
+
 // serialExpectation returns the tiled operator stream and the exact
 // uncontended per-request cycle count for workload wi under the scheme.
 func serialExpectation(sc *Scenario, scheme string, wi int) ([]trace.Op, int64) {
-	reload := sc.VMemReloadFactor
-	if reload == 0 {
-		reload = 0.5
+	t := sc.tiling(scheme)
+	w := sc.Workloads[wi]
+	ops := make([]trace.Op, 0, t.tiles(w))
+	for _, op := range w.Ops {
+		k, first, rest := t.tile(op)
+		ops = append(ops, first)
+		for range k - 1 {
+			ops = append(ops, rest)
+		}
 	}
-	lat := sc.DispatchLatency
-	if scheme == SchemePMT {
-		reload = 0.5
-		lat = 0
-	}
-	part := sc.Config.VMemBytes / int64(len(sc.Workloads))
-	g := trace.TileForVMem(sc.Workloads[wi].graph(), part, reload)
-	ops := g.Ops
-	capacity := sc.Config.HBMBytesPerCycle()
-	var perReq int64
-	for _, op := range ops {
-		perReq += op.Stall + lat + fluidCycles(op, capacity)
-	}
-	return ops, perReq
+	return ops, t.serviceCycles(w, sc.Config.HBMBytesPerCycle())
 }
 
 // checkSerial is the single-workload differential oracle: with no tenant to
@@ -194,9 +242,9 @@ func checkPermutationFair(sc *Scenario, fwd, rev *Outcome, latencyBound, makespa
 		return problems
 	}
 	var slack float64
-	for wi := range sc.Workloads {
-		_, perReq := serialExpectation(sc, fwd.Scheme, wi)
-		slack += float64(perReq)
+	t, capacity := sc.tiling(fwd.Scheme), sc.Config.HBMBytesPerCycle()
+	for _, w := range sc.Workloads {
+		slack += float64(t.serviceCycles(w, capacity))
 	}
 	if fwd.Scheme == SchemePMT {
 		// PMT rotates in whole-core quanta, not operators: going last costs

@@ -83,31 +83,36 @@ type Scenario struct {
 	Workloads     []WorkloadSpec `json:"workloads"`
 }
 
-// graph materializes one workload's operator DAG (fresh per call so callers
-// may tile or mutate it freely). Its Ops carry ascending IDs, and so do
-// TileForVMem's, so the estimators walk a graph's Ops in place as the
-// scheduler's LinearizeInto order.
+// traceOp is the operator the runner executes for o, apart from its place in
+// the workload's chain (ID and Deps).
+func (o OpSpec) traceOp() trace.Op {
+	kind := trace.KindVU
+	if o.Kind == "SA" {
+		kind = trace.KindSA
+	}
+	return trace.Op{
+		Kind:       kind,
+		Compute:    o.Compute,
+		Stall:      o.Stall,
+		Efficiency: o.Efficiency,
+		FLOPs:      2 * float64(o.Compute), // nominal; checker does not rely on it
+		HBMBytes:   o.HBMBytes,
+		VMemBytes:  o.VMemBytes,
+	}
+}
+
+// graph materializes one workload's operator DAG, a chain of its Ops in
+// order (fresh per call so callers may tile or mutate it freely). Its Ops
+// carry ascending IDs, and so do its tiled copies, so the scheduler executes
+// them in slice order: the estimators, which never materialize the graph,
+// walk the OpSpecs and their tiles in that same order.
 func (w WorkloadSpec) graph() *trace.Graph {
 	g := &trace.Graph{Ops: make([]trace.Op, len(w.Ops))}
 	for i, op := range w.Ops {
-		kind := trace.KindVU
-		if op.Kind == "SA" {
-			kind = trace.KindSA
-		}
-		var deps []int
+		g.Ops[i] = op.traceOp()
+		g.Ops[i].ID = i
 		if i > 0 {
-			deps = []int{i - 1}
-		}
-		g.Ops[i] = trace.Op{
-			ID:         i,
-			Kind:       kind,
-			Compute:    op.Compute,
-			Stall:      op.Stall,
-			Efficiency: op.Efficiency,
-			FLOPs:      2 * float64(op.Compute), // nominal; checker does not rely on it
-			HBMBytes:   op.HBMBytes,
-			VMemBytes:  op.VMemBytes,
-			Deps:       deps,
+			g.Ops[i].Deps = []int{i - 1}
 		}
 	}
 	return g

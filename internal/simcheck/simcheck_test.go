@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"v10/internal/mathx"
-	"v10/internal/npu"
 	"v10/internal/trace"
 )
 
@@ -211,27 +210,15 @@ func join(problems []string) string {
 	return s
 }
 
-// TestGeneratedGraphsInExecutionOrder backs the estimators' in-place walk of
-// a graph's Ops: for every arm's generated workloads, untiled and tiled, Ops
-// already is the scheduler's LinearizeInto order.
+// TestGeneratedGraphsInExecutionOrder backs the estimators' walk of the
+// OpSpecs, tile by tile, in slice order: for every arm's generated workloads,
+// untiled and tiled, Ops already is the scheduler's LinearizeInto order.
 func TestGeneratedGraphsInExecutionOrder(t *testing.T) {
 	for _, arm := range Arms {
 		tiled := 0
 		for seed := uint64(0); seed < 20; seed++ {
-			var cfg npu.CoreConfig
-			var specs []WorkloadSpec
-			switch sc := arm.Gen(seed).(type) {
-			case *Scenario:
-				cfg, specs = sc.Config, sc.Workloads
-			case *ChaosScenario:
-				cfg, specs = sc.Config, sc.Workloads
-			case *IsolationScenario:
-				cfg, specs = sc.Config, sc.Workloads
-			case *ElasticScenario:
-				cfg, specs = sc.Config, sc.Workloads
-			default:
-				t.Fatalf("%s arm: unexpected scenario type %T", arm.Name, sc)
-			}
+			sc := estimatorScenario(t, arm.Name, arm.Gen(seed))
+			cfg, specs := sc.Config, sc.Workloads
 			for wi, spec := range specs {
 				g := spec.graph()
 				var maxVMem int64
@@ -240,7 +227,7 @@ func TestGeneratedGraphsInExecutionOrder(t *testing.T) {
 				}
 				// The arm's own vmem partition, then one that forces tiling.
 				for _, part := range []int64{cfg.VMemBytes / int64(len(specs)), maxVMem / 2} {
-					tg := trace.TileForVMem(g, part, 0.5)
+					tg := trace.TileForVMemInto(nil, g, part, 0.5)
 					if tg != g {
 						tiled++
 					}

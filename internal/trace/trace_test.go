@@ -177,7 +177,7 @@ func TestNewWorkloadNilGenPanics(t *testing.T) {
 
 func TestTileForVMemNoChangeWhenFits(t *testing.T) {
 	g := &Graph{Ops: []Op{{ID: 0, Kind: KindSA, Compute: 100, VMemBytes: 10}}}
-	out := TileForVMem(g, 100, 0.5)
+	out := TileForVMemInto(nil, g, 100, 0.5)
 	if out != g {
 		t.Fatal("fitting graph should be returned unchanged")
 	}
@@ -188,7 +188,7 @@ func TestTileForVMemSplitsOversized(t *testing.T) {
 		{ID: 0, Kind: KindSA, Compute: 90, Stall: 9, FLOPs: 900, HBMBytes: 300, VMemBytes: 300},
 		{ID: 1, Kind: KindVU, Compute: 10, Deps: []int{0}, VMemBytes: 50},
 	}}
-	out := TileForVMem(g, 100, 0.5)
+	out := TileForVMemInto(nil, g, 100, 0.5)
 	if err := out.Validate(); err != nil {
 		t.Fatalf("tiled graph invalid: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestTileForVMemSplitsOversized(t *testing.T) {
 
 func TestTileForVMemZeroPartitionNoop(t *testing.T) {
 	g := &Graph{Ops: []Op{{ID: 0, VMemBytes: 1 << 30}}}
-	if TileForVMem(g, 0, 0.5) != g {
+	if TileForVMemInto(nil, g, 0, 0.5) != g {
 		t.Fatal("partition<=0 must be a no-op")
 	}
 }
@@ -249,7 +249,7 @@ func TestTileForVMemConservationProperty(t *testing.T) {
 			g.Ops = append(g.Ops, op)
 		}
 		partition := int64(1024 + rng.Intn(1<<20))
-		out := TileForVMem(g, partition, 0.5)
+		out := TileForVMemInto(nil, g, partition, 0.5)
 		if out.Validate() != nil {
 			return false
 		}
@@ -267,6 +267,69 @@ func TestTileForVMemConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TileOf's (k, first, rest) must be exactly what TileForVMemInto lays out
+// for the operator: first as tile 0, rest as each later tile.
+func TestTileOfMatchesTileForVMemInto(t *testing.T) {
+	const part = 100
+	cases := []struct {
+		name      string
+		op        Op
+		partition int64
+		k         int64
+	}{
+		{"remainders", Op{Kind: KindSA, Compute: 10, Stall: 7, Efficiency: 0.7, FLOPs: 20, HBMBytes: 30, VMemBytes: 3*part - 1}, part, 3},
+		{"even split", Op{Kind: KindVU, Compute: 12, Stall: 6, FLOPs: 24, HBMBytes: 60, VMemBytes: 4 * part}, part, 4},
+		{"fits", Op{Kind: KindSA, Compute: 9, Stall: 4, FLOPs: 18, HBMBytes: 5, VMemBytes: part}, part, 1},
+		{"zero compute", Op{Kind: KindVU, Stall: 5, HBMBytes: 1e6, VMemBytes: 2*part + 1}, part, 3},
+		{"zero stall", Op{Kind: KindSA, Compute: 7, VMemBytes: 5 * part}, part, 5},
+		{"fewer cycles than tiles", Op{Kind: KindSA, Compute: 2, Stall: 1, VMemBytes: 8 * part}, part, 8},
+		{"zero partition", Op{Kind: KindSA, Compute: 9, Stall: 4, VMemBytes: 1 << 30}, 0, 1},
+		{"negative partition", Op{Kind: KindVU, Compute: 9, Stall: 4, VMemBytes: 1 << 30}, -part, 1},
+	}
+	if n := reflect.TypeOf(Op{}).NumField(); n != 9 {
+		t.Fatalf("Op has %d fields; setTile sets 9, so teach it the new ones", n)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k, first, rest := TileOf(c.op, c.partition, 0.5)
+			if k != c.k {
+				t.Fatalf("k = %d, want %d", k, c.k)
+			}
+			if first.Compute+(k-1)*rest.Compute != c.op.Compute || first.Stall+(k-1)*rest.Stall != c.op.Stall {
+				t.Fatalf("tiles do not conserve cycles: first %+v rest %+v", first, rest)
+			}
+			if first.Compute != c.op.Compute/k+c.op.Compute%k || first.Stall != c.op.Stall/k+c.op.Stall%k {
+				t.Fatalf("first tile %+v does not carry the remainders", first)
+			}
+			g := &Graph{Ops: []Op{c.op}}
+			out := TileForVMemInto(nil, g, c.partition, 0.5)
+			if k == 1 {
+				if out != g || !reflect.DeepEqual(first, c.op) {
+					t.Fatalf("one tile: got graph %p (input %p), first %+v, want the op unchanged", out, g, first)
+				}
+				return
+			}
+			if int64(len(out.Ops)) != k {
+				t.Fatalf("TileForVMemInto laid out %d tiles, TileOf says %d", len(out.Ops), k)
+			}
+			for i, got := range out.Ops {
+				want := rest
+				if i == 0 {
+					want = first
+				}
+				want.ID = i
+				want.Deps = []int{} // the op has no Deps of its own
+				if i > 0 {
+					want.Deps = []int{i - 1}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("tile %d = %+v, TileOf gives %+v", i, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -350,7 +413,7 @@ func TestTileForVMemIntoMatchesFresh(t *testing.T) {
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
 			orig := cloneGraph(g)
-			fresh := TileForVMem(g, partition, 0.5)
+			fresh := TileForVMemInto(nil, g, partition, 0.5)
 			if fresh == g {
 				t.Fatal("case needs no tiling")
 			}
@@ -370,7 +433,7 @@ func TestTileForVMemIntoMatchesFresh(t *testing.T) {
 		})
 	}
 	// A graph that fits is returned as is, leaving dst alone.
-	dst := TileForVMem(larger, partition, 0.5)
+	dst := TileForVMemInto(nil, larger, partition, 0.5)
 	before := cloneGraph(dst)
 	fits := chainGraph(1, 2, 3)
 	if got := TileForVMemInto(dst, fits, partition, 0.5); got != fits || !reflect.DeepEqual(cloneGraph(dst), before) {
@@ -405,4 +468,20 @@ func hbmBytes(g *Graph) float64 {
 		s += op.HBMBytes
 	}
 	return s
+}
+
+// tiledSink keeps BenchmarkTileForVMemInto's result live.
+var tiledSink *Graph
+
+// BenchmarkTileForVMemInto tiles a 200-operator graph into reused storage, as
+// the scheduler does once per request under vector-memory pressure.
+func BenchmarkTileForVMemInto(b *testing.B) {
+	g := randomGraph(mathx.NewRNG(7), 200)
+	dst := &Graph{}
+	TileForVMemInto(dst, g, 1<<20, 0.5) // size dst's storage, as a warm scheduler has
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		tiledSink = TileForVMemInto(dst, g, 1<<20, 0.5)
+	}
 }

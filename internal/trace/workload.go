@@ -109,19 +109,53 @@ func (w *Workload) ProfileStats(n int) []Stats {
 	return m.stats[:n:n]
 }
 
-// TileForVMem rewrites g so that no operator's vector-memory footprint
-// exceeds partition bytes. An oversized operator is split into k equal tiles
-// executed back to back; each reload of intermediate data from HBM loses
-// on-chip reuse, so total HBM traffic grows by reloadFactor per extra tile
-// (the Fig. 24 effect). partition <= 0 returns g unchanged.
-func TileForVMem(g *Graph, partition int64, reloadFactor float64) *Graph {
-	return TileForVMemInto(nil, g, partition, reloadFactor)
+// TileOf is the vector-memory tiling rule for one operator. An operator whose
+// footprint exceeds partition bytes is split into k equal tiles executed back
+// to back; each reload of intermediate data from HBM loses on-chip reuse, so
+// its total HBM traffic grows by reloadFactor per extra tile (the Fig. 24
+// effect). first is the first tile, which also carries the Compute%k and
+// Stall%k remainders; rest is each of the other k-1 tiles (equal to first
+// when k = 1). Both keep op's ID and Deps for the caller to place. An
+// operator that fits is one tile of its own fields at any finite
+// reloadFactor; partition <= 0 returns op itself as its one tile.
+func TileOf(op Op, partition int64, reloadFactor float64) (k int64, first, rest Op) {
+	if partition <= 0 {
+		return 1, op, op
+	}
+	k = tilesFor(op, partition)
+	setTile(&first, &op, k, 0, partition, reloadFactor)
+	setTile(&rest, &op, k, 1, partition, reloadFactor)
+	return k, first, rest
 }
 
-// TileForVMemInto is TileForVMem writing the tiled graph into dst, whose Ops,
-// DepsBuf and remap storage are reused (a nil dst allocates a fresh graph).
-// It returns g itself, leaving dst untouched, when no operator needs tiling.
-// dst must not be g; g is never modified.
+// setTile writes tile t of op's k tiles into dst, keeping op's ID and Deps.
+// It is TileOf's rule, written field by field into place so that
+// TileForVMemInto fills its output without copying whole operators; it sets
+// every field of Op.
+func setTile(dst, op *Op, k, t, partition int64, reloadFactor float64) {
+	totalHBM := op.HBMBytes * (1 + reloadFactor*float64(k-1))
+	dst.ID = op.ID
+	dst.Kind = op.Kind
+	dst.Compute = op.Compute / k
+	dst.Stall = op.Stall / k
+	if t == 0 {
+		// The first tile carries the rounding remainders.
+		dst.Compute += op.Compute % k
+		dst.Stall += op.Stall % k
+	}
+	dst.Efficiency = op.Efficiency
+	dst.FLOPs = op.FLOPs / float64(k)
+	dst.HBMBytes = totalHBM / float64(k)
+	dst.VMemBytes = mathx.MinInt64(op.VMemBytes, partition)
+	dst.Deps = op.Deps
+}
+
+// TileForVMemInto rewrites g so that no operator's vector-memory footprint
+// exceeds partition bytes, splitting each oversized operator by TileOf into
+// a chain of tiles. The tiled graph is written into dst, whose Ops, DepsBuf
+// and remap storage are reused (a nil dst allocates a fresh graph). It
+// returns g itself, leaving dst untouched, when no operator needs tiling or
+// partition <= 0. dst must not be g; g is never modified.
 func TileForVMemInto(dst, g *Graph, partition int64, reloadFactor float64) *Graph {
 	if partition <= 0 {
 		return g
@@ -146,14 +180,14 @@ func TileForVMemInto(dst, g *Graph, partition int64, reloadFactor float64) *Grap
 	remap := resize(dst.remap, len(g.Ops))
 	clear(remap) // an out-of-order Dep reads 0, as from fresh storage
 	dst.remap = remap
-	for _, op := range g.Ops {
-		k := tilesFor(op, partition)
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		k := tilesFor(*op, partition)
 		start := len(dst.DepsBuf)
 		for _, d := range op.Deps {
 			dst.DepsBuf = append(dst.DepsBuf, remap[d])
 		}
 		deps := dst.DepsBuf[start:len(dst.DepsBuf):len(dst.DepsBuf)]
-		totalHBM := op.HBMBytes * (1 + reloadFactor*float64(k-1))
 		for t := int64(0); t < k; t++ {
 			if t > 0 {
 				// Later tiles chain on the previous tile.
@@ -161,23 +195,11 @@ func TileForVMemInto(dst, g *Graph, partition int64, reloadFactor float64) *Grap
 				n := len(dst.DepsBuf)
 				deps = dst.DepsBuf[n-1 : n : n]
 			}
-			tile := Op{
-				ID:         len(dst.Ops),
-				Kind:       op.Kind,
-				Compute:    op.Compute / k,
-				Stall:      op.Stall / k,
-				Efficiency: op.Efficiency,
-				FLOPs:      op.FLOPs / float64(k),
-				HBMBytes:   totalHBM / float64(k),
-				VMemBytes:  mathx.MinInt64(op.VMemBytes, partition),
-				Deps:       deps,
-			}
-			if t == 0 {
-				// Distribute rounding remainders onto the first tile.
-				tile.Compute += op.Compute % k
-				tile.Stall += op.Stall % k
-			}
-			dst.Ops = append(dst.Ops, tile)
+			n := len(dst.Ops)
+			dst.Ops = dst.Ops[:n+1] // within the capacity sized above
+			tile := &dst.Ops[n]
+			setTile(tile, op, k, t, partition, reloadFactor)
+			tile.ID, tile.Deps = n, deps
 		}
 		remap[op.ID] = len(dst.Ops) - 1
 	}
