@@ -118,13 +118,13 @@ func TestMinimizeFleetArm(t *testing.T) {
 	}
 	a := *chaos
 	a.Check = func(sc any, _ int) []string {
-		if len(sc.(*simcheck.ChaosScenario).Workloads) > 0 {
+		if len(sc.(*simcheck.FleetScenario).Workloads) > 0 {
 			return []string{"planted: fleet serves tenants"}
 		}
 		return nil
 	}
 	size := func(sc any) int {
-		cs := sc.(*simcheck.ChaosScenario)
+		cs := sc.(*simcheck.FleetScenario)
 		return len(cs.Workloads) + len(cs.Faults)
 	}
 	fail := a.Trial(0, 1)

@@ -26,6 +26,7 @@ var exportsTestOnly = map[string]bool{
 var exportsAllowed = map[string]string{
 	"internal/faults.MarshalJSON":      "json.Marshaler, called through the interface",
 	"internal/faults.UnmarshalJSON":    "json.Unmarshaler, called through the interface",
+	"internal/simcheck.UnmarshalJSON":  "json.Unmarshaler, called through the interface",
 	"internal/sim.EventStats":          "engine counters the planned v10serve -selfstats report reads (ROADMAP)",
 	"internal/sim.ChurnStats":          "fluid-pool counters the planned v10serve -selfstats report reads (ROADMAP)",
 	"internal/sim.TotalBytes":          "fluid-pool traffic the planned v10serve -selfstats report reads (ROADMAP)",

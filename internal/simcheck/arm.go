@@ -29,18 +29,22 @@ type Arm struct {
 
 // Arms lists every harness: base (all scheduling schemes under the invariant
 // checker and differential oracles), workload (explicit arrival schedules),
-// chaos (fleet fault injection), isolation (vNPU noisy neighbors) and
-// elastic (the autoscaling control plane).
+// and the fleet arms chaos (fault injection), isolation (vNPU noisy
+// neighbors) and elastic (the autoscaling control plane).
 var Arms = []Arm{
 	newArm("base", GenScenario, checkScheme, shrinkCandidates, writeTimeline),
 	newArm("workload", GenWorkloadScenario, checkScheme, shrinkCandidates, writeTimeline),
-	newArm("chaos", GenChaosScenario, checkChaos, shrinkChaos, nil),
-	newArm("isolation", GenIsolationScenario, func(is *IsolationScenario, width int) []string {
-		return checkIsolation(is, width, nil, nil)
-	}, shrinkIsolation, nil),
-	newArm("elastic", GenElasticScenario, func(es *ElasticScenario, width int) []string {
-		return checkElastic(es, width, nil, nil)
-	}, shrinkElastic, nil),
+	fleetArm("chaos", GenChaosScenario),
+	fleetArm("isolation", GenIsolationScenario),
+	fleetArm("elastic", GenElasticScenario),
+}
+
+// fleetArm is a fleet arm's row: its generator fills one block of the
+// FleetScenario that checkFleet and shrinkFleet take.
+func fleetArm(name string, gen func(uint64) *FleetScenario) Arm {
+	return newArm(name, gen, func(fs *FleetScenario, width int) []string {
+		return checkFleet(fs, width, hooks{})
+	}, shrinkFleet, nil)
 }
 
 // newArm erases an arm's scenario type S behind the table's uniform shape.

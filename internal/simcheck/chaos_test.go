@@ -8,10 +8,6 @@ import (
 	"v10/internal/fleet"
 )
 
-func fleetRunForTest(cs *ChaosScenario) (*fleet.Result, error) {
-	return fleet.Run(buildWorkloads(cs.Workloads, false), cs.options(&faults.Schedule{Faults: cs.Faults}))
-}
-
 func TestGenChaosScenarioDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		a, _ := json.Marshal(GenChaosScenario(seed))
@@ -41,9 +37,8 @@ func TestChaosTrialsCoverFailures(t *testing.T) {
 	// The trial results themselves: reuse two seeds known (by construction,
 	// any healthy generator) to produce recoveries.
 	for seed := uint64(0); seed < 40 && (migs == 0 || sheds == 0); seed++ {
-		cs := GenChaosScenario(seed)
-		res, err := fleetRunForTest(cs)
-		if err != nil || res == nil {
+		res := fleetRunForTest(t, GenChaosScenario(seed))
+		if res == nil {
 			continue
 		}
 		migs += res.Migrated
@@ -61,12 +56,12 @@ func TestChaosTrialsCoverFailures(t *testing.T) {
 // sheds every victim when migration is off, so a single landing is a bug
 // even when nothing was migration-shed.
 func TestChaosNoMigrationOracle(t *testing.T) {
-	cs := &ChaosScenario{Cores: 2, NoMigration: true}
+	cs := &FleetScenario{Cores: 2, FaultBlock: &FaultBlock{NoMigration: true}}
 	res := &fleet.Result{
 		Offered: 1, Admitted: 1, Completed: 1, Migrated: 1,
 		Tenants: []fleet.TenantStats{{Offered: 1, Admitted: 1, Completed: 1, Migrated: 1}},
 	}
-	requireProblem(t, checkChaosConservation(cs, res, true), "migration landing(s) under NoMigration")
+	requireProblem(t, checkConservation(cs, res, true), "migration landing(s) under NoMigration")
 }
 
 // FuzzFaultSchedule mutates fault-spec strings against a generated fleet
@@ -91,7 +86,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			return // e.g. core index beyond this scenario's fleet
 		}
 		cs.Faults = schedule.Faults
-		if problems := CheckChaosScenario(cs); len(problems) > 0 {
+		if problems := CheckFleetScenario(cs); len(problems) > 0 {
 			j, _ := json.MarshalIndent(&Repro{Kind: "chaos", Seed: seed, Scenario: cs, Problems: problems}, "", "  ")
 			t.Fatalf("seed %d spec %q:\n%s", seed, spec, j)
 		}

@@ -5,31 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"v10/internal/collocate"
 	"v10/internal/ctlplane"
 	"v10/internal/fleet"
 	"v10/internal/models"
 	"v10/internal/trace"
 )
-
-// elasticRunForTest materializes and runs one elastic scenario the same way
-// the checker does, for liveliness counting and mutation seed searches.
-func elasticRunForTest(t *testing.T, es *ElasticScenario) *fleet.Result {
-	t.Helper()
-	arr, err := es.arrivals()
-	if err != nil {
-		t.Fatalf("seed %d: traffic: %v", es.Seed, err)
-	}
-	ws := buildWorkloads(es.Workloads, false)
-	var model *collocate.Model
-	if es.Recluster {
-		if model, err = es.trainModel(ws); err != nil {
-			t.Fatalf("seed %d: training: %v", es.Seed, err)
-		}
-	}
-	res, _ := fleet.Run(ws, es.options(arr, model))
-	return res
-}
 
 func TestGenElasticScenarioDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
@@ -57,7 +37,7 @@ func TestElasticTrialsCoverScaling(t *testing.T) {
 				churned++
 			}
 		}
-		res := elasticRunForTest(t, es)
+		res := fleetRunForTest(t, es)
 		if res == nil || res.Control == nil {
 			continue
 		}
@@ -90,11 +70,11 @@ func TestElasticTrialsCoverScaling(t *testing.T) {
 
 // findElasticSeed scans seeds until the natural run satisfies the predicate;
 // mutation tests use it to pick a trial where the injected bug is observable.
-func findElasticSeed(t *testing.T, limit uint64, ok func(*ElasticScenario, *fleet.Result) bool) *ElasticScenario {
+func findElasticSeed(t *testing.T, limit uint64, ok func(*FleetScenario, *fleet.Result) bool) *FleetScenario {
 	t.Helper()
 	for seed := uint64(0); seed < limit; seed++ {
 		es := GenElasticScenario(seed)
-		res := elasticRunForTest(t, es)
+		res := fleetRunForTest(t, es)
 		if res != nil && res.Control != nil && ok(es, res) {
 			return es
 		}
@@ -126,13 +106,13 @@ func TestElasticMutationIgnoredCooldownCaught(t *testing.T) {
 		}
 		return idx
 	}
-	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
+	es := findElasticSeed(t, 40, func(_ *FleetScenario, res *fleet.Result) bool {
 		return len(scaleIdx(res)) >= 2
 	})
-	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
+	problems := checkFleet(es, 0, hooks{res: func(res *fleet.Result) {
 		idx := scaleIdx(res)
 		res.Control.Decisions[idx[1]].AtCycle = res.Control.Decisions[idx[0]].AtCycle + 1
-	})
+	}})
 	requireProblem(t, problems, "cooldown violated")
 }
 
@@ -140,7 +120,7 @@ func TestElasticMutationIgnoredCooldownCaught(t *testing.T) {
 // victim request (readmitted but never accounted) — the conservation oracle
 // must flag the leak.
 func TestElasticMutationDrainLeakCaught(t *testing.T) {
-	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
+	es := findElasticSeed(t, 40, func(_ *FleetScenario, res *fleet.Result) bool {
 		for _, ts := range res.Tenants {
 			if ts.Readmitted > 0 {
 				return true
@@ -148,14 +128,14 @@ func TestElasticMutationDrainLeakCaught(t *testing.T) {
 		}
 		return false
 	})
-	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
+	problems := checkFleet(es, 0, hooks{res: func(res *fleet.Result) {
 		for i := range res.Tenants {
 			if res.Tenants[i].Readmitted > 0 {
 				res.Tenants[i].Readmitted--
 				return
 			}
 		}
-	})
+	}})
 	requireProblem(t, problems, "leaked during drain")
 }
 
@@ -163,12 +143,12 @@ func TestElasticMutationDrainLeakCaught(t *testing.T) {
 // stops updating centroids as the mix churns (drift frozen at zero) — the
 // recluster-consistency replay must contradict it.
 func TestElasticMutationStaleCentroidCaught(t *testing.T) {
-	es := findElasticSeed(t, 60, func(es *ElasticScenario, res *fleet.Result) bool {
+	es := findElasticSeed(t, 60, func(es *FleetScenario, res *fleet.Result) bool {
 		return es.Recluster && res.Control.ModelDrift > 0
 	})
-	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
+	problems := checkFleet(es, 0, hooks{res: func(res *fleet.Result) {
 		res.Control.ModelDrift = 0
-	})
+	}})
 	requireProblem(t, problems, "stale")
 }
 
@@ -177,9 +157,9 @@ func TestElasticMutationStaleCentroidCaught(t *testing.T) {
 // must flag the skew.
 func TestElasticMutationEstimateSkewCaught(t *testing.T) {
 	es := GenElasticScenario(0)
-	problems := checkElastic(es, 0, func(o *fleet.Options) {
+	problems := checkFleet(es, 0, hooks{opts: func(o *fleet.Options) {
 		o.EstimateScale = 2
-	}, nil)
+	}})
 	requireProblem(t, problems, "skewed")
 }
 
@@ -212,10 +192,10 @@ func TestElasticEstimateOracleCatchesShiftedProfile(t *testing.T) {
 		}
 		return res
 	}
-	if problems := checkEstimateConsistency(es, ws, slos(0)); len(problems) > 0 {
+	if problems := checkEstimateConsistency(ws, slos(0)); len(problems) > 0 {
 		t.Fatalf("SLOs from requests 0..n-1 flagged: %v", problems)
 	}
-	requireProblem(t, checkEstimateConsistency(es, ws, slos(1)), "skewed")
+	requireProblem(t, checkEstimateConsistency(ws, slos(1)), "skewed")
 }
 
 // TestElasticMutationDroppedEventCaught injects a tracer that swallows
@@ -223,12 +203,12 @@ func TestElasticEstimateOracleCatchesShiftedProfile(t *testing.T) {
 // and the metrics disagree. (Events are attached by the checker itself, so
 // the injection corrupts the result's view instead.)
 func TestElasticMutationDroppedEventCaught(t *testing.T) {
-	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
+	es := findElasticSeed(t, 40, func(_ *FleetScenario, res *fleet.Result) bool {
 		return res.Control.ScaleUps > 0
 	})
-	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
+	problems := checkFleet(es, 0, hooks{res: func(res *fleet.Result) {
 		res.Control.ScaleUps++
-	})
+	}})
 	requireProblem(t, problems, "scale-up event")
 }
 
@@ -236,12 +216,12 @@ func TestElasticMutationDroppedEventCaught(t *testing.T) {
 // below the final one on a run that scaled down — the peak folds in every
 // window and scale-up, so no run may end above it.
 func TestElasticMutationPeakBelowFinalCaught(t *testing.T) {
-	es := findElasticSeed(t, 40, func(_ *ElasticScenario, res *fleet.Result) bool {
+	es := findElasticSeed(t, 40, func(_ *FleetScenario, res *fleet.Result) bool {
 		return res.Control.ScaleDowns > 0
 	})
-	problems := checkElastic(es, 0, nil, func(res *fleet.Result) {
+	problems := checkFleet(es, 0, hooks{res: func(res *fleet.Result) {
 		res.Control.PeakActiveCores = res.Control.FinalActiveCores - 1
-	})
+	}})
 	requireProblem(t, problems, "active-core accounting inconsistent")
 }
 
@@ -254,7 +234,7 @@ func TestElasticScenarioRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back ElasticScenario
+	var back FleetScenario
 	if err := json.Unmarshal(j, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +242,7 @@ func TestElasticScenarioRoundTrips(t *testing.T) {
 	if string(j) != string(j2) {
 		t.Fatal("elastic scenario does not round-trip through JSON")
 	}
-	if problems := CheckElasticScenario(&back); len(problems) > 0 {
+	if problems := CheckFleetScenario(&back); len(problems) > 0 {
 		t.Fatalf("round-tripped scenario fails its own check: %v", problems)
 	}
 }

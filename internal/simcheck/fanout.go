@@ -45,11 +45,19 @@ type fleetRun struct {
 	err error
 }
 
+// observeFleetRun, when set, sees every fleet run's outcome as the run
+// returns. It is a test seam: the fleet-arm pin test hashes every run of a
+// serial trial through it.
+var observeFleetRun func(*fleet.Result, error)
+
 // runFleet defers fleet.Run(ws, o) for fanOut. ws may be shared between
 // runs: workloads synthesize each request into the caller's scratch.
 func runFleet(ws []*trace.Workload, o fleet.Options) func() fleetRun {
 	return func() fleetRun {
 		res, err := fleet.Run(ws, o)
+		if observeFleetRun != nil {
+			observeFleetRun(res, err)
+		}
 		return fleetRun{res, err}
 	}
 }

@@ -82,18 +82,18 @@ func TestFanOutMatchesSerialUnderMutation(t *testing.T) {
 			return violationProblems(checkScenario(livelock, w, nil))
 		}},
 		{"elastic: skewed estimates", func(w int) []string {
-			return checkElastic(es, w, func(o *fleet.Options) { o.EstimateScale = 2 }, nil)
+			return checkFleet(es, w, hooks{opts: func(o *fleet.Options) { o.EstimateScale = 2 }})
 		}},
 		{"elastic: phantom scale-up", func(w int) []string {
-			return checkElastic(es, w, nil, func(res *fleet.Result) { res.Control.ScaleUps++ })
+			return checkFleet(es, w, hooks{res: func(res *fleet.Result) { res.Control.ScaleUps++ }})
 		}},
 		{"isolation: doubled grants", func(w int) []string {
-			return checkIsolation(is, w, func(e obs.Event) (obs.Event, bool) {
+			return checkFleet(is, w, hooks{wrap: eventFilter(func(e obs.Event) (obs.Event, bool) {
 				if e.Type == obs.EvSliceHBM {
 					e.Arg1 *= 2
 				}
 				return e, true
-			}, nil)
+			})})
 		}},
 	} {
 		if p := sameAtWidths(t, tc.name, tc.check); len(p) == 0 {
@@ -108,7 +108,7 @@ func TestFanOutMatchesSerialUnderMutation(t *testing.T) {
 func TestFanOutRecoversPanic(t *testing.T) {
 	is := throttledScenario(t)
 	p := sameAtWidths(t, "isolation", func(w int) []string {
-		return checkIsolation(is, w, func(obs.Event) (obs.Event, bool) { panic("planted") }, nil)
+		return checkFleet(is, w, hooks{wrap: eventFilter(func(obs.Event) (obs.Event, bool) { panic("planted") })})
 	})
 	if !slices.Equal(p, []string{"panic: planted"}) {
 		t.Errorf("panicking noisy run: problems %q, want exactly [panic: planted]", p)

@@ -15,11 +15,7 @@ func estimatorScenario(t testing.TB, arm string, scenario any) *Scenario {
 	switch sc := scenario.(type) {
 	case *Scenario:
 		return sc
-	case *ChaosScenario:
-		return &Scenario{Config: sc.Config, Workloads: sc.Workloads}
-	case *IsolationScenario:
-		return &Scenario{Config: sc.Config, Workloads: sc.Workloads}
-	case *ElasticScenario:
+	case *FleetScenario:
 		return &Scenario{Config: sc.Config, Workloads: sc.Workloads}
 	}
 	t.Fatalf("%s arm: unexpected scenario type %T", arm, scenario)

@@ -1,8 +1,8 @@
-// Isolation harness: seeded noisy-neighbor trials on a vNPU-sliced core. An
-// IsolationScenario pins a well-behaved victim tenant into slice 0 and a
-// pack of aggressors — HBM flooders, vector-memory hogs, or an MMPP flash
-// crowd — into the sibling slice, then asserts the spatial-partitioning
-// contract:
+// Isolation arm: seeded noisy-neighbor trials on a vNPU-sliced core. A
+// generated scenario's slices block pins a well-behaved victim tenant into
+// slice 0 and a pack of aggressors — HBM flooders, vector-memory hogs, or an
+// MMPP flash crowd — into the sibling slice, and the block's oracles assert
+// the spatial-partitioning contract:
 //
 //   - containment: the victim's p99 latency with the noisy neighbor next
 //     door stays within a constant factor (plus window-granularity slack)
@@ -13,8 +13,7 @@
 //     the slice ceilings sum to at most the device's vector memory;
 //   - consistency: the event stream and the SliceStats counters tell one
 //     story (bytes and throttle stalls match up to the documented
-//     in-flight slack);
-//   - determinism: the same seed reproduces the noisy run bit for bit.
+//     in-flight slack).
 package simcheck
 
 import (
@@ -47,31 +46,11 @@ const IsolationSlack = 4
 // all three).
 var AggressorKinds = []string{"hbm-flood", "vmem-hog", "flash-crowd"}
 
-// IsolationScenario is one self-contained noisy-neighbor trial on a sliced
-// core. It serializes to JSON so a failing seed replays from a repro file.
-// Workloads[0] is the victim (pinned to slice 0); every other workload is an
-// aggressor (pinned to slice 1). Arrivals[i] is workload i's explicit
-// arrival schedule.
-type IsolationScenario struct {
-	Seed           uint64          `json:"seed"`
-	Config         npu.CoreConfig  `json:"config"`
-	Scheme         string          `json:"scheme"`
-	Aggressor      string          `json:"aggressor"`
-	Templates      []vnpu.Template `json:"templates"`
-	WindowCycles   int64           `json:"window_cycles"`
-	DurationCycles int64           `json:"duration_cycles"`
-	QueueLimit     int             `json:"queue_limit"`
-	Workloads      []WorkloadSpec  `json:"workloads"`
-	Arrivals       [][]int64       `json:"arrivals"`
-	Bound          float64         `json:"bound"`
-	SlackCycles    int64           `json:"slack_cycles"`
-}
-
 // GenIsolationScenario derives a complete noisy-neighbor trial from one
 // seed: slice split, token-bucket window, an SA-bound victim, and one to two
 // aggressors of the seed's archetype with arrival schedules hot enough to
 // saturate their slice. Same seed, same scenario.
-func GenIsolationScenario(seed uint64) *IsolationScenario {
+func GenIsolationScenario(seed uint64) *FleetScenario {
 	rng := mathx.NewRNG(seed + 0x150a71)
 	cfg := npu.DefaultConfig()
 	cfg.TimeSlice = pick64(rng, 8192, 32768)
@@ -81,20 +60,24 @@ func GenIsolationScenario(seed uint64) *IsolationScenario {
 	aggFrac := 1 - victimFrac
 	window := pick64(rng, 16384, 65536)
 
-	is := &IsolationScenario{
-		Seed:      seed,
-		Config:    cfg,
-		Scheme:    pickScheme(rng),
-		Aggressor: kind,
-		Templates: []vnpu.Template{
-			{Name: "victim", Compute: victimFrac, VMem: victimFrac, HBM: victimFrac},
-			{Name: "noisy", Compute: aggFrac, VMem: aggFrac, HBM: aggFrac},
-		},
-		WindowCycles:   window,
+	is := &FleetScenario{
+		Seed:           seed,
+		Config:         cfg,
+		Cores:          1,
+		Scheme:         pickScheme(rng),
+		Policy:         string(fleet.PolicyLeastLoaded),
 		DurationCycles: pick64(rng, 1_000_000, 2_000_000),
 		QueueLimit:     32,
-		Bound:          IsolationBound,
-		SlackCycles:    IsolationSlack * (window + cfg.TimeSlice),
+		SliceBlock: &SliceBlock{
+			Aggressor: kind,
+			Templates: []vnpu.Template{
+				{Name: "victim", Compute: victimFrac, VMem: victimFrac, HBM: victimFrac},
+				{Name: "noisy", Compute: aggFrac, VMem: aggFrac, HBM: aggFrac},
+			},
+			WindowCycles: window,
+			Bound:        IsolationBound,
+			SlackCycles:  IsolationSlack * (window + cfg.TimeSlice),
+		},
 	}
 
 	// Victim: a systolic-array-bound chain with moderate HBM traffic — the
@@ -150,9 +133,8 @@ func GenIsolationScenario(seed uint64) *IsolationScenario {
 	// capacity; aggressors offer up to several times theirs. Flash crowds
 	// arrive as MMPP bursts, everything else as Poisson.
 	sc := &Scenario{Config: cfg, Workloads: is.Workloads}
-	eng := workload.Engine{Config: cfg, HorizonCycles: is.DurationCycles, Seed: seed}
-	is.Arrivals = make([][]int64, len(is.Workloads))
-	for i := range is.Workloads {
+	specs := make([]workload.Spec, len(is.Workloads))
+	for i := range specs {
 		frac, util := victimFrac, 0.25
 		spec := workload.Spec{Process: workload.Poisson}
 		if i > 0 {
@@ -167,11 +149,12 @@ func GenIsolationScenario(seed uint64) *IsolationScenario {
 			serve = 1
 		}
 		spec.RateHz = util * cfg.FrequencyHz / serve
-		arr, err := eng.Schedule(i, spec)
-		if err != nil {
-			panic(fmt.Sprintf("simcheck: isolation generator produced invalid spec: %v", err))
-		}
-		is.Arrivals[i] = arr
+		specs[i] = spec
+	}
+	eng := workload.Engine{Config: cfg, HorizonCycles: is.DurationCycles, Seed: seed}
+	var err error
+	if is.Arrivals, err = eng.Schedules(specs); err != nil {
+		panic(fmt.Sprintf("simcheck: isolation generator produced invalid spec: %v", err))
 	}
 	if len(is.Arrivals[0]) == 0 {
 		is.Arrivals[0] = []int64{0} // the containment oracle needs a victim request
@@ -179,120 +162,9 @@ func GenIsolationScenario(seed uint64) *IsolationScenario {
 	return is
 }
 
-// options maps the scenario onto fleet.Options for its first n tenants:
-// one core, pinned placement, victim in slice 0, aggressors in slice 1.
-func (is *IsolationScenario) options(n int) fleet.Options {
-	home := make([]int, n)
-	slices := make([]int, n)
-	for i := range home {
-		home[i] = i
-		if i > 0 {
-			slices[i] = 1
-		}
-	}
-	return fleet.Options{
-		Config:            is.Config,
-		Cores:             1,
-		Scheme:            is.Scheme,
-		Policy:            fleet.PolicyLeastLoaded,
-		Arrivals:          is.Arrivals[:n],
-		DurationCycles:    is.DurationCycles,
-		QueueLimit:        is.QueueLimit,
-		NoSpill:           true,
-		Seed:              is.Seed,
-		Parallel:          1, // serial inside one run; the trial fans out its runs
-		VNPUTemplates:     is.Templates,
-		SliceWindowCycles: is.WindowCycles,
-		PinnedPlacement:   [][]int{home},
-		PinnedSlices:      slices,
-	}
-}
-
-// CheckIsolationScenario runs the trial and returns every oracle violation.
-// Its independent fleet runs fan out over parallel.Workers(0) goroutines.
-func CheckIsolationScenario(is *IsolationScenario) []string {
-	return checkIsolation(is, 0, nil, nil)
-}
-
-// filterTracer forwards events through fn, letting the mutation acceptance
-// tests corrupt or drop them between the runner and the oracles.
-type filterTracer struct {
-	next obs.Tracer
-	fn   func(obs.Event) (obs.Event, bool)
-}
-
-// Emit implements obs.Tracer.
-func (f *filterTracer) Emit(e obs.Event) {
-	if e2, keep := f.fn(e); keep {
-		f.next.Emit(e2)
-	}
-}
-
-// WorkloadNames implements obs.NameSink by passing the names through.
-func (f *filterTracer) WorkloadNames(names []string) { obs.AnnounceNames(f.next, names) }
-
-// checkIsolation is CheckIsolationScenario with at most width fleet runs in
-// flight (1 = strictly serial) and mutation hooks: mutate may corrupt or drop
-// events between the runner and the oracles, mutateRes may corrupt the noisy
-// run's result. The mutation acceptance tests use the hooks to prove injected
-// enforcement bugs are caught; when either hook is set the determinism oracle
-// is skipped (a corrupted view trivially differs from its clean re-run).
-func checkIsolation(is *IsolationScenario, width int,
-	mutate func(obs.Event) (obs.Event, bool), mutateRes func(*fleet.Result)) (problems []string) {
-	defer func() {
-		if r := recover(); r != nil {
-			problems = append(problems, fmt.Sprintf("panic: %v", r))
-		}
-	}()
-	// Arm 1: the victim alone on its slice — the containment baseline.
-	// Arm 2: victim plus aggressors, slice events recorded.
-	// Arm 3: determinism — the same seed must reproduce the noisy run bit
-	// for bit, slice accounting included (the tracer may not perturb it).
-	sliceLog := &sliceEvents{}
-	o := is.options(len(is.Workloads))
-	o.CoreTracer = func(core int, tenants []int) obs.Tracer {
-		if mutate != nil {
-			return &filterTracer{next: sliceLog, fn: mutate}
-		}
-		return sliceLog
-	}
-	determinism := mutate == nil && mutateRes == nil
-	runs := []func() fleetRun{
-		runFleet(buildWorkloads(is.Workloads, false)[:1], is.options(1)),
-		runFleet(buildWorkloads(is.Workloads, false), o),
-	}
-	if determinism {
-		runs = append(runs, runFleet(buildWorkloads(is.Workloads, false), is.options(len(is.Workloads))))
-	}
-	run := fanOut(width, runs...)
-
-	alone := run(0)
-	if alone.err != nil {
-		return append(problems, fmt.Sprintf("victim-alone run error: %v", alone.err))
-	}
-	noisy := run(1)
-	if noisy.err != nil {
-		return append(problems, fmt.Sprintf("noisy run error: %v", noisy.err))
-	}
-	if determinism {
-		if rerun := run(2); rerun.err != nil {
-			problems = append(problems, fmt.Sprintf("noisy re-run error: %v", rerun.err))
-		} else if !sameResult(noisy.res, rerun.res) {
-			problems = append(problems, "noisy run is not deterministic: re-run with the same seed differs")
-		}
-	}
-	if mutateRes != nil {
-		mutateRes(noisy.res)
-	}
-
-	problems = append(problems, checkVictimContainment(is, alone.res, noisy.res)...)
-	problems = append(problems, checkSliceConservation(is, noisy.res, sliceLog.events)...)
-	return problems
-}
-
 // checkVictimContainment asserts the headline isolation property: slicing
 // bounds how much the noisy neighbor can stretch the victim's tail.
-func checkVictimContainment(is *IsolationScenario, alone, noisy *fleet.Result) (problems []string) {
+func checkVictimContainment(is *FleetScenario, alone, noisy *fleet.Result) (problems []string) {
 	va, vn := alone.Tenants[0], noisy.Tenants[0]
 	if va.Completed == 0 {
 		return append(problems, "victim-alone run served no victim requests")
@@ -311,7 +183,7 @@ func checkVictimContainment(is *IsolationScenario, alone, noisy *fleet.Result) (
 
 // checkSliceConservation replays the slice event stream against the noisy
 // run's SliceStats and the token-bucket conservation law.
-func checkSliceConservation(is *IsolationScenario, res *fleet.Result, events []obs.Event) (problems []string) {
+func checkSliceConservation(is *FleetScenario, res *fleet.Result, events []obs.Event) (problems []string) {
 	failf := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
@@ -341,14 +213,14 @@ func checkSliceConservation(is *IsolationScenario, res *fleet.Result, events []o
 	// window-quota bound, at the grant cycle or in total.
 	evBytes := make([]float64, nSlices)
 	evThrottles := make([]int64, nSlices)
-	for _, e := range events {
+	for _, e := range events { // only slice-hbm and slice-throttle events
+		s := int(e.Arg0)
+		if s < 0 || s >= nSlices {
+			failf("%s event names slice %d of %d", e.Type, s, nSlices)
+			continue
+		}
 		switch e.Type {
 		case obs.EvSliceHBM:
-			s := int(e.Arg0)
-			if s < 0 || s >= nSlices {
-				failf("slice-hbm event names slice %d of %d", s, nSlices)
-				continue
-			}
 			if e.Arg1 <= 0 {
 				failf("slice-hbm event carries non-positive bytes %v", e.Arg1)
 			}
@@ -359,11 +231,6 @@ func checkSliceConservation(is *IsolationScenario, res *fleet.Result, events []o
 					s, evBytes[s], e.Time, bound)
 			}
 		case obs.EvSliceThrottle:
-			s := int(e.Arg0)
-			if s < 0 || s >= nSlices {
-				failf("slice-throttle event names slice %d of %d", s, nSlices)
-				continue
-			}
 			if e.Dur <= 0 {
 				failf("slice-throttle span has non-positive duration %d", e.Dur)
 			}
@@ -406,7 +273,7 @@ func checkSliceConservation(is *IsolationScenario, res *fleet.Result, events []o
 // charge per resident is in flight (charged but not yet granted, or granted
 // past run end), each at most one operator's bytes. Tiling can reshape an
 // operator's traffic, so the per-op term is doubled to cover reload bytes.
-func inflightSlack(is *IsolationScenario, slice int) float64 {
+func inflightSlack(is *FleetScenario, slice int) float64 {
 	var maxOp float64
 	residents := 0
 	for i, w := range is.Workloads {
@@ -421,18 +288,4 @@ func inflightSlack(is *IsolationScenario, slice int) float64 {
 		}
 	}
 	return float64(residents) * (2*maxOp + 1)
-}
-
-// shrinkIsolation is the isolation arm's shrinker: drop one aggressor
-// together with its arrival schedule, always keeping the victim and at least
-// one aggressor.
-func shrinkIsolation(is *IsolationScenario) []*IsolationScenario {
-	var out []*IsolationScenario
-	for i := 1; len(is.Workloads) > 2 && i < len(is.Workloads); i++ {
-		c := *is
-		c.Workloads = without(is.Workloads, i)
-		c.Arrivals = without(is.Arrivals, i)
-		out = append(out, &c)
-	}
-	return out
 }

@@ -33,7 +33,7 @@ func TestIsolationScenarioRotatesAggressors(t *testing.T) {
 // throttledScenario is a trial whose aggressor slice reliably throttles
 // (dozens to hundreds of token-bucket stalls), so every event-stream
 // mutation below has material to corrupt. Seed 0 is an HBM flood.
-func throttledScenario(t *testing.T) *IsolationScenario {
+func throttledScenario(t *testing.T) *FleetScenario {
 	t.Helper()
 	is := GenIsolationScenario(0)
 	if is.Aggressor != "hbm-flood" {
@@ -43,7 +43,7 @@ func throttledScenario(t *testing.T) *IsolationScenario {
 }
 
 func TestIsolationMutationCleanBaseline(t *testing.T) {
-	if p := checkIsolation(throttledScenario(t), 0, nil, nil); len(p) != 0 {
+	if p := checkFleet(throttledScenario(t), 0, hooks{}); len(p) != 0 {
 		t.Fatalf("unmutated trial flagged:\n%s", join(p))
 	}
 }
@@ -55,13 +55,13 @@ func TestIsolationMutationCleanBaseline(t *testing.T) {
 func TestIsolationMutationLeakedHBMAccounting(t *testing.T) {
 	is := throttledScenario(t)
 	drop := false
-	p := checkIsolation(is, 0, func(e obs.Event) (obs.Event, bool) {
+	p := checkFleet(is, 0, hooks{wrap: eventFilter(func(e obs.Event) (obs.Event, bool) {
 		if e.Type == obs.EvSliceHBM {
 			drop = !drop
 			return e, !drop
 		}
 		return e, true
-	}, nil)
+	})})
 	if len(p) == 0 {
 		t.Fatal("leaked slice-HBM accounting not caught")
 	}
@@ -73,12 +73,12 @@ func TestIsolationMutationLeakedHBMAccounting(t *testing.T) {
 // counter charged).
 func TestIsolationMutationQuotaOverrun(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, 0, func(e obs.Event) (obs.Event, bool) {
+	p := checkFleet(is, 0, hooks{wrap: eventFilter(func(e obs.Event) (obs.Event, bool) {
 		if e.Type == obs.EvSliceHBM {
 			e.Arg1 *= 2
 		}
 		return e, true
-	}, nil)
+	})})
 	if len(p) == 0 {
 		t.Fatal("over-quota slice grants not caught")
 	}
@@ -89,11 +89,11 @@ func TestIsolationMutationQuotaOverrun(t *testing.T) {
 // allows over the run's span.
 func TestIsolationMutationStatsOverrun(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
+	p := checkFleet(is, 0, hooks{res: func(res *fleet.Result) {
 		cr := &res.Cores[0]
 		ss := &cr.Slices[1]
 		ss.HBMBytes = 2 * vnpu.WindowBound(ss.WindowCycles, ss.QuotaBytes, cr.Run.TotalCycles, ss.Residents)
-	})
+	}})
 	if len(p) == 0 {
 		t.Fatal("over-bound slice byte counter not caught")
 	}
@@ -105,13 +105,13 @@ func TestIsolationMutationStatsOverrun(t *testing.T) {
 func TestIsolationMutationDroppedThrottleSpans(t *testing.T) {
 	is := throttledScenario(t)
 	dropped := 0
-	p := checkIsolation(is, 0, func(e obs.Event) (obs.Event, bool) {
+	p := checkFleet(is, 0, hooks{wrap: eventFilter(func(e obs.Event) (obs.Event, bool) {
 		if e.Type == obs.EvSliceThrottle {
 			dropped++
 			return e, false
 		}
 		return e, true
-	}, nil)
+	})})
 	if dropped == 0 {
 		t.Fatal("fixture emitted no throttle spans")
 	}
@@ -124,9 +124,9 @@ func TestIsolationMutationDroppedThrottleSpans(t *testing.T) {
 // counter zeroed while throttle spans exist in the timeline.
 func TestIsolationMutationPhantomThrottleCounter(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
+	p := checkFleet(is, 0, hooks{res: func(res *fleet.Result) {
 		res.Cores[0].Slices[1].ThrottleStalls = 0
-	})
+	}})
 	if len(p) == 0 {
 		t.Fatal("zeroed throttle-stall counter not caught")
 	}
@@ -136,10 +136,10 @@ func TestIsolationMutationPhantomThrottleCounter(t *testing.T) {
 // one byte past the slice's hard ceiling.
 func TestIsolationMutationCeilingOffByOne(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
+	p := checkFleet(is, 0, hooks{res: func(res *fleet.Result) {
 		ss := &res.Cores[0].Slices[0]
 		ss.VMemUsedBytes = ss.VMemBytes + 1
-	})
+	}})
 	if len(p) == 0 {
 		t.Fatal("ceiling off-by-one not caught")
 	}
@@ -149,11 +149,11 @@ func TestIsolationMutationCeilingOffByOne(t *testing.T) {
 // out more vector memory than the device has.
 func TestIsolationMutationOversubscribedCeilings(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
+	p := checkFleet(is, 0, hooks{res: func(res *fleet.Result) {
 		for i := range res.Cores[0].Slices {
 			res.Cores[0].Slices[i].VMemBytes = is.Config.VMemBytes
 		}
-	})
+	}})
 	if len(p) == 0 {
 		t.Fatal("oversubscribed slice ceilings not caught")
 	}
@@ -164,9 +164,9 @@ func TestIsolationMutationOversubscribedCeilings(t *testing.T) {
 // bound must trip the headline oracle.
 func TestIsolationMutationBrokenContainment(t *testing.T) {
 	is := throttledScenario(t)
-	p := checkIsolation(is, 0, nil, func(res *fleet.Result) {
+	p := checkFleet(is, 0, hooks{res: func(res *fleet.Result) {
 		res.Tenants[0].P99LatencyCycles *= 100
-	})
+	}})
 	if len(p) == 0 {
 		t.Fatal("blown victim p99 not caught")
 	}

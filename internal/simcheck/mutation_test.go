@@ -208,6 +208,28 @@ func TestMutationStallCaughtBySerialOracle(t *testing.T) {
 
 // indexedFilter is a runScheme wrap passing every event of a run through fn
 // together with its index in that run's stream.
+// filterTracer forwards events through fn, letting the mutation tests
+// corrupt or drop them between the runner and the oracles.
+type filterTracer struct {
+	next obs.Tracer
+	fn   func(obs.Event) (obs.Event, bool)
+}
+
+// Emit implements obs.Tracer.
+func (f *filterTracer) Emit(e obs.Event) {
+	if e2, keep := f.fn(e); keep {
+		f.next.Emit(e2)
+	}
+}
+
+// WorkloadNames implements obs.NameSink by passing the names through.
+func (f *filterTracer) WorkloadNames(names []string) { obs.AnnounceNames(f.next, names) }
+
+// eventFilter wraps a tracer in a filterTracer running fn.
+func eventFilter(fn func(obs.Event) (obs.Event, bool)) func(obs.Tracer) obs.Tracer {
+	return func(next obs.Tracer) obs.Tracer { return &filterTracer{next: next, fn: fn} }
+}
+
 func indexedFilter(fn func(i int, e obs.Event) (obs.Event, bool)) func(obs.Tracer) obs.Tracer {
 	return func(next obs.Tracer) obs.Tracer {
 		i := -1

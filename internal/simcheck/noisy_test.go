@@ -13,7 +13,7 @@ import (
 // ceilings, no token bucket). All three arms share the scenario's arrival
 // schedules, so the only variable is enforcement.
 type noisyArms struct {
-	scenario *IsolationScenario
+	scenario *FleetScenario
 	alone    *fleet.Result
 	sliced   *fleet.Result
 	unsliced *fleet.Result
@@ -22,17 +22,18 @@ type noisyArms struct {
 func runNoisyArms(t *testing.T, seed uint64) noisyArms {
 	t.Helper()
 	is := GenIsolationScenario(seed)
-	n := len(is.Workloads)
+	victim := *is
+	victim.Workloads = is.Workloads[:1]
 
-	alone, err := fleet.Run(buildWorkloads(is.Workloads, false)[:1], is.options(1))
+	alone, err := fleet.Run(buildWorkloads(victim.Workloads, false), victim.options(is.Arrivals[:1], nil))
 	if err != nil {
 		t.Fatalf("seed %d victim-alone run: %v", seed, err)
 	}
-	sliced, err := fleet.Run(buildWorkloads(is.Workloads, false), is.options(n))
+	sliced, err := fleet.Run(buildWorkloads(is.Workloads, false), is.options(is.Arrivals, nil))
 	if err != nil {
 		t.Fatalf("seed %d sliced run: %v", seed, err)
 	}
-	bare := is.options(n)
+	bare := is.options(is.Arrivals, nil)
 	bare.VNPUTemplates = nil
 	bare.SliceWindowCycles = 0
 	bare.PinnedSlices = nil

@@ -66,9 +66,9 @@ func TestFleetArmsUnderPMT(t *testing.T) {
 		es := GenElasticScenario(seed)
 		es.Scheme = SchemePMT
 		for arm, problems := range map[string][]string{
-			"chaos":     CheckChaosScenario(cs),
-			"isolation": CheckIsolationScenario(is),
-			"elastic":   CheckElasticScenario(es),
+			"chaos":     CheckFleetScenario(cs),
+			"isolation": CheckFleetScenario(is),
+			"elastic":   CheckFleetScenario(es),
 		} {
 			if len(problems) > 0 {
 				t.Errorf("%s seed %d:\n%s", arm, seed, join(problems))

@@ -179,19 +179,24 @@ func TestShrinkersKeepPreconditions(t *testing.T) {
 			if err := m.Validate(); err != nil || len(m.Schemes) != 1 {
 				t.Errorf("%s: minimized to %d schemes (%v); want one valid scheme", a.Name, len(m.Schemes), err)
 			}
-		case *ChaosScenario:
-			if len(m.Workloads) != 1 || len(m.Faults) != 0 {
-				t.Errorf("chaos: minimized to %d tenants, %d faults; want 1 and 0", len(m.Workloads), len(m.Faults))
-			}
-		case *IsolationScenario:
-			if len(m.Workloads) != 2 || m.Workloads[0].Name != "victim" || len(m.Arrivals) != 2 {
-				t.Errorf("isolation: minimized to %d workloads (first %s), %d schedules; want victim + 1 aggressor",
-					len(m.Workloads), m.Workloads[0].Name, len(m.Arrivals))
-			}
-		case *ElasticScenario:
-			if len(m.Workloads) < 1 || len(m.Workloads) != len(m.Traffic) || m.Recluster && len(m.Workloads) < 2 {
-				t.Errorf("elastic: minimized to %d tenants, %d traffic specs (recluster %v)",
-					len(m.Workloads), len(m.Traffic), m.Recluster)
+		case *FleetScenario:
+			switch {
+			case m.FaultBlock != nil:
+				if len(m.Workloads) != 1 || len(m.Faults) != 0 {
+					t.Errorf("%s: minimized to %d tenants, %d faults; want 1 and 0", a.Name, len(m.Workloads), len(m.Faults))
+				}
+			case m.SliceBlock != nil:
+				if len(m.Workloads) != 2 || m.Workloads[0].Name != "victim" || len(m.Arrivals) != 2 {
+					t.Errorf("%s: minimized to %d workloads (first %s), %d schedules; want victim + 1 aggressor",
+						a.Name, len(m.Workloads), m.Workloads[0].Name, len(m.Arrivals))
+				}
+			case m.ElasticBlock != nil:
+				if len(m.Workloads) < 1 || len(m.Workloads) != len(m.Traffic) || m.Recluster && len(m.Workloads) < 2 {
+					t.Errorf("%s: minimized to %d tenants, %d traffic specs (recluster %v)",
+						a.Name, len(m.Workloads), len(m.Traffic), m.Recluster)
+				}
+			default:
+				t.Errorf("%s: generated a fleet scenario with no block", a.Name)
 			}
 		default:
 			t.Errorf("%s: unexpected scenario type %T", a.Name, min)

@@ -130,7 +130,7 @@ func (s *serialTracer) Emit(e obs.Event) {
 }
 
 // eventTally counts a fleet run's events per type and sums their Arg1
-// payloads, which is all the chaos and elastic event oracles read.
+// payloads, which is all the fleet event oracles read.
 type eventTally struct {
 	count [256]int
 	arg1  [256]float64
