@@ -3,9 +3,8 @@
 // to activate spare cores, when to drain and retire active ones, and when the
 // collocation model has drifted enough to be worth flagging. The loop is
 // deliberately pure — Decide is a function of the signal sequence and the
-// config, with no clocks or randomness — so every decision can be replayed
-// bit-identically and checked against a counterfactual run that forces the
-// opposite decision (see the replay subpackage).
+// config, with no clocks or randomness — so CheckDiscipline can replay every
+// decision bit-identically against a clean controller.
 //
 // The policy is classic hysteresis + cooldown control:
 //
@@ -57,12 +56,6 @@ type Config struct {
 	// DriftEpsilon is the per-window centroid-drift threshold above which the
 	// loop records a recluster decision. Default 0.02.
 	DriftEpsilon float64 `json:"drift_epsilon"`
-	// Script, when non-nil, switches the controller to scripted mode: Decide
-	// ignores the signals and replays the scripted decisions for each window
-	// instead. This is the counterfactual-replay hook — a recorded decision
-	// trace (possibly mutated) is forced onto a fresh run of the same seeded
-	// scenario.
-	Script []Decision `json:"script,omitempty"`
 }
 
 // WithDefaults validates cfg against the fleet's core count and run length
@@ -224,12 +217,8 @@ func NewController(cfg Config, maxCores int) *Controller {
 func (c *Controller) Active() int { return c.active }
 
 // Decide consumes one window's signal and returns the decisions taken at its
-// closing tick. In scripted mode the signal is ignored (except for stamping)
-// and the script's decisions for this window are replayed instead.
+// closing tick.
 func (c *Controller) Decide(sig WindowSignal) []Decision {
-	if c.cfg.Script != nil {
-		return c.decideScripted(sig)
-	}
 	var out []Decision
 	if sig.Drift > c.cfg.DriftEpsilon {
 		out = append(out, Decision{
@@ -280,61 +269,4 @@ func (c *Controller) noteScale(cycle int64) {
 	c.lastScale = cycle
 	c.everScaled = true
 	c.lowStreak, c.highStreak = 0, 0
-}
-
-// decideScripted replays the script's decisions for sig.Window, re-stamping
-// cycle and active-count fields so the applied trace is self-consistent even
-// when the script was hand-mutated. Scripted scale decisions that are not
-// applicable (core already active / not the drainable kind) are dropped.
-func (c *Controller) decideScripted(sig WindowSignal) []Decision {
-	var out []Decision
-	for _, d := range c.cfg.Script {
-		if d.Window != sig.Window {
-			continue
-		}
-		switch d.Kind {
-		case DecideScaleUp:
-			idx := -1
-			for i, core := range c.spares {
-				if core == d.Core {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				continue
-			}
-			c.spares = append(c.spares[:idx], c.spares[idx+1:]...)
-			c.stack = append(c.stack, d.Core)
-			c.active++
-			out = append(out, Decision{
-				Kind: DecideScaleUp, Window: sig.Window, AtCycle: sig.EndCycle,
-				Core: d.Core, ActiveAfter: c.active,
-			})
-		case DecideScaleDown:
-			idx := -1
-			for i, core := range c.stack {
-				if core == d.Core {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				continue
-			}
-			c.stack = append(c.stack[:idx], c.stack[idx+1:]...)
-			c.spares = append([]int{d.Core}, c.spares...)
-			c.active--
-			out = append(out, Decision{
-				Kind: DecideScaleDown, Window: sig.Window, AtCycle: sig.EndCycle,
-				Core: d.Core, ActiveAfter: c.active,
-			})
-		case DecideRecluster:
-			out = append(out, Decision{
-				Kind: DecideRecluster, Window: sig.Window, AtCycle: sig.EndCycle,
-				ActiveAfter: c.active, Drift: sig.Drift,
-			})
-		}
-	}
-	return out
 }

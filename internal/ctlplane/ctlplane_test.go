@@ -196,33 +196,6 @@ func TestReclusterDecisionOnDrift(t *testing.T) {
 	}
 }
 
-func TestScriptedModeForcesDecisions(t *testing.T) {
-	cfg := validCfg(t)
-	cfg.Script = []Decision{
-		{Kind: DecideScaleUp, Window: 0, Core: 3}, // out of natural order: forced anyway
-		{Kind: DecideScaleDown, Window: 2, Core: 3},
-		{Kind: DecideScaleUp, Window: 2, Core: 9}, // not a spare: dropped
-	}
-	c := NewController(cfg, 4)
-	d0 := c.Decide(sigAt(0, cfg, 1, 0)) // perfect window, yet the script scales up
-	if len(d0) != 1 || d0[0].Kind != DecideScaleUp || d0[0].Core != 3 {
-		t.Fatalf("window 0: %+v", d0)
-	}
-	if d0[0].AtCycle != cfg.IntervalCycles {
-		t.Fatalf("scripted decision not re-stamped: %+v", d0[0])
-	}
-	if d1 := c.Decide(sigAt(1, cfg, 0, 1)); len(d1) != 0 {
-		t.Fatalf("window 1 should be silent, got %+v", d1)
-	}
-	d2 := c.Decide(sigAt(2, cfg, 0, 1))
-	if len(d2) != 1 || d2[0].Kind != DecideScaleDown || d2[0].Core != 3 {
-		t.Fatalf("window 2: %+v", d2)
-	}
-	if c.Active() != cfg.MinCores {
-		t.Fatalf("active %d after forced up+down, want %d", c.Active(), cfg.MinCores)
-	}
-}
-
 func TestCheckDisciplineCatchesTamperedTraces(t *testing.T) {
 	cfg := validCfg(t)
 	c := NewController(cfg, 4)
@@ -286,17 +259,6 @@ func TestMutationIgnoredCooldownCaught(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("violation not named: %v", problems)
-	}
-}
-
-func TestCheckDisciplineSkipsScriptedRuns(t *testing.T) {
-	cfg := validCfg(t)
-	cfg.Script = []Decision{{Kind: DecideScaleUp, Window: 0, Core: 2}}
-	c := NewController(cfg, 4)
-	windows := []WindowSignal{sigAt(0, cfg, 1, 0)}
-	decisions := c.Decide(windows[0])
-	if problems := CheckDiscipline(cfg, 4, windows, decisions); problems != nil {
-		t.Fatalf("scripted run flagged: %v", problems)
 	}
 }
 

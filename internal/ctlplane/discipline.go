@@ -7,17 +7,13 @@ import "fmt"
 // the decisions are exactly what a clean controller would have taken — and
 // additionally spells out the individual invariants (cooldown gaps,
 // active-count bounds, LIFO drain order) so a violation names the broken rule
-// rather than just "trace mismatch". Scripted runs are forced by construction
-// and return no problems.
+// rather than just "trace mismatch".
 //
 // The replay check is the strong one: Decide is a pure function of the signal
 // sequence, so any injected control bug — an ignored cooldown, a skipped
 // hysteresis window, a wrong core pick — produces a decision trace a fresh
 // controller cannot reproduce.
 func CheckDiscipline(cfg Config, maxCores int, windows []WindowSignal, decisions []Decision) []string {
-	if cfg.Script != nil {
-		return nil
-	}
 	var problems []string
 
 	// Explicit invariants first, for readable failure messages.
