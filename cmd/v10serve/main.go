@@ -18,6 +18,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -209,59 +210,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-	} else if *vnpuWindow != 0 {
-		fmt.Fprintln(stderr, "-vnpu-window requires -vnpu")
-		return 2
-	}
-	if *vnpuWindow < 0 {
-		fmt.Fprintf(stderr, "invalid -vnpu-window %d\n", *vnpuWindow)
-		return 2
 	}
 	adm, err := v10.ParseFleetAdmission(*admission)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *slowdown != 0 && adm != v10.AdmitPredictive {
+	// Checks on flags the fleet never sees; ServeFleet validates the rest.
+	switch {
+	case *slowdown != 0 && adm != v10.AdmitPredictive:
 		fmt.Fprintln(stderr, "-slowdown requires -admission predictive")
 		return 2
-	}
-	if *slowdown < 0 || (*slowdown != 0 && *slowdown < 1) {
-		fmt.Fprintf(stderr, "invalid -slowdown %v (must be >= 1)\n", *slowdown)
+	case *autoscale == 0 && *controlInterval != 0:
+		fmt.Fprintln(stderr, "-control-interval requires -autoscale")
 		return 2
-	}
-	if *autoscale < 0 || *autoscale > *cores {
-		fmt.Fprintf(stderr, "invalid -autoscale %d (want 0..%d cores)\n", *autoscale, *cores)
-		return 2
-	}
-	if *autoscale == 0 {
-		switch {
-		case *controlInterval != 0:
-			fmt.Fprintln(stderr, "-control-interval requires -autoscale")
-			return 2
-		case *cooldown != 0:
-			fmt.Fprintln(stderr, "-cooldown requires -autoscale")
-			return 2
-		case *recluster:
-			fmt.Fprintln(stderr, "-recluster requires -autoscale")
-			return 2
-		}
-	} else {
-		if *cooldown < 0 {
-			fmt.Fprintf(stderr, "invalid -cooldown %d\n", *cooldown)
-			return 2
-		}
-		if *controlInterval < 0 {
-			fmt.Fprintf(stderr, "invalid -control-interval %d\n", *controlInterval)
-			return 2
-		}
-	}
-	if *recluster && pol != v10.PlaceAdvisor {
-		fmt.Fprintln(stderr, "-recluster requires -policy advisor (there is no model to update)")
-		return 2
-	}
-	if *feedback < 0 {
-		fmt.Fprintf(stderr, "invalid -feedback-rounds %d\n", *feedback)
+	case *autoscale == 0 && *cooldown != 0:
+		fmt.Fprintln(stderr, "-cooldown requires -autoscale")
 		return 2
 	}
 	var tuned *v10.TunedKnobs
@@ -357,10 +321,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		schedule = v10.GenerateFaults(*cores, *duration, *mttf, fseed)
 	}
-	if err := schedule.Validate(*cores); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 
 	opt := v10.FleetOptions{
 		Config:         cfg,
@@ -373,13 +333,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SLOFactor:      *sloFactor,
 		Seed:           *seed,
 		Parallel:       *parallelism,
-
-		Faults:          schedule,
-		HeartbeatCycles: *heartbeat,
-		NoMigration:     *noMigration,
-
-		VNPUTemplates:     vnpuTemplates,
-		SliceWindowCycles: *vnpuWindow,
+		NoMigration:    *noMigration,
 
 		Admission:     adm,
 		SlowdownLimit: *slowdown,
@@ -388,15 +342,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FeedbackRounds: *feedback,
 		Tuned:          tuned,
 	}
-	if *autoscale > 0 {
+	// A block goes in whenever one of its flags is set, so the fleet
+	// rejects a stray or invalid flag instead of ignoring it.
+	if schedule != nil || *heartbeat != 0 {
+		opt.Faults = &v10.FleetFaults{Schedule: schedule, HeartbeatCycles: *heartbeat}
+	}
+	if *vnpuSpec != "" || *vnpuWindow != 0 {
+		opt.Slices = &v10.FleetSlices{Templates: vnpuTemplates, WindowCycles: *vnpuWindow}
+	}
+	if *autoscale != 0 {
 		opt.Elastic = &v10.ElasticConfig{
 			MinCores:       *autoscale,
 			IntervalCycles: *controlInterval,
 			CooldownCycles: *cooldown,
-		}
-		if schedule != nil && !schedule.Empty() {
-			fmt.Fprintln(stderr, "-autoscale and fault injection are mutually exclusive")
-			return 2
 		}
 	}
 	if arrivals != nil {
@@ -425,6 +383,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	res, runErr := v10.ServeFleet(ws, scheme, opt)
+	var optErr *v10.FleetOptionsError
+	if errors.As(runErr, &optErr) {
+		fmt.Fprintln(stderr, "invalid options:", runErr)
+		return 2
+	}
 	if runErr != nil && res == nil {
 		fmt.Fprintln(stderr, runErr)
 		return 1

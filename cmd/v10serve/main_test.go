@@ -164,7 +164,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 		"malformed fault spec":     quickArgs("-faults", "fail@"),
 		"unknown fault kind":       quickArgs("-faults", "melt@0:1000"),
-		"fault on absent core":     quickArgs("-faults", "fail@7:1000"),
 		"faults and mttf together": quickArgs("-faults", "fail@0:1000", "-mttf", "1000000"),
 
 		"unknown workload":    quickArgs("-workload", "fractal"),
@@ -462,19 +461,44 @@ func TestRunVNPUFreeSummaryOmitsVNPUBlock(t *testing.T) {
 
 func TestRunRejectsBadVNPUFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"malformed spec":       quickArgs("-vnpu", "0.5:0.5"),
-		"bad fraction":         quickArgs("-vnpu", "big=huge"),
-		"zero-width slice":     quickArgs("-vnpu", "0:0.5:0.5;0.5"),
-		"fraction above one":   quickArgs("-vnpu", "1.5"),
-		"overcommitted vmem":   quickArgs("-vnpu", "0.5:0.8:0.5;0.5:0.8:0.5"),
-		"overcommitted hbm":    quickArgs("-vnpu", "0.5:0.5:0.9;0.5:0.5:0.9"),
-		"empty spec":           quickArgs("-vnpu", " ; "),
-		"window without vnpu":  quickArgs("-vnpu-window", "4096"),
-		"negative vnpu window": quickArgs("-vnpu", "0.5;0.5", "-vnpu-window", "-1"),
+		"malformed spec":     quickArgs("-vnpu", "0.5:0.5"),
+		"bad fraction":       quickArgs("-vnpu", "big=huge"),
+		"zero-width slice":   quickArgs("-vnpu", "0:0.5:0.5;0.5"),
+		"fraction above one": quickArgs("-vnpu", "1.5"),
+		"overcommitted vmem": quickArgs("-vnpu", "0.5:0.8:0.5;0.5:0.8:0.5"),
+		"overcommitted hbm":  quickArgs("-vnpu", "0.5:0.5:0.9;0.5:0.5:0.9"),
+		"empty spec":         quickArgs("-vnpu", " ; "),
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2 (stderr: %s)", name, code, stderr.String())
+		}
+	}
+}
+
+// TestRunRejectsThroughFleetOptions: flags the fleet validates itself reach
+// v10serve as a *v10.FleetOptionsError, the one error run reports as
+// "invalid options:", and exit 2. v10serve makes none of these checks.
+func TestRunRejectsThroughFleetOptions(t *testing.T) {
+	for name, args := range map[string][]string{
+		"slowdown below one":          elasticArgs("-admission", "predictive", "-slowdown", "0.5"),
+		"autoscale above cores":       elasticArgs("-autoscale", "9"),
+		"negative autoscale":          elasticArgs("-autoscale", "-1"),
+		"negative cooldown":           elasticArgs("-cooldown", "-1"),
+		"negative control interval":   elasticArgs("-control-interval", "-5"),
+		"negative vnpu window":        quickArgs("-vnpu", "0.5;0.5", "-vnpu-window", "-1"),
+		"negative feedback rounds":    quickArgs("-feedback-rounds", "-1"),
+		"recluster without autoscale": quickArgs("-recluster", "-policy", "advisor"),
+		"recluster without advisor":   elasticArgs("-recluster"),
+		"autoscale with faults":       elasticArgs("-faults", "fail@0:1500000"),
+		"fault on absent core":        quickArgs("-faults", "fail@7:1000"),
+		"window without vnpu":         quickArgs("-vnpu-window", "4096"),
+		"negative heartbeat":          quickArgs("-heartbeat", "-5"),
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), "invalid options: ") {
+			t.Errorf("%s: exit %d, want 2 with an options error (stderr: %s)", name, code, stderr.String())
 		}
 	}
 }
@@ -586,7 +610,6 @@ func TestRunRejectsBadTunedPolicy(t *testing.T) {
 			`{"knobs": {"quantum_cycles": 32768, "preempt_margin": 1e999, "priority_exponent": 0,
 			  "queue_limit": 8, "collocation_threshold": 1.3, "migration_backoff_cycles": 250000,
 			  "cooldown_intervals": 2, "slowdown_limit": 2.5, "drain_occupancy": 0.25}}`)),
-		"negative feedback rounds": quickArgs("-feedback-rounds", "-1"),
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -61,17 +61,15 @@ func (c *Context) Faults() (*report.Table, error) {
 	}
 	baseOptions := func(policy fleet.Policy) fleet.Options {
 		return fleet.Options{
-			Config:          c.Config,
-			Cores:           faultCores,
-			Policy:          policy,
-			Model:           model,
-			RateHz:          faultRateHz,
-			DurationCycles:  faultDuration,
-			SLOFactor:       faultSLO,
-			HeartbeatCycles: faultHeartbeat,
-			MissedBeats:     2,
-			Seed:            c.Seed,
-			Parallel:        c.Parallel,
+			Config:         c.Config,
+			Cores:          faultCores,
+			Policy:         policy,
+			Model:          model,
+			RateHz:         faultRateHz,
+			DurationCycles: faultDuration,
+			SLOFactor:      faultSLO,
+			Seed:           c.Seed,
+			Parallel:       c.Parallel,
 		}
 	}
 	retained := map[string]float64{}
@@ -83,7 +81,7 @@ func (c *Context) Faults() (*report.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faults: mttf %d %s fault-free baseline: %w", mttf, fc.label, err)
 			}
-			o.Faults = schedule
+			o.Faults = &fleet.FaultOptions{Schedule: schedule, HeartbeatCycles: faultHeartbeat, MissedBeats: 2}
 			o.NoMigration = fc.noMigration
 			res, err := fleet.Run(tenants, o)
 			if err != nil {

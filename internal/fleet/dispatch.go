@@ -374,7 +374,7 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 	// autoscaling — one control tick per window boundary. Front-door
 	// arrivals stay out of it; the queue's cursor merges them in.
 	for c := 0; c < o.Cores; c++ {
-		if fail, ok := o.Faults.FailCycle(c); ok {
+		if fail, ok := o.Faults.schedule().FailCycle(c); ok {
 			d.events.push(&dispatchEvent{at: detectCycle(fail, o), prio: prioDetect, core: c})
 		}
 	}
@@ -470,12 +470,12 @@ func (q *eventQueue) pop() (e *dispatchEvent, a arrival, ok bool) {
 // tied with the failure is missed — the halt wins the tie), and death is
 // declared on the MissedBeats-th consecutive miss.
 func detectCycle(fail int64, o Options) int64 {
-	hb := o.HeartbeatCycles
+	hb := o.Faults.HeartbeatCycles
 	first := ((fail + hb - 1) / hb) * hb
 	if first == 0 {
 		first = hb
 	}
-	return first + int64(o.MissedBeats-1)*hb
+	return first + int64(o.Faults.MissedBeats-1)*hb
 }
 
 // detect declares core c dead: runs its cycle-accurate simulation (halted at
@@ -484,16 +484,16 @@ func detectCycle(fail int64, o Options) int64 {
 // operators, and turns the unserved suffix into migrations (or sheds, under
 // NoMigration).
 func (d *dispatcher) detect(now int64, c int) {
-	fail, _ := d.o.Faults.FailCycle(c)
+	fail, _ := d.o.Faults.Schedule.FailCycle(c)
 	q := &d.queues[c]
 	q.dead = true
 	q.pending = nil
 	q.busyTil = 0
 	d.out.failed = append(d.out.failed, c)
 
-	hb := d.o.HeartbeatCycles
-	firstMiss := now - int64(d.o.MissedBeats-1)*hb
-	for k := 0; k < d.o.MissedBeats; k++ {
+	hb, missed := d.o.Faults.HeartbeatCycles, d.o.Faults.MissedBeats
+	firstMiss := now - int64(missed-1)*hb
+	for k := 0; k < missed; k++ {
 		d.out.log.Emit(obs.Event{
 			Time: firstMiss + int64(k)*hb, Type: obs.EvHeartbeatMiss,
 			WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
@@ -513,7 +513,7 @@ func (d *dispatcher) detect(now int64, c int) {
 	}
 	// Buffered, not streamed: the shared trace takes this core's section at
 	// its turn in core order, after the dispatcher's.
-	out := runCore(c, job, d.o, perturbFor(d.o.Faults, c), false)
+	out := runCore(c, job, d.o, perturbFor(d.o.Faults.Schedule, c), false)
 	d.out.deadOuts[c] = out
 
 	for k, t := range job.roster {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"slices"
@@ -16,13 +17,14 @@ import (
 	"v10/internal/trace"
 )
 
-func mustParseFaults(t *testing.T, spec string) *faults.Schedule {
+// mustFaults is a faults block injecting spec under a heartbeat period.
+func mustFaults(t *testing.T, spec string, heartbeat int64) *FaultOptions {
 	t.Helper()
 	s, err := faults.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return &FaultOptions{Schedule: s, HeartbeatCycles: heartbeat}
 }
 
 func eventsOf(log *obs.Log, ty obs.EventType) []obs.Event {
@@ -63,15 +65,15 @@ func TestCheckpointCyclesTable(t *testing.T) {
 // noise.
 func faultFixtureOptions(t *testing.T, spec string) Options {
 	t.Helper()
+	f := mustFaults(t, spec, 50_000)
+	f.MissedBeats = 1
 	o, err := Options{
-		Config:          cfg,
-		Cores:           2,
-		Scheme:          "V10-Full",
-		Policy:          PolicyLeastLoaded,
-		QueueLimit:      4,
-		HeartbeatCycles: 50_000,
-		MissedBeats:     1,
-		Faults:          mustParseFaults(t, spec),
+		Config:     cfg,
+		Cores:      2,
+		Scheme:     "V10-Full",
+		Policy:     PolicyLeastLoaded,
+		QueueLimit: 4,
+		Faults:     f,
 	}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +251,8 @@ func TestMigrationRetainsMoreGoodputThanShedOnly(t *testing.T) {
 	base := quickOptions()
 	base.Cores = 3
 	base.RateHz = 15_000
-	base.Faults = mustParseFaults(t, "fail@0:1500000")
-	base.HeartbeatCycles = 100_000
-	base.MissedBeats = 1
+	base.Faults = mustFaults(t, "fail@0:1500000", 100_000)
+	base.Faults.MissedBeats = 1
 
 	resMig, err := Run(mixedTenants(), base)
 	if err != nil {
@@ -281,15 +282,15 @@ func TestMigrationRetainsMoreGoodputThanShedOnly(t *testing.T) {
 	}
 }
 
-// TestFaultFreePathBitIdentical: a nil fault schedule, an empty one, and a
-// pre-faults-style run must produce byte-identical results — the fault
-// machinery may not perturb the fault-free path.
+// TestFaultFreePathBitIdentical: no faults block, a block with a nil
+// schedule and one with an empty schedule must produce byte-identical
+// results — the fault machinery may not perturb the fault-free path.
 func TestFaultFreePathBitIdentical(t *testing.T) {
 	o := quickOptions()
-	runWith := func(s *faults.Schedule) *Result {
+	runWith := func(f *FaultOptions) *Result {
 		t.Helper()
 		oo := o
-		oo.Faults = s
+		oo.Faults = f
 		res, err := Run(mixedTenants(), oo)
 		if err != nil {
 			t.Fatal(err)
@@ -297,14 +298,18 @@ func TestFaultFreePathBitIdentical(t *testing.T) {
 		return res
 	}
 	nilRes := runWith(nil)
-	emptyRes := runWith(&faults.Schedule{})
 	a, _ := json.Marshal(nilRes)
-	b, _ := json.Marshal(emptyRes)
-	if string(a) != string(b) {
-		t.Fatalf("nil vs empty schedule differ:\n%s\nvs\n%s", a, b)
-	}
-	if !reflect.DeepEqual(nilRes, emptyRes) {
-		t.Fatal("nil vs empty schedule differ outside the JSON projection")
+	for name, f := range map[string]*FaultOptions{
+		"nil schedule":   {},
+		"empty schedule": {Schedule: &faults.Schedule{}},
+	} {
+		res := runWith(f)
+		if b, _ := json.Marshal(res); string(a) != string(b) {
+			t.Fatalf("no faults block vs %s differ:\n%s\nvs\n%s", name, a, b)
+		}
+		if !reflect.DeepEqual(nilRes, res) {
+			t.Fatalf("no faults block vs %s differ outside the JSON projection", name)
+		}
 	}
 }
 
@@ -315,8 +320,7 @@ func TestFaultedRunDeterministicAcrossParallelWidths(t *testing.T) {
 	results := make([]*Result, 3)
 	for i, par := range []int{1, 4, 0} {
 		o := quickOptions()
-		o.Faults = mustParseFaults(t, "fail@0:1000000;stall@1:200000+100000")
-		o.HeartbeatCycles = 100_000
+		o.Faults = mustFaults(t, "fail@0:1000000;stall@1:200000+100000", 100_000)
 		o.Parallel = par
 		res, err := Run(mixedTenants(), o)
 		if err != nil {
@@ -341,18 +345,19 @@ func TestFaultOptionValidation(t *testing.T) {
 		name   string
 		mutate func(*Options)
 	}{
-		{"negative heartbeat", func(o *Options) { o.HeartbeatCycles = -1 }},
-		{"negative missed beats", func(o *Options) { o.MissedBeats = -2 }},
+		{"negative heartbeat", func(o *Options) { o.Faults = &FaultOptions{HeartbeatCycles: -1} }},
+		{"negative missed beats", func(o *Options) { o.Faults = &FaultOptions{MissedBeats: -2} }},
 		{"negative retries", func(o *Options) { o.MigrationRetries = -1 }},
 		{"negative backoff", func(o *Options) { o.MigrationBackoffCycles = -5 }},
 		{"fault beyond fleet", func(o *Options) {
-			o.Faults = &faults.Schedule{Faults: []faults.Fault{{Kind: faults.KindFail, Core: 7, At: 100}}}
+			o.Faults = &FaultOptions{Schedule: &faults.Schedule{Faults: []faults.Fault{{Kind: faults.KindFail, Core: 7, At: 100}}}}
 		}},
 	} {
 		o := quickOptions()
 		tc.mutate(&o)
-		if _, err := Run(mixedTenants(), o); err == nil {
-			t.Errorf("%s: Run accepted invalid options", tc.name)
+		var oe *OptionsError
+		if _, err := Run(mixedTenants(), o); !errors.As(err, &oe) {
+			t.Errorf("%s: want an *OptionsError, got %v", tc.name, err)
 		}
 	}
 }
@@ -362,8 +367,7 @@ func TestFaultOptionValidation(t *testing.T) {
 func TestFleetTraceCarriesFaultEvents(t *testing.T) {
 	log := &obs.Log{}
 	o := quickOptions()
-	o.Faults = mustParseFaults(t, "fail@0:1000000")
-	o.HeartbeatCycles = 100_000
+	o.Faults = mustFaults(t, "fail@0:1000000", 100_000)
 	o.Tracer = log
 	res, err := Run(mixedTenants(), o)
 	if err != nil {
@@ -396,8 +400,7 @@ func TestFleetTraceNamesTracksPerSection(t *testing.T) {
 	o.PinnedPlacement = [][]int{{0}, {1, 3}, {2}}
 	o.NoSpill = true
 	o.NoMigration = true
-	o.Faults = mustParseFaults(t, "fail@2:1000000")
-	o.HeartbeatCycles = 100_000
+	o.Faults = mustFaults(t, "fail@2:1000000", 100_000)
 	rosters := map[int][]int{}
 	var mu sync.Mutex
 	o.CoreTracer = func(core int, tenants []int) obs.Tracer {

@@ -451,14 +451,13 @@ func TestPMTSchemeServesFleet(t *testing.T) {
 // offered = completed + shed.
 func TestPMTComposes(t *testing.T) {
 	for name, mod := range map[string]func(o *Options){
-		"slices": func(o *Options) { o.VNPUTemplates = halves() },
+		"slices": func(o *Options) { o.Slices = &SliceOptions{Templates: halves()} },
 		"faults": func(o *Options) {
 			o.Cores = 3
-			o.HeartbeatCycles = 100_000
-			o.Faults = &faults.Schedule{Faults: []faults.Fault{
+			o.Faults = &FaultOptions{HeartbeatCycles: 100_000, Schedule: &faults.Schedule{Faults: []faults.Fault{
 				{Kind: faults.KindFail, Core: 0, At: 1_000_000},
 				{Kind: faults.KindStall, Core: 1, At: 500_000, Dur: 200_000},
-			}}
+			}}}
 		},
 		"elastic": func(o *Options) {
 			o.Cores = 3

@@ -23,10 +23,9 @@ func (r *recordingSink) WorkloadNames(names []string) {
 // turn), an autoscaled run and a vNPU-sliced run.
 func tracedFleetCases(t *testing.T) map[string]Options {
 	fault := quickOptions()
-	fault.Faults = mustParseFaults(t, "fail@0:1000000;stall@1:200000+100000")
-	fault.HeartbeatCycles = 100_000
+	fault.Faults = mustFaults(t, "fail@0:1000000;stall@1:200000+100000", 100_000)
 	sliced := quickOptions()
-	sliced.VNPUTemplates = halves()
+	sliced.Slices = &SliceOptions{Templates: halves()}
 	return map[string]Options{"fault": fault, "elastic": burstOptions(), "sliced": sliced}
 }
 

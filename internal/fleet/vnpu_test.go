@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -24,7 +26,7 @@ func TestFleetSlicedRunReportsSliceStats(t *testing.T) {
 		DurationCycles: 5_000_000,
 		Seed:           7,
 		Parallel:       1,
-		VNPUTemplates:  halves(),
+		Slices:         &SliceOptions{Templates: halves()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +75,7 @@ func TestFleetPinnedPlacementAndSlices(t *testing.T) {
 		Seed:            7,
 		Parallel:        1,
 		NoSpill:         true,
-		VNPUTemplates:   halves(),
+		Slices:          &SliceOptions{Templates: halves()},
 		PinnedPlacement: [][]int{{0, 1}, {2, 3}},
 		PinnedSlices:    []int{0, 1, 0, 1},
 	})
@@ -109,7 +111,7 @@ func TestFleetSlicePlacementDeterministic(t *testing.T) {
 			DurationCycles: 5_000_000,
 			Seed:           11,
 			Parallel:       1,
-			VNPUTemplates:  halves(),
+			Slices:         &SliceOptions{Templates: halves()},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -143,26 +145,28 @@ func TestFleetSlicePlacementDeterministic(t *testing.T) {
 func TestFleetSliceOptionErrors(t *testing.T) {
 	tenants := mixedTenants()
 	for name, o := range map[string]Options{
-		"overcommitted vmem": {VNPUTemplates: []vnpu.Template{
-			{Compute: 0.5, VMem: 0.8, HBM: 0.5}, {Compute: 0.5, VMem: 0.8, HBM: 0.5}}},
-		"zero-width slice": {VNPUTemplates: []vnpu.Template{
-			{Compute: 0, VMem: 0.5, HBM: 0.5}}},
+		"overcommitted vmem": {Slices: &SliceOptions{Templates: []vnpu.Template{
+			{Compute: 0.5, VMem: 0.8, HBM: 0.5}, {Compute: 0.5, VMem: 0.8, HBM: 0.5}}}},
+		"zero-width slice": {Slices: &SliceOptions{Templates: []vnpu.Template{
+			{Compute: 0, VMem: 0.5, HBM: 0.5}}}},
+		"no templates":                    {Slices: &SliceOptions{WindowCycles: 1000}},
 		"pinned slices without templates": {PinnedSlices: []int{0, 0, 0, 0}},
-		"negative window":                 {VNPUTemplates: halves(), SliceWindowCycles: -1},
-		"pinned slice out of range":       {VNPUTemplates: halves(), PinnedSlices: []int{0, 1, 2, 0}},
-		"pinned slices wrong length":      {VNPUTemplates: halves(), PinnedSlices: []int{0}},
+		"negative window":                 {Slices: &SliceOptions{Templates: halves(), WindowCycles: -1}},
+		"pinned slice out of range":       {Slices: &SliceOptions{Templates: halves()}, PinnedSlices: []int{0, 1, 2, 0}},
+		"pinned slices wrong length":      {Slices: &SliceOptions{Templates: halves()}, PinnedSlices: []int{0}},
 		"pinned placement wrong cores":    {PinnedPlacement: [][]int{{0, 1, 2, 3}}, Cores: 2},
 		"pinned placement duplicate":      {PinnedPlacement: [][]int{{0, 1}, {1, 2, 3}}, Cores: 2},
 		"pinned placement omits tenant":   {PinnedPlacement: [][]int{{0, 1}, {2}}, Cores: 2},
 	} {
-		if _, err := Run(tenants, o); err == nil {
-			t.Errorf("%s: accepted", name)
+		var oe *OptionsError
+		if _, err := Run(tenants, o); !errors.As(err, &oe) {
+			t.Errorf("%s: want an *OptionsError, got %v", name, err)
 		}
 	}
 
 	// Overcommit is a typed error.
-	_, err := Run(tenants, Options{VNPUTemplates: []vnpu.Template{
-		{Compute: 0.6, VMem: 0.6, HBM: 0.6}, {Compute: 0.6, VMem: 0.6, HBM: 0.6}}})
+	_, err := Run(tenants, Options{Slices: &SliceOptions{Templates: []vnpu.Template{
+		{Compute: 0.6, VMem: 0.6, HBM: 0.6}, {Compute: 0.6, VMem: 0.6, HBM: 0.6}}}})
 	var oc *vnpu.OvercommitError
 	if !errors.As(err, &oc) {
 		t.Fatalf("overcommit error = %v, want *vnpu.OvercommitError", err)
@@ -170,7 +174,7 @@ func TestFleetSliceOptionErrors(t *testing.T) {
 }
 
 func TestAssignSlicesPacksByCapacity(t *testing.T) {
-	o := Options{Config: cfg, VNPUTemplates: halves()}
+	o := Options{Config: cfg, Slices: &SliceOptions{Templates: halves()}}
 	got := assignSlices([]int{0, 1, 2, 3}, o)
 	// Least-populated packing alternates slices.
 	want := []int{0, 1, 0, 1}
@@ -184,10 +188,10 @@ func TestAssignSlicesPacksByCapacity(t *testing.T) {
 	// other slice.
 	small := cfg
 	small.VMemBytes = 4 * vnpu.MinPartitionBytes
-	o = Options{Config: small, VNPUTemplates: []vnpu.Template{
+	o = Options{Config: small, Slices: &SliceOptions{Templates: []vnpu.Template{
 		{Compute: 0.5, VMem: 0.25, HBM: 0.5}, // capacity 1 resident
 		{Compute: 0.5, VMem: 0.75, HBM: 0.5}, // capacity 3 residents
-	}}
+	}}}
 	got = assignSlices([]int{0, 1, 2, 3}, o)
 	want = []int{0, 1, 1, 1}
 	for i := range want {
@@ -245,5 +249,44 @@ func BenchmarkTenantStats(b *testing.B) {
 		if len(stats) != len(tenants) {
 			b.Fatal("bad stats")
 		}
+	}
+}
+
+// TestFaultsComposeWithSlices runs both feature blocks at once: a fail-stop
+// core, a straggler stall and an HBM brown-out on a fleet carved into two
+// half slices. The dying core's victims migrate, every request is accounted
+// for, every surviving core reports its slices, and the result does not
+// depend on the worker-pool width.
+func TestFaultsComposeWithSlices(t *testing.T) {
+	var results []*Result
+	for _, par := range []int{1, 4} {
+		o := quickOptions()
+		o.Parallel = par
+		o.Faults = mustFaults(t, "fail@0:1e6;stall@1:2e5+1e5;hbm@1:3e5+2e5x0.5", 100_000)
+		o.Slices = &SliceOptions{Templates: halves()}
+		res, err := Run(mixedTenants(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	res := results[0]
+	if !slices.Equal(res.FailedCores, []int{0}) || res.Migrated == 0 {
+		t.Fatalf("failed cores %v, %d migrated: want core 0 dead and its victims moved", res.FailedCores, res.Migrated)
+	}
+	if res.Offered != res.Completed+res.Shed {
+		t.Fatalf("offered %d != completed %d + shed %d", res.Offered, res.Completed, res.Shed)
+	}
+	for _, cr := range res.Cores {
+		if cr.Core == 0 || cr.Run == nil {
+			continue
+		}
+		if len(cr.Slices) != 2 || len(cr.SliceOf) != len(cr.Tenants) {
+			t.Errorf("live core %d reports %d slice stats and %d slice assignments for %d tenants",
+				cr.Core, len(cr.Slices), len(cr.SliceOf), len(cr.Tenants))
+		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatal("faulted sliced result differs between Parallel 1 and 4")
 	}
 }

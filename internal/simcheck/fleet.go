@@ -146,12 +146,14 @@ func (fs *FleetScenario) options(arr [][]int64, model *collocate.Model) fleet.Op
 		Parallel: 1,
 	}
 	if f := fs.FaultBlock; f != nil {
-		o.HeartbeatCycles = f.HeartbeatCycles
-		o.MissedBeats = f.MissedBeats
+		o.Faults = &fleet.FaultOptions{
+			Schedule:        &faults.Schedule{Faults: f.Faults},
+			HeartbeatCycles: f.HeartbeatCycles,
+			MissedBeats:     f.MissedBeats,
+		}
 		o.MigrationRetries = f.MigrationRetries
 		o.MigrationBackoffCycles = f.MigrationBackoffCycles
 		o.NoMigration = f.NoMigration
-		o.Faults = &faults.Schedule{Faults: f.Faults}
 	}
 	if s := fs.SliceBlock; s != nil {
 		home := make([]int, len(fs.Workloads))
@@ -160,8 +162,7 @@ func (fs *FleetScenario) options(arr [][]int64, model *collocate.Model) fleet.Op
 			home[i], slices[i] = i, min(i, 1)
 		}
 		o.NoSpill = true
-		o.VNPUTemplates = s.Templates
-		o.SliceWindowCycles = s.WindowCycles
+		o.Slices = &fleet.SliceOptions{Templates: s.Templates, WindowCycles: s.WindowCycles}
 		o.PinnedPlacement = [][]int{home}
 		o.PinnedSlices = slices
 	}

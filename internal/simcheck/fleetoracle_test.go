@@ -195,12 +195,11 @@ func TestFleetOraclesSurviveCoreFailure(t *testing.T) {
 	o := quickFleetOptions()
 	o.Scheme = "V10-Full"
 	o.Cores = 3
-	o.HeartbeatCycles = 100_000
 	sched, err := faults.Parse("fail@0:1000000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Faults = sched
+	o.Faults = &fleet.FaultOptions{Schedule: sched, HeartbeatCycles: 100_000}
 	o.CoreTracer = func(core int, roster []int) obs.Tracer {
 		if core == 0 {
 			return &obs.Log{} // the dying core's run is halted mid-flight

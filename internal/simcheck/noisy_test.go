@@ -34,8 +34,7 @@ func runNoisyArms(t *testing.T, seed uint64) noisyArms {
 		t.Fatalf("seed %d sliced run: %v", seed, err)
 	}
 	bare := is.options(is.Arrivals, nil)
-	bare.VNPUTemplates = nil
-	bare.SliceWindowCycles = 0
+	bare.Slices = nil
 	bare.PinnedSlices = nil
 	unsliced, err := fleet.Run(buildWorkloads(is.Workloads, false), bare)
 	if err != nil {

@@ -143,17 +143,15 @@ func DefaultCorpus(seed uint64, parallel int) ([]Scenario, error) {
 		}, tenants),
 		cell("faults", func() fleet.Options {
 			return fleet.Options{
-				Config:          cfg,
-				Cores:           4,
-				Policy:          fleet.PolicyAdvisor,
-				Model:           model,
-				RateHz:          corpusRateHz,
-				DurationCycles:  corpusFaultHorizon,
-				SLOFactor:       25,
-				Faults:          faultSchedule,
-				HeartbeatCycles: 250_000,
-				MissedBeats:     2,
-				Seed:            seed,
+				Config:         cfg,
+				Cores:          4,
+				Policy:         fleet.PolicyAdvisor,
+				Model:          model,
+				RateHz:         corpusRateHz,
+				DurationCycles: corpusFaultHorizon,
+				SLOFactor:      25,
+				Faults:         &fleet.FaultOptions{Schedule: faultSchedule, HeartbeatCycles: 250_000, MissedBeats: 2},
+				Seed:           seed,
 			}
 		}, tenants),
 		cell("workload", func() fleet.Options {

@@ -465,3 +465,30 @@ func TestCompareSchemesPartialOnMaxCycles(t *testing.T) {
 		t.Fatalf("lag diagnosis missing progress detail: %s", msg)
 	}
 }
+
+// TestServeFleetOptionsError: ServeFleet reports rejected options, the
+// facade's own pairings included, as a *FleetOptionsError before simulating.
+func TestServeFleetOptionsError(t *testing.T) {
+	w, err := NewWorkload("BERT", 2, 1, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failCore2, err := ParseFaults("fail@2:1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]FleetOptions{
+		"advisor placement without an advisor": {Policy: PlaceAdvisor},
+		"fault on an absent core":              {Faults: &FleetFaults{Schedule: failCore2}},
+		"negative heartbeat":                   {Faults: &FleetFaults{HeartbeatCycles: -1}},
+		"slices without templates":             {Slices: &FleetSlices{WindowCycles: 4096}},
+		"autoscale with faults": {
+			Cores: 3, Faults: &FleetFaults{Schedule: failCore2}, Elastic: &ElasticConfig{MinCores: 1},
+		},
+	} {
+		var oe *FleetOptionsError
+		if _, err := ServeFleet([]*Workload{w}, SchemeV10Full, opt); !errors.As(err, &oe) {
+			t.Errorf("%s: want a *FleetOptionsError, got %v", name, err)
+		}
+	}
+}
