@@ -314,11 +314,6 @@ func (s Spec) Workload(batch int, seed uint64, cfg npu.CoreConfig) *trace.Worklo
 	return trace.NewWorkloadReusable(name, s.Name, batch, genInto)
 }
 
-// buildGraph emits the operator DAG for one request into a fresh graph.
-func buildGraph(s Spec, d derived, seed uint64, request int) *trace.Graph {
-	return buildGraphInto(nil, s, d, seed, request)
-}
-
 // buildGraphInto emits the operator DAG for one request: SA operators each
 // followed by their share of VU operators, chained sequentially, with
 // occasional parallel branches (BranchProb) that give the small Fig. 6
