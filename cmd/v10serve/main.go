@@ -164,7 +164,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faultSpec := fs.String("faults", "", `explicit fault schedule, e.g. "fail@0:30e6;stall@1:10e6+2e6"`)
 	mttf := fs.Int64("mttf", 0, "generate random faults with this mean-time-to-failure in cycles (0 = off)")
 	faultSeed := fs.Uint64("fault-seed", 0, "seed for -mttf fault generation (0 = use -seed)")
-	heartbeat := fs.Int64("heartbeat", 0, "dispatcher liveness heartbeat period in cycles (0 = default 1e6)")
+	heartbeat := fs.Int64("heartbeat", 0, fmt.Sprintf(
+		"dispatcher liveness heartbeat period in cycles (0 = the fleet default, %d)", v10.FleetFaults{}.Heartbeat()))
 	noMigration := fs.Bool("no-migration", false, "shed failure victims instead of migrating (resilience baseline)")
 	vnpuSpec := fs.String("vnpu", "",
 		`carve each core into spatial vNPU slices, e.g. "big=0.75:0.75:0.75;small=0.25" ([name=]compute:vmem:hbm or [name=]fraction)`)
@@ -481,15 +482,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, baseErr)
 			return 1
 		}
-		hb := *heartbeat
-		if hb == 0 {
-			hb = 1_000_000 // the fleet dispatcher's default period
-		}
 		fsum := &faultSummary{
 			Spec:            schedule.String(),
 			Count:           len(schedule.Faults),
 			FailedCores:     res.FailedCores,
-			HeartbeatCycles: hb,
+			HeartbeatCycles: opt.Faults.Heartbeat(),
 			Migrated:        res.Migrated,
 			MigrationShed:   res.MigrationShed,
 			MigrationCycles: res.MigrationCycles,

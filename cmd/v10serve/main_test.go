@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,6 +108,36 @@ func TestRunFaultsEmitsGoldenSummary(t *testing.T) {
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Fatalf("faulted summary drifted from golden (run with -update if intended):\n%s", stdout.String())
+	}
+}
+
+// TestRunFaultsReportsFleetHeartbeat: without -heartbeat the faults block
+// reports the fleet's default period, and feeding that period back
+// explicitly reproduces the run byte for byte.
+func TestRunFaultsReportsFleetHeartbeat(t *testing.T) {
+	args := quickArgs("-cores", "3", "-faults", "fail@0:1500000")
+	var dflt, explicit, stderr bytes.Buffer
+	if code := run(args, &dflt, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	var doc struct {
+		Faults struct {
+			HeartbeatCycles int64 `json:"heartbeat_cycles"`
+		} `json:"faults"`
+	}
+	if err := json.Unmarshal(dflt.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	hb := doc.Faults.HeartbeatCycles
+	if want := (v10.FleetFaults{}).Heartbeat(); hb != want {
+		t.Fatalf("reported heartbeat_cycles %d, fleet default %d", hb, want)
+	}
+	if code := run(append(args, "-heartbeat", fmt.Sprint(hb)), &explicit, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	if !bytes.Equal(dflt.Bytes(), explicit.Bytes()) {
+		t.Fatalf("-heartbeat %d changed the run, so the fleet did not use that period:\n%s\nvs\n%s",
+			hb, dflt.String(), explicit.String())
 	}
 }
 
@@ -480,20 +511,25 @@ func TestRunRejectsBadVNPUFlags(t *testing.T) {
 // v10serve as a *v10.FleetOptionsError, the one error run reports as
 // "invalid options:", and exit 2. v10serve makes none of these checks.
 func TestRunRejectsThroughFleetOptions(t *testing.T) {
+	// A tuned policy's knobs override these fields, but never hide an
+	// invalid caller value.
+	tuned := filepath.Join("..", "..", "results", "tuned_policy.json")
 	for name, args := range map[string][]string{
-		"slowdown below one":          elasticArgs("-admission", "predictive", "-slowdown", "0.5"),
-		"autoscale above cores":       elasticArgs("-autoscale", "9"),
-		"negative autoscale":          elasticArgs("-autoscale", "-1"),
-		"negative cooldown":           elasticArgs("-cooldown", "-1"),
-		"negative control interval":   elasticArgs("-control-interval", "-5"),
-		"negative vnpu window":        quickArgs("-vnpu", "0.5;0.5", "-vnpu-window", "-1"),
-		"negative feedback rounds":    quickArgs("-feedback-rounds", "-1"),
-		"recluster without autoscale": quickArgs("-recluster", "-policy", "advisor"),
-		"recluster without advisor":   elasticArgs("-recluster"),
-		"autoscale with faults":       elasticArgs("-faults", "fail@0:1500000"),
-		"fault on absent core":        quickArgs("-faults", "fail@7:1000"),
-		"window without vnpu":         quickArgs("-vnpu-window", "4096"),
-		"negative heartbeat":          quickArgs("-heartbeat", "-5"),
+		"tuned over negative queue limit": quickArgs("-queue-limit", "-3", "-tuned", tuned),
+		"tuned over slowdown below one":   quickArgs("-admission", "predictive", "-slowdown", "0.5", "-tuned", tuned),
+		"slowdown below one":              elasticArgs("-admission", "predictive", "-slowdown", "0.5"),
+		"autoscale above cores":           elasticArgs("-autoscale", "9"),
+		"negative autoscale":              elasticArgs("-autoscale", "-1"),
+		"negative cooldown":               elasticArgs("-cooldown", "-1"),
+		"negative control interval":       elasticArgs("-control-interval", "-5"),
+		"negative vnpu window":            quickArgs("-vnpu", "0.5;0.5", "-vnpu-window", "-1"),
+		"negative feedback rounds":        quickArgs("-feedback-rounds", "-1"),
+		"recluster without autoscale":     quickArgs("-recluster", "-policy", "advisor"),
+		"recluster without advisor":       elasticArgs("-recluster"),
+		"autoscale with faults":           elasticArgs("-faults", "fail@0:1500000"),
+		"fault on absent core":            quickArgs("-faults", "fail@7:1000"),
+		"window without vnpu":             quickArgs("-vnpu-window", "4096"),
+		"negative heartbeat":              quickArgs("-heartbeat", "-5"),
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)

@@ -282,6 +282,15 @@ type Options struct {
 	policy sched.Policy
 }
 
+// Validate returns the *OptionsError that Run would reject o with, or nil.
+// It simulates nothing.
+func (o Options) Validate() error {
+	if _, err := o.withDefaults(); err != nil {
+		return &OptionsError{Err: err}
+	}
+	return nil
+}
+
 func (o Options) withDefaults() (Options, error) {
 	if o.Config.SADim == 0 {
 		o.Config = npu.DefaultConfig()
@@ -452,7 +461,8 @@ type FaultOptions struct {
 	// Schedule is the injected fault schedule (nil or empty: none).
 	Schedule *faults.Schedule
 	// HeartbeatCycles is the core-liveness heartbeat period the dispatcher
-	// watches (default 1e6 cycles ≈ 1.4 ms at 700 MHz).
+	// watches (0 = the default, 1e6 cycles ≈ 1.4 ms at 700 MHz; Heartbeat
+	// resolves it).
 	HeartbeatCycles int64
 	// MissedBeats is how many consecutive missed heartbeats declare a core
 	// dead (default 3). Detection therefore lags the failure by up to
@@ -460,12 +470,23 @@ type FaultOptions struct {
 	MissedBeats int
 }
 
+// defaultHeartbeatCycles is the heartbeat period of a block whose
+// HeartbeatCycles is 0.
+const defaultHeartbeatCycles = 1_000_000
+
+// Heartbeat returns the heartbeat period the dispatcher watches under this
+// block: HeartbeatCycles, or the default when it is 0.
+func (f FaultOptions) Heartbeat() int64 {
+	if f.HeartbeatCycles == 0 {
+		return defaultHeartbeatCycles
+	}
+	return f.HeartbeatCycles
+}
+
 // withDefaults validates the block against the fleet's core count and
 // returns a defaulted copy; the caller's block is never mutated.
 func (f FaultOptions) withDefaults(cores int) (*FaultOptions, error) {
-	if f.HeartbeatCycles == 0 {
-		f.HeartbeatCycles = 1_000_000
-	}
+	f.HeartbeatCycles = f.Heartbeat()
 	if f.HeartbeatCycles < 0 {
 		return nil, fmt.Errorf("fleet: negative HeartbeatCycles %d", f.HeartbeatCycles)
 	}

@@ -174,26 +174,30 @@ func (s Spec) OOM(batch int, hbmRegionBytes int64) bool {
 	return s.MemoryFootprint(batch) > hbmRegionBytes
 }
 
-// derived holds the generator parameters computed from a Spec at a batch.
-type derived struct {
-	numSA, numVU   int
-	saLen, vuLen   float64 // mean compute cycles per op at this batch
-	saStall        float64 // mean stall cycles before an SA op
-	vuStall        float64
-	saFLOPs        float64 // per SA op
-	vuFLOPs        float64
-	saBytes        float64 // per SA op
-	vuBytes        float64
-	saVMem, vuVMem int64
-	burstProb      float64 // fraction of memory-heavy operators
-	burstHigh      float64 // their HBM-demand multiplier
-	burstLow       float64 // everyone else's multiplier (conserves total)
+// Shape is the operator-shape parameter set one request graph is built
+// from: operator counts, mean per-op lengths, FLOPs, HBM traffic and vmem
+// footprints per FU kind, the HBM burst mix, and the per-op jitter and
+// branching. Spec.Workload derives one from a calibration record; other
+// generators (the LLM phases) fill one in directly.
+type Shape struct {
+	NumSA, NumVU     int
+	SALen, VULen     float64 // mean compute cycles per op
+	SAStall, VUStall float64 // mean stall cycles before an op
+	SAFLOPs, VUFLOPs float64 // per op
+	SABytes, VUBytes float64 // mean HBM bytes per op
+	SAVMem, VUVMem   int64
+	SAEff, VUEff     float64 // intra-op efficiency (useful/occupied)
+	BurstProb        float64 // fraction of memory-heavy operators
+	BurstHigh        float64 // their HBM-demand multiplier
+	BurstLow         float64 // everyone else's multiplier (conserves total)
+	CV               float64 // lognormal coefficient of variation of op lengths
+	BranchProb       float64 // probability a VU op is parallel to its predecessor
 
 	// jitterMu/jitterSigma are the lognormal(mean=1, cv=CV) parameters,
-	// precomputed once so the per-op jitter draw on the generator hot path
-	// skips the Log/Sqrt parameter derivation. Bit-identical to
+	// precomputed by Workload so the per-op jitter draw on the generator hot
+	// path skips the Log/Sqrt parameter derivation. Bit-identical to
 	// LogNormalMean(1, cv): Log(1) is exactly 0, so mu = -Log(1+cv²)/2.
-	jitterMu, jitterSigma float64 // valid when CV > 0
+	jitterMu, jitterSigma float64
 }
 
 const cyclesPerUS = 700.0
@@ -203,9 +207,9 @@ func rowTiles(batch int, rowsPerSample float64, saDim int) float64 {
 	return math.Ceil(rows / float64(saDim))
 }
 
-// derive computes the generator parameters for a batch size under the given
+// shape computes the generator parameters for a batch size under the given
 // core config.
-func (s Spec) derive(batch int, cfg npu.CoreConfig) derived {
+func (s Spec) shape(batch int, cfg npu.CoreConfig) Shape {
 	ref := float64(s.RefBatch)
 	bf := float64(batch) / ref // batch factor
 
@@ -213,32 +217,32 @@ func (s Spec) derive(batch int, cfg npu.CoreConfig) derived {
 	vuLenRef := s.MeanVUUS * cyclesPerUS
 	tRef := s.RequestMS * 1000 * cyclesPerUS
 
-	var d derived
+	d := Shape{SAEff: s.IntraEffSA, VUEff: s.IntraEffVU, CV: s.CV, BranchProb: s.BranchProb}
 	// Table 1 lengths are measured operator durations (FU occupancy). The
 	// Fig. 4/5 utilization targets count useful cycles only, so occupancy
 	// fractions are target/intra-op-efficiency.
 	occupSA := math.Min(s.UtilSA/s.IntraEffSA, 0.95)
 	occupVU := math.Min(s.UtilVU/s.IntraEffVU, 0.95)
-	d.numSA = mathx.MaxInt(1, int(math.Round(occupSA*tRef/saLenRef)))
-	d.numVU = mathx.MaxInt(1, int(math.Round(occupVU*tRef/vuLenRef)))
+	d.NumSA = mathx.MaxInt(1, int(math.Round(occupSA*tRef/saLenRef)))
+	d.NumVU = mathx.MaxInt(1, int(math.Round(occupVU*tRef/vuLenRef)))
 
 	// Operator lengths: SA ops scale with occupied row tiles (padding floor
 	// for small batches), VU ops scale linearly with a pipeline floor.
 	rowScale := rowTiles(batch, s.RowsPerSample, cfg.SADim) / rowTiles(s.RefBatch, s.RowsPerSample, cfg.SADim)
-	d.saLen = saLenRef * rowScale
-	d.vuLen = vuLenRef * math.Max(bf, 0.25)
+	d.SALen = saLenRef * rowScale
+	d.VULen = vuLenRef * math.Max(bf, 0.25)
 
 	// FLOPs scale linearly with batch; lengths may not, so stretch the op
 	// when FLOPs would exceed the intra-op efficiency ceiling.
 	peakSA := cfg.PeakSAFLOPsPerCycle()
-	d.saFLOPs = s.EffSA * peakSA * saLenRef * bf
-	if minLen := d.saFLOPs / (s.IntraEffSA * peakSA); d.saLen < minLen {
-		d.saLen = minLen
+	d.SAFLOPs = s.EffSA * peakSA * saLenRef * bf
+	if minLen := d.SAFLOPs / (s.IntraEffSA * peakSA); d.SALen < minLen {
+		d.SALen = minLen
 	}
 	peakVU := cfg.PeakVUFLOPsPerCycle()
-	d.vuFLOPs = 0.6 * peakVU * vuLenRef * bf
-	if minLen := d.vuFLOPs / (s.IntraEffVU * peakVU); d.vuLen < minLen {
-		d.vuLen = minLen
+	d.VUFLOPs = 0.6 * peakVU * vuLenRef * bf
+	if minLen := d.VUFLOPs / (s.IntraEffVU * peakVU); d.VULen < minLen {
+		d.VULen = minLen
 	}
 
 	// Stalls absorb the request time the calibration targets leave neither
@@ -246,14 +250,14 @@ func (s Spec) derive(batch int, cfg npu.CoreConfig) derived {
 	// so utilization improves substantially with batch (Fig. 3/4 trend) —
 	// which is also what makes large-batch same-FU pairs genuinely conflict
 	// in the Table 2 study.
-	stallTotalRef := tRef - float64(d.numSA)*saLenRef - float64(d.numVU)*vuLenRef
+	stallTotalRef := tRef - float64(d.NumSA)*saLenRef - float64(d.NumVU)*vuLenRef
 	if stallTotalRef < 0 {
 		stallTotalRef = 0
 	}
 	stallScale := 0.90 + 0.10*bf
-	perOpStall := stallTotalRef * stallScale / float64(d.numSA+d.numVU)
-	d.saStall = perOpStall
-	d.vuStall = perOpStall
+	perOpStall := stallTotalRef * stallScale / float64(d.NumSA+d.NumVU)
+	d.SAStall = perOpStall
+	d.VUStall = perOpStall
 
 	// HBM traffic: calibrated total at ref, scaled by BytesExp, distributed
 	// over operators proportionally to compute cycles. Traffic is bursty
@@ -264,36 +268,21 @@ func (s Spec) derive(batch int, cfg npu.CoreConfig) derived {
 	// and the dynamic contention its heuristic baseline cannot see.
 	totalBytesRef := s.UtilHBM * tRef * cfg.HBMBytesPerCycle()
 	totalBytes := totalBytesRef * math.Pow(math.Max(bf, 1e-6), s.BytesExp)
-	computeTotal := float64(d.numSA)*d.saLen + float64(d.numVU)*d.vuLen
+	computeTotal := float64(d.NumSA)*d.SALen + float64(d.NumVU)*d.VULen
 	if computeTotal > 0 {
-		d.saBytes = totalBytes * d.saLen / computeTotal
-		d.vuBytes = totalBytes * d.vuLen / computeTotal
+		d.SABytes = totalBytes * d.SALen / computeTotal
+		d.VUBytes = totalBytes * d.VULen / computeTotal
 	}
-	d.burstHigh = math.Min(1.6, 0.95/math.Max(s.UtilHBM, 0.05))
-	d.burstProb = 0.35
-	d.burstLow = (1 - d.burstProb*d.burstHigh) / (1 - d.burstProb)
-	if d.burstLow < 0 {
-		d.burstLow = 0
+	d.BurstHigh = math.Min(1.6, 0.95/math.Max(s.UtilHBM, 0.05))
+	d.BurstProb = 0.35
+	d.BurstLow = (1 - d.BurstProb*d.BurstHigh) / (1 - d.BurstProb)
+	if d.BurstLow < 0 {
+		d.BurstLow = 0
 	}
 
-	d.saVMem = int64(float64(s.VMemPerOpRef) * math.Max(bf, 0.25))
-	d.vuVMem = d.saVMem / 4
-
-	if s.CV > 0 {
-		sigma2 := math.Log(1 + s.CV*s.CV)
-		d.jitterMu = -sigma2 / 2
-		d.jitterSigma = math.Sqrt(sigma2)
-	}
+	d.SAVMem = int64(float64(s.VMemPerOpRef) * math.Max(bf, 0.25))
+	d.VUVMem = d.SAVMem / 4
 	return d
-}
-
-// jitterDraw samples the per-op lognormal jitter, matching
-// rng.LogNormalMean(1, s.CV) draw for draw (cv <= 0 consumes no randomness).
-func (d derived) jitterDraw(rng *mathx.RNG, cv float64) float64 {
-	if cv <= 0 {
-		return 1
-	}
-	return rng.LogNormal(d.jitterMu, d.jitterSigma)
 }
 
 // Workload builds the trace.Workload for this model at the given batch size.
@@ -305,13 +294,28 @@ func (s Spec) Workload(batch int, seed uint64, cfg npu.CoreConfig) *trace.Worklo
 	if batch < 1 {
 		panic(fmt.Sprintf("models: invalid batch %d", batch))
 	}
-	d := s.derive(batch, cfg)
-	spec := s
-	name := fmt.Sprintf("%s-b%d", s.Abbrev, batch)
-	genInto := func(request int, g *trace.Graph) *trace.Graph {
-		return buildGraphInto(g, spec, d, seed, request)
+	return s.shape(batch, cfg).Workload(fmt.Sprintf("%s-b%d", s.Abbrev, batch), s.Name, batch, seed)
+}
+
+// Workload builds the trace.Workload whose requests are graphs of this
+// shape; seed makes the per-request jitter deterministic.
+func (sh Shape) Workload(name, model string, batch int, seed uint64) *trace.Workload {
+	if sh.CV > 0 {
+		sigma2 := math.Log(1 + sh.CV*sh.CV)
+		sh.jitterMu, sh.jitterSigma = -sigma2/2, math.Sqrt(sigma2)
 	}
-	return trace.NewWorkloadReusable(name, s.Name, batch, genInto)
+	return trace.NewWorkloadReusable(name, model, batch, func(request int, g *trace.Graph) *trace.Graph {
+		return buildGraphInto(g, &sh, seed, request)
+	})
+}
+
+// jitter samples one per-op length factor, clamped to [0.3, 3.0]. A CV <= 0
+// draws nothing.
+func (sh *Shape) jitter(rng *mathx.RNG) float64 {
+	if sh.CV <= 0 {
+		return 1
+	}
+	return mathx.Clamp(rng.LogNormal(sh.jitterMu, sh.jitterSigma), 0.3, 3.0)
 }
 
 // buildGraphInto emits the operator DAG for one request: SA operators each
@@ -320,9 +324,9 @@ func (s Spec) Workload(batch int, seed uint64, cfg npu.CoreConfig) *trace.Worklo
 // critical-path slack. A non-nil g has its Ops and DepsBuf storage reused,
 // making the per-request rebuild on the simulator's hot path allocation-free
 // after the first request.
-func buildGraphInto(g *trace.Graph, s Spec, d derived, seed uint64, request int) *trace.Graph {
+func buildGraphInto(g *trace.Graph, sh *Shape, seed uint64, request int) *trace.Graph {
 	rng := mathx.NewRNG(seed ^ (uint64(request)+1)*0x9e3779b97f4a7c15)
-	total := d.numSA + d.numVU
+	total := sh.NumSA + sh.NumVU
 	if g == nil {
 		g = &trace.Graph{}
 	}
@@ -340,20 +344,11 @@ func buildGraphInto(g *trace.Graph, s Spec, d derived, seed uint64, request int)
 	}
 	depsBuf := g.DepsBuf
 
-	vuQuota := 0.0
-	vuPerSA := float64(d.numVU) / float64(d.numSA)
-	emitted := 0
-
-	addOp := func(kind trace.Kind, compute, stall float64, flops, bytes float64, vmem int64) {
-		jitter := d.jitterDraw(rng, s.CV)
-		jitter = mathx.Clamp(jitter, 0.3, 3.0)
-		eff := s.IntraEffSA
-		if kind == trace.KindVU {
-			eff = s.IntraEffVU
-		}
-		burst := d.burstLow
-		if rng.Float64() < d.burstProb {
-			burst = d.burstHigh
+	addOp := func(kind trace.Kind, compute, stall, flops, bytes float64, eff float64, vmem int64) {
+		jit := sh.jitter(rng)
+		burst := sh.BurstLow
+		if rng.Float64() < sh.BurstProb {
+			burst = sh.BurstHigh
 		}
 		bytes *= burst
 		// Emit in place: the slot is pre-sized (cap >= total), and writing
@@ -363,37 +358,39 @@ func buildGraphInto(g *trace.Graph, s Spec, d derived, seed uint64, request int)
 		op := &g.Ops[n]
 		op.ID = n
 		op.Kind = kind
-		op.Compute = mathx.MaxInt64(1, int64(compute*jitter))
-		op.Stall = int64(stall * mathx.Clamp(d.jitterDraw(rng, s.CV), 0.3, 3.0))
+		op.Compute = mathx.MaxInt64(1, int64(compute*jit))
+		op.Stall = int64(stall * sh.jitter(rng))
 		op.Efficiency = eff
-		op.FLOPs = flops * jitter
-		op.HBMBytes = bytes * jitter
+		op.FLOPs = flops * jit
+		op.HBMBytes = bytes * jit
 		op.VMemBytes = vmem
 		op.Deps = nil
 		if n > 0 {
 			dep := n - 1
 			// A branch op attaches one step earlier, making it parallel to
-			// its predecessor.
-			if kind == trace.KindVU && dep >= 1 && rng.Float64() < s.BranchProb {
+			// its predecessor. A shape with no branches draws nothing here.
+			if kind == trace.KindVU && dep >= 1 && sh.BranchProb > 0 && rng.Float64() < sh.BranchProb {
 				dep--
 			}
 			depsBuf = append(depsBuf, dep)
 			op.Deps = depsBuf[len(depsBuf)-1:]
 		}
 	}
+	addVU := func() { addOp(trace.KindVU, sh.VULen, sh.VUStall, sh.VUFLOPs, sh.VUBytes, sh.VUEff, sh.VUVMem) }
 
-	for i := 0; i < d.numSA; i++ {
-		addOp(trace.KindSA, d.saLen, d.saStall, d.saFLOPs, d.saBytes, d.saVMem)
-		emitted++
+	vuQuota := 0.0
+	vuPerSA := float64(sh.NumVU) / float64(sh.NumSA)
+	for i := 0; i < sh.NumSA; i++ {
+		addOp(trace.KindSA, sh.SALen, sh.SAStall, sh.SAFLOPs, sh.SABytes, sh.SAEff, sh.SAVMem)
 		vuQuota += vuPerSA
 		for vuQuota >= 1 {
-			addOp(trace.KindVU, d.vuLen, d.vuStall, d.vuFLOPs, d.vuBytes, d.vuVMem)
+			addVU()
 			vuQuota--
 		}
 	}
 	// Emit any VU remainder so counts match the calibration.
 	for len(g.Ops) < total {
-		addOp(trace.KindVU, d.vuLen, d.vuStall, d.vuFLOPs, d.vuBytes, d.vuVMem)
+		addVU()
 	}
 	g.DepsBuf = depsBuf
 	return g

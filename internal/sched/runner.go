@@ -80,8 +80,7 @@ type wlState struct {
 }
 
 // reqScratch is one workload's reusable request-path storage: the synthesized
-// graph (RequestInto) and its vmem-tiled copy (TileForVMemInto), whose Ops also
-// back the linearized stream of a plain generator's untiled graphs. Run takes
+// graph (RequestInto) and its vmem-tiled copy (TileForVMemInto). Run takes
 // one per workload from scratchPool and puts it back before returning, so the
 // storage is reused across requests and across the many Run calls of a fleet
 // iteration. Nothing reachable from a RunResult may point into it.
@@ -542,7 +541,7 @@ func (r *runner) sampleCounters(now int64) {
 // closed loop; earlier under open-loop queueing).
 func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
 	sc := wl.scratch
-	g, owned := wl.w.RequestInto(wl.requestNo, &sc.req)
+	g, _ := wl.w.RequestInto(wl.requestNo, &sc.req)
 	part := wl.vmemPart
 	if f := r.vmemFactorAt(now); f < 1 {
 		part = int64(float64(part) * f)
@@ -550,16 +549,9 @@ func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
 			part = 1
 		}
 	}
-	tiled := trace.TileForVMemInto(&sc.tiled, g, part, r.opts.VMemReloadFactor)
-	if owned || tiled != g {
-		// The graph's storage is private to this workload (its request or
-		// tiled scratch) and already in ID order, so the operator stream is
-		// the Ops slice itself — no copy, no sort.
-		wl.ops = tiled.Ops
-	} else {
-		sc.tiled.Ops = tiled.LinearizeInto(sc.tiled.Ops[:0])
-		wl.ops = sc.tiled.Ops
-	}
+	// The request and its tiled copy are both this workload's scratch, in ID
+	// order, so the operator stream is the Ops slice itself: no copy, no sort.
+	wl.ops = trace.TileForVMemInto(&sc.tiled, g, part, r.opts.VMemReloadFactor).Ops
 	if len(wl.ops) == 0 {
 		panic(fmt.Sprintf("sched: workload %s produced an empty request", wl.w.Name))
 	}

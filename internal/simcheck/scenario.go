@@ -120,8 +120,9 @@ func (w WorkloadSpec) graph() *trace.Graph {
 
 // buildWorkloads materializes a workload set in declaration order, or
 // reversed (the permutation the fairness oracle compares against). The
-// generators are deterministic and request-independent, and copy the
-// template into the runner's scratch graph so a request allocates nothing.
+// generators are deterministic and request-independent; NewWorkload copies
+// the template into the runner's scratch graph, so a request allocates
+// nothing.
 func buildWorkloads(specs []WorkloadSpec, reversed bool) []*trace.Workload {
 	out := make([]*trace.Workload, len(specs))
 	for i := range specs {
@@ -129,14 +130,8 @@ func buildWorkloads(specs []WorkloadSpec, reversed bool) []*trace.Workload {
 		if reversed {
 			spec = specs[len(specs)-1-i]
 		}
-		g := spec.graph() // capture one immutable template
-		w := trace.NewWorkloadReusable(spec.Name, "simcheck", 1, func(_ int, dst *trace.Graph) *trace.Graph {
-			if dst == nil {
-				dst = &trace.Graph{}
-			}
-			dst.Ops = append(dst.Ops[:0], g.Ops...) // Deps stay shared with the template
-			return dst
-		})
+		g := spec.graph() // one immutable template serves every request
+		w := trace.NewWorkload(spec.Name, "simcheck", 1, func(int) *trace.Graph { return g })
 		out[i] = w.WithPriority(spec.Priority)
 	}
 	return out

@@ -156,6 +156,29 @@ func TestWorkloadRequestAndPriority(t *testing.T) {
 	}
 }
 
+// TestNewWorkloadCopiesIntoScratch: a plain generator may hand out one
+// shared graph; every request still lands in the caller's scratch, in ID
+// order, so the caller can alias and reuse it without touching the template.
+func TestNewWorkloadCopiesIntoScratch(t *testing.T) {
+	tmpl := &Graph{Ops: []Op{{ID: 1, Compute: 20, Deps: []int{0}}, {ID: 0, Compute: 10}}}
+	w := NewWorkload("t", "T", 1, func(int) *Graph { return tmpl })
+	scratch := &Graph{}
+	g, owned := w.RequestInto(0, scratch)
+	if g != scratch || !owned {
+		t.Fatal("RequestInto did not fill the caller's scratch graph")
+	}
+	if len(g.Ops) != 2 || g.Ops[0].ID != 0 || g.Ops[1].ID != 1 || g.Validate() != nil {
+		t.Fatalf("request not in ID order: %+v", g.Ops)
+	}
+	g.Ops[0].Compute = 99
+	if tmpl.Ops[1].Compute != 10 {
+		t.Fatal("mutating the request reached the generator's template")
+	}
+	if again := w.Request(1); again.Ops[0].Compute != 10 || again == tmpl {
+		t.Fatal("Request did not return a fresh copy")
+	}
+}
+
 func TestWithPriorityPanicsOnNonPositive(t *testing.T) {
 	w := NewWorkload("x", "X", 1, func(int) *Graph { return &Graph{} })
 	defer func() {

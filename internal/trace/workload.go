@@ -17,7 +17,6 @@ type Workload struct {
 	Batch    int     // inference batch size
 	Priority float64 // relative scheduling priority (> 0); 1 is default
 
-	gen     func(request int) *Graph
 	genInto func(request int, g *Graph) *Graph
 	profile *profileMemo // shared by every shallow copy (same generator)
 }
@@ -30,13 +29,22 @@ type profileMemo struct {
 }
 
 // NewWorkload builds a workload around a request-graph generator. gen must be
-// deterministic in its argument. Priority defaults to 1.
+// deterministic in its argument and may return shared graphs: each request's
+// Ops are copied, in ID order (LinearizeInto), into the caller's scratch
+// graph, so the caller owns every graph Request and RequestInto return (the
+// Deps slices stay shared with gen's graph and must not be modified).
+// Priority defaults to 1.
 func NewWorkload(name, model string, batch int, gen func(request int) *Graph) *Workload {
 	if gen == nil {
 		panic("trace: nil workload generator")
 	}
-	return &Workload{Name: name, Model: model, Batch: batch, Priority: 1, gen: gen,
-		profile: &profileMemo{}}
+	return NewWorkloadReusable(name, model, batch, func(i int, g *Graph) *Graph {
+		if g == nil {
+			g = &Graph{}
+		}
+		g.Ops = gen(i).LinearizeInto(g.Ops[:0])
+		return g
+	})
 }
 
 // WithPriority returns a shallow copy of w with the given priority.
@@ -51,39 +59,32 @@ func (w *Workload) WithPriority(p float64) *Workload {
 
 // NewWorkloadReusable builds a workload around a buffer-reusing generator:
 // genInto must produce the i-th request graph into g (reusing g.Ops and
-// g.DepsBuf when non-nil; allocating a fresh graph when g is nil) and return
-// it. genInto must be deterministic in its request argument and stateless
-// apart from the passed-in buffer, so concurrent callers with distinct
-// scratch graphs are safe (the fleet runs cores in parallel against shared
-// Workload values).
+// g.DepsBuf when non-nil; allocating a fresh graph when g is nil), with its
+// Ops in ID order, and return it. genInto must be deterministic in its request
+// argument and stateless apart from the passed-in buffer, so concurrent
+// callers with distinct scratch graphs are safe (the fleet runs cores in
+// parallel against shared Workload values).
 func NewWorkloadReusable(name, model string, batch int, genInto func(request int, g *Graph) *Graph) *Workload {
 	if genInto == nil {
 		panic("trace: nil workload generator")
 	}
-	return &Workload{
-		Name: name, Model: model, Batch: batch, Priority: 1,
-		gen:     func(i int) *Graph { return genInto(i, nil) },
-		genInto: genInto,
-		profile: &profileMemo{},
-	}
+	return &Workload{Name: name, Model: model, Batch: batch, Priority: 1,
+		genInto: genInto, profile: &profileMemo{}}
 }
 
-// Request returns the operator graph for the i-th request (0-based).
+// Request returns the operator graph for the i-th request (0-based) in fresh
+// storage.
 func (w *Workload) Request(i int) *Graph {
-	return w.gen(i)
+	return w.genInto(i, nil)
 }
 
 // RequestInto returns the i-th request graph, reusing the caller-owned
-// scratch graph g when the workload's generator supports it. The boolean
-// reports whether the caller owns the returned graph's storage: true means
-// it is private to the caller (safe to alias its Ops and to pass back as
-// scratch for the next request), false means the graph came from a plain
-// generator and may be shared — copy before mutating or retaining.
+// scratch graph g (nil allocates a fresh one). The returned graph's Ops are
+// private to the caller and in ID order: it is safe to alias them and to pass
+// the graph back as scratch for the next request. The boolean is always true;
+// it remains only for existing callers.
 func (w *Workload) RequestInto(i int, g *Graph) (*Graph, bool) {
-	if w.genInto != nil {
-		return w.genInto(i, g), true
-	}
-	return w.gen(i), false
+	return w.genInto(i, g), true
 }
 
 // ProfileStats returns the ComputeStats of requests 0..n-1, the offline

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"v10/internal/mathx"
+	"v10/internal/models"
 	"v10/internal/npu"
 	"v10/internal/trace"
 )
@@ -90,79 +91,35 @@ func Decode(name string, batch, contextTokens int, seed uint64, cfg npu.CoreConf
 	return buildLLM(name, decodeShape, batch, scale, seed, cfg)
 }
 
-// buildLLM assembles the reusable workload for one phase class.
+// buildLLM calibrates the operator shape of one phase class: llmBlocks
+// SA+VU pairs, chained, that split the request's cycle budget, FLOPs and HBM
+// traffic between the two FUs.
 func buildLLM(name string, sh llmShape, batch int, scale float64, seed uint64, cfg npu.CoreConfig) *trace.Workload {
 	req := sh.refCycles * scale
 	saLen := req * sh.saFrac / llmBlocks
 	vuLen := req * sh.vuFrac / llmBlocks
 	stall := req * (1 - sh.saFrac - sh.vuFrac) / (2 * llmBlocks)
-	saFLOPs := sh.saFLOPs * cfg.PeakSAFLOPsPerCycle() * saLen
-	vuFLOPs := 0.5 * cfg.PeakVUFLOPsPerCycle() * vuLen
 
 	// Total traffic is split across operators proportionally to their share
 	// of the request, with a bimodal burst (the models-zoo idiom): a minority
 	// of operators stream ~15% hotter, so one tenant fits under the interface
 	// while two tenants' coincident bursts oversubscribe it.
 	bytesTotal := sh.hbmUtil * req * cfg.HBMBytesPerCycle()
-	saBytes := bytesTotal * sh.saFrac / (sh.saFrac + sh.vuFrac) / llmBlocks
-	vuBytes := bytesTotal * sh.vuFrac / (sh.saFrac + sh.vuFrac) / llmBlocks
 	const burstProb, burstHigh = 0.35, 1.15
-	burstLow := (1 - burstProb*burstHigh) / (1 - burstProb)
-
 	vmemScale := mathx.Clamp(scale, 0.25, 2)
-	saVMem := int64(float64(sh.saVMem) * vmemScale)
-	vuVMem := int64(float64(sh.vuVMem) * vmemScale)
-
-	sigma2 := math.Log(1 + sh.cv*sh.cv)
-	mu, sigma := -sigma2/2, math.Sqrt(sigma2)
-
-	genInto := func(request int, g *trace.Graph) *trace.Graph {
-		rng := mathx.NewRNG(seed ^ (uint64(request)+1)*0x9e3779b97f4a7c15)
-		total := 2 * llmBlocks
-		if g == nil {
-			g = &trace.Graph{}
-		}
-		if cap(g.Ops) < total {
-			g.Ops = make([]trace.Op, 0, total)
-		} else {
-			g.Ops = g.Ops[:0]
-		}
-		if cap(g.DepsBuf) < total {
-			g.DepsBuf = make([]int, 0, total)
-		} else {
-			g.DepsBuf = g.DepsBuf[:0]
-		}
-		depsBuf := g.DepsBuf
-
-		addOp := func(kind trace.Kind, compute, opStall, flops, bytes float64, eff float64, vmem int64) {
-			jitter := mathx.Clamp(rng.LogNormal(mu, sigma), 0.3, 3.0)
-			burst := burstLow
-			if rng.Float64() < burstProb {
-				burst = burstHigh
-			}
-			n := len(g.Ops)
-			g.Ops = g.Ops[:n+1]
-			op := &g.Ops[n]
-			op.ID = n
-			op.Kind = kind
-			op.Compute = mathx.MaxInt64(1, int64(compute*jitter))
-			op.Stall = int64(opStall * mathx.Clamp(rng.LogNormal(mu, sigma), 0.3, 3.0))
-			op.Efficiency = eff
-			op.FLOPs = flops * jitter
-			op.HBMBytes = bytes * burst * jitter
-			op.VMemBytes = vmem
-			op.Deps = nil
-			if n > 0 {
-				depsBuf = append(depsBuf, n-1)
-				op.Deps = depsBuf[len(depsBuf)-1:]
-			}
-		}
-		for b := 0; b < llmBlocks; b++ {
-			addOp(trace.KindSA, saLen, stall, saFLOPs, saBytes, sh.saEff, saVMem)
-			addOp(trace.KindVU, vuLen, stall, vuFLOPs, vuBytes, sh.vuEff, vuVMem)
-		}
-		g.DepsBuf = depsBuf
-		return g
-	}
-	return trace.NewWorkloadReusable(name, sh.model, batch, genInto)
+	return models.Shape{
+		NumSA: llmBlocks, NumVU: llmBlocks,
+		SALen: saLen, VULen: vuLen,
+		SAStall: stall, VUStall: stall,
+		SAFLOPs: sh.saFLOPs * cfg.PeakSAFLOPsPerCycle() * saLen,
+		VUFLOPs: 0.5 * cfg.PeakVUFLOPsPerCycle() * vuLen,
+		SABytes: bytesTotal * sh.saFrac / (sh.saFrac + sh.vuFrac) / llmBlocks,
+		VUBytes: bytesTotal * sh.vuFrac / (sh.saFrac + sh.vuFrac) / llmBlocks,
+		SAVMem:  int64(float64(sh.saVMem) * vmemScale),
+		VUVMem:  int64(float64(sh.vuVMem) * vmemScale),
+		SAEff:   sh.saEff, VUEff: sh.vuEff,
+		BurstProb: burstProb, BurstHigh: burstHigh,
+		BurstLow: (1 - burstProb*burstHigh) / (1 - burstProb),
+		CV:       sh.cv,
+	}.Workload(name, sh.model, batch, seed)
 }

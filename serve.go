@@ -292,8 +292,13 @@ func ServeFleet(tenants []*Workload, scheme Scheme, opt FleetOptions) (*FleetRes
 		fo.ProfileRequests = opt.Advisor.requests
 	}
 	// Tuned knobs go on last so the layer gating sees the final shape of the
-	// run (model present? predictive admission? elastic?).
+	// run (model present? predictive admission? elastic?). The caller's own
+	// options are validated first: the knobs must not paper over a value the
+	// fleet would reject.
 	if opt.Tuned != nil {
+		if err := fo.Validate(); err != nil {
+			return nil, err
+		}
 		if err := opt.Tuned.Validate(); err != nil {
 			return nil, err
 		}

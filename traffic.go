@@ -1,8 +1,9 @@
 package v10
 
 import (
+	"fmt"
+
 	"v10/internal/npu"
-	"v10/internal/trace"
 	"v10/internal/workload"
 )
 
@@ -68,15 +69,22 @@ func ComposeMix(seed uint64, classes ...TenantClass) TenantMix {
 
 // LLMPrefill builds a prefill-phase LLM workload: systolic-array-bound
 // attention/MLP blocks with light HBM traffic, scaled by batch x prompt
-// tokens.
-func LLMPrefill(name string, batch, promptTokens int, seed uint64, cfg npu.CoreConfig) *trace.Workload {
-	return workload.Prefill(name, batch, promptTokens, seed, cfg)
+// tokens. It fails for a batch or prompt length below 1.
+func LLMPrefill(name string, batch, promptTokens int, seed uint64, cfg npu.CoreConfig) (*Workload, error) {
+	if batch < 1 || promptTokens < 1 {
+		return nil, fmt.Errorf("v10: invalid prefill shape: batch %d, prompt tokens %d (both must be >= 1)", batch, promptTokens)
+	}
+	return workload.Prefill(name, batch, promptTokens, seed, cfg), nil
 }
 
 // LLMDecode builds a decode-phase LLM workload: vector-unit- and
-// HBM-bandwidth-bound single-token steps over a batch's KV cache.
-func LLMDecode(name string, batch, contextTokens int, seed uint64, cfg npu.CoreConfig) *trace.Workload {
-	return workload.Decode(name, batch, contextTokens, seed, cfg)
+// HBM-bandwidth-bound single-token steps over a batch's KV cache. It fails
+// for a batch or context length below 1.
+func LLMDecode(name string, batch, contextTokens int, seed uint64, cfg npu.CoreConfig) (*Workload, error) {
+	if batch < 1 || contextTokens < 1 {
+		return nil, fmt.Errorf("v10: invalid decode shape: batch %d, context tokens %d (both must be >= 1)", batch, contextTokens)
+	}
+	return workload.Decode(name, batch, contextTokens, seed, cfg), nil
 }
 
 // PrefillDecodeMix composes the flagship LLM serving scenario: half the

@@ -477,8 +477,10 @@ func TestServeFleetOptionsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuned := BuiltinTunedKnobs()
 	for name, opt := range map[string]FleetOptions{
 		"advisor placement without an advisor": {Policy: PlaceAdvisor},
+		"tuned over a negative queue limit":    {QueueLimit: -3, Tuned: &tuned},
 		"fault on an absent core":              {Faults: &FleetFaults{Schedule: failCore2}},
 		"negative heartbeat":                   {Faults: &FleetFaults{HeartbeatCycles: -1}},
 		"slices without templates":             {Slices: &FleetSlices{WindowCycles: 4096}},
@@ -490,5 +492,25 @@ func TestServeFleetOptionsError(t *testing.T) {
 		if _, err := ServeFleet([]*Workload{w}, SchemeV10Full, opt); !errors.As(err, &oe) {
 			t.Errorf("%s: want a *FleetOptionsError, got %v", name, err)
 		}
+	}
+}
+
+// TestLLMPhasesRejectBadShapes: a batch or token count below 1 is an error,
+// not a panic.
+func TestLLMPhasesRejectBadShapes(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, sh := range [][2]int{{0, 512}, {8, 0}, {-1, -1}} {
+		if w, err := LLMPrefill("p", sh[0], sh[1], 1, cfg); err == nil || w != nil {
+			t.Errorf("LLMPrefill batch %d prompt %d: got %v, %v; want an error", sh[0], sh[1], w, err)
+		}
+		if w, err := LLMDecode("d", sh[0], sh[1], 1, cfg); err == nil || w != nil {
+			t.Errorf("LLMDecode batch %d context %d: got %v, %v; want an error", sh[0], sh[1], w, err)
+		}
+	}
+	if _, err := LLMPrefill("p", 8, 512, 1, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LLMDecode("d", 8, 1024, 1, cfg); err != nil {
+		t.Fatal(err)
 	}
 }
