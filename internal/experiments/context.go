@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"v10/internal/collocate"
 	"v10/internal/metrics"
 	"v10/internal/models"
 	"v10/internal/npu"
@@ -57,6 +58,7 @@ type Context struct {
 	profiles parallel.Memo[string, *metrics.RunResult]
 	pairs    parallel.Memo[string, *pairRun]
 	singles  parallel.Memo[string, *metrics.RunResult]
+	advisors parallel.Memo[string, *collocate.Model]
 }
 
 // NewContext returns a Context with the paper's default configuration.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"v10/internal/collocate"
 	"v10/internal/faults"
 	"v10/internal/fleet"
 	"v10/internal/report"
@@ -47,8 +46,7 @@ var faultConfigs = []struct {
 // every strategy faces the identical failures.
 func (c *Context) Faults() (*report.Table, error) {
 	tenants := c.fleetTenants()
-	model, err := collocate.TrainSimulated(tenants, c.Config, c.ProfileRequests,
-		collocate.TrainConfig{K: 4, PairSamples: 8, Seed: c.Seed, Parallel: c.Parallel})
+	model, err := c.fleetAdvisor()
 	if err != nil {
 		return nil, fmt.Errorf("faults: training advisor: %w", err)
 	}

@@ -26,6 +26,16 @@ func (c *Context) fleetTenants() []*trace.Workload {
 	return out
 }
 
+// fleetAdvisor memoizes the collocation advisor trained on fleetTenants,
+// which the fleet and faults sweeps share. fleet.Run only reads a model: a
+// threshold override or online re-clustering works on a copy.
+func (c *Context) fleetAdvisor() (*collocate.Model, error) {
+	return c.advisors.Do("fleet", func() (*collocate.Model, error) {
+		return collocate.TrainSimulated(c.fleetTenants(), c.Config, c.ProfileRequests,
+			collocate.TrainConfig{K: 4, PairSamples: 8, Seed: c.Seed, Parallel: c.Parallel})
+	})
+}
+
 // Fleet compares advisor-guided, least-loaded, and random tenant placement on
 // a 4-core serving fleet under a load sweep: every policy sees the identical
 // arrival streams; only where requests land differs. Goodput counts requests
@@ -33,8 +43,7 @@ func (c *Context) fleetTenants() []*trace.Workload {
 // time — tight enough that contention-blind placement pays for it).
 func (c *Context) Fleet() (*report.Table, error) {
 	tenants := c.fleetTenants()
-	model, err := collocate.TrainSimulated(tenants, c.Config, c.ProfileRequests,
-		collocate.TrainConfig{K: 4, PairSamples: 8, Seed: c.Seed, Parallel: c.Parallel})
+	model, err := c.fleetAdvisor()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: training advisor: %w", err)
 	}

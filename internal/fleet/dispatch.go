@@ -92,45 +92,30 @@ func genArrivals(tenants int, o Options) ([]arrival, error) {
 // arrival sequence, extended with the failure-recovery bookkeeping.
 type dispatchOutcome struct {
 	// admitted[c][t] lists the arrival cycles of tenant t's requests admitted
-	// to core c (global tenant index; nil when none). For a failed core the
-	// schedule is truncated at detection time to the requests it actually
-	// served — the unserved suffix became migrations.
+	// to core c (global tenant index; nil when none). For a core that left
+	// service the schedule is truncated to the requests it served — the
+	// unserved suffix became migrations.
 	admitted [][][]int64
 	// debts[c][t] aligns with admitted[c][t]: the latency debt in cycles each
 	// request carried into this core (0 for front-door admissions; landing
 	// cycle minus original arrival for migrated requests).
 	debts [][][]int64
-	// spilled[t] counts tenant t's requests admitted on a non-home core.
-	spilled []int
-	// shed[t] counts tenant t's requests rejected at the front door.
-	shed []int
-	// offered[t] counts tenant t's total arrivals.
-	offered []int
-	// estLatSum[t] / estLatCnt[t] accumulate the dispatcher's predicted
-	// latency (booked completion − arrival, plus carried debt) over tenant
-	// t's admissions — the estimate side of the realized-latency feedback.
-	estLatSum []float64
-	estLatCnt []int
-	// migrated[t] counts migration landings (a request re-victimized by a
-	// cascading failure counts once per landing).
-	migrated []int
-	// migShed[t] counts victims dropped after exhausting the retry budget
-	// (or immediately under NoMigration).
-	migShed []int
-	// migCycles[t] sums detection-to-landing cycles over tenant t's
-	// migrations.
-	migCycles []int64
-	// ckptCycles[t] sums the §3.3 checkpoint costs charged for tenant t's
-	// in-flight operators on dying cores (exactly one charge per in-flight
-	// operator).
-	ckptCycles []int64
+	// tenants is the per-tenant ledger the dispatcher counts every outcome
+	// into: offers, admissions, spills, sheds, migrations, drains and
+	// checkpoint charges. EstAvgLatencyCycles holds the *sum* of the
+	// predicted latencies (booked completion − arrival, plus carried debt)
+	// over every booking until tenantStats divides it into the mean.
+	tenants []TenantStats
+	// state[c] is core c's availability.
+	state []coreState
 	// failed lists the cores declared dead, in detection order.
 	failed []int
-	// deadOuts/deadJobs hold the failed cores' simulations, run synchronously
-	// at detection time to learn ground truth about served requests; runCores
-	// reuses them instead of re-running.
-	deadOuts map[int]*coreOut
-	deadJobs map[int]coreJob
+	// jobs[c] and outs[c] hold a failed core's simulation, built and run
+	// synchronously at detection time to learn ground truth about served
+	// requests; runCores reuses them instead of re-running. Zero for every
+	// other core.
+	jobs []coreJob
+	outs []*coreOut
 	// log carries the fleet-level fault/heartbeat/migration events for the
 	// "fleet" trace section.
 	log *obs.Log
@@ -139,12 +124,21 @@ type dispatchOutcome struct {
 	ctl *controlState
 }
 
+// coreState is one core's availability to the dispatcher. Only an active
+// core admits, spills in, or lands migrations.
+type coreState uint8
+
+const (
+	coreActive coreState = iota
+	coreOff              // an autoscaling spare, inactive or drained
+	coreDead             // declared dead after missed heartbeats
+)
+
 // controlState is the dispatcher's elastic-control-plane bookkeeping: the
 // decision loop itself, the window accumulators feeding it, and the per-core
 // activity spans provisioned-cycle accounting reads.
 type controlState struct {
 	controller *ctlplane.Controller
-	off        []bool  // per-core inactive flag
 	spanStart  []int64 // activation cycle of the open span; -1 when off
 	spans      []CoreSpan
 	windows    []ctlplane.WindowSignal
@@ -157,11 +151,6 @@ type controlState struct {
 	winGoodEst  int
 	winSeen     []bool // tenants offered during the window
 
-	// Per-tenant drain accounting, aligned with the dispatch outcome slices.
-	drained    []int // victims evicted by core drains
-	readmitted []int // drained victims that landed on a surviving core
-	drainShed  []int // drained victims dropped after exhausting retries
-
 	scaleUps   int
 	scaleDowns int
 	reclusters int
@@ -171,20 +160,11 @@ type controlState struct {
 func newControlState(o Options, nT int) *controlState {
 	cs := &controlState{
 		controller: ctlplane.NewController(*o.Elastic, o.Cores),
-		off:        make([]bool, o.Cores),
 		spanStart:  make([]int64, o.Cores),
 		winSeen:    make([]bool, nT),
-		drained:    make([]int, nT),
-		readmitted: make([]int, nT),
-		drainShed:  make([]int, nT),
 	}
-	for c := 0; c < o.Cores; c++ {
-		if c < o.Elastic.MinCores {
-			cs.spanStart[c] = 0
-		} else {
-			cs.off[c] = true
-			cs.spanStart[c] = -1
-		}
+	for c := o.Elastic.MinCores; c < o.Cores; c++ {
+		cs.spanStart[c] = -1
 	}
 	return cs
 }
@@ -201,7 +181,6 @@ type queueEntry struct {
 type coreQueue struct {
 	pending []queueEntry // ascending by done
 	busyTil int64        // estimated cycle the core drains its current backlog
-	dead    bool         // declared dead; admits nothing
 }
 
 // drain drops queue entries whose estimated completion is ≤ now.
@@ -328,25 +307,19 @@ type dispatcher struct {
 func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, profs []tenantProfile, o Options) *dispatchOutcome {
 	nT := len(profs)
 	out := &dispatchOutcome{
-		admitted:   make([][][]int64, o.Cores),
-		debts:      make([][][]int64, o.Cores),
-		spilled:    make([]int, nT),
-		shed:       make([]int, nT),
-		offered:    make([]int, nT),
-		estLatSum:  make([]float64, nT),
-		estLatCnt:  make([]int, nT),
-		migrated:   make([]int, nT),
-		migShed:    make([]int, nT),
-		migCycles:  make([]int64, nT),
-		ckptCycles: make([]int64, nT),
-		deadOuts:   map[int]*coreOut{},
-		deadJobs:   map[int]coreJob{},
-		log:        &obs.Log{},
+		admitted: make([][][]int64, o.Cores),
+		debts:    make([][][]int64, o.Cores),
+		tenants:  make([]TenantStats, nT),
+		state:    make([]coreState, o.Cores),
+		jobs:     make([]coreJob, o.Cores),
+		outs:     make([]*coreOut, o.Cores),
+		log:      &obs.Log{},
 	}
 	// The dispatcher's events attribute tenants by their global index.
 	names := make([]string, len(tenants))
 	for t, w := range tenants {
 		names[t] = w.Name
+		out.tenants[t].Name = w.Name
 	}
 	out.log.WorkloadNames(names)
 	for c := range out.admitted {
@@ -369,6 +342,9 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 			d.home[t] = c
 		}
 	}
+	for t := range out.tenants {
+		out.tenants[t].Tenant, out.tenants[t].Home = t, d.home[t]
+	}
 
 	// Seed the heap: one detection event per fail-stopped core and — under
 	// autoscaling — one control tick per window boundary. Front-door
@@ -381,6 +357,9 @@ func dispatch(tenants []*trace.Workload, arrivals []arrival, homes [][]int, prof
 	if o.Elastic != nil {
 		out.ctl = newControlState(o, nT)
 		d.ctl = out.ctl
+		for c := o.Elastic.MinCores; c < o.Cores; c++ {
+			out.state[c] = coreOff
+		}
 		interval := o.Elastic.IntervalCycles
 		for w := 0; ; w++ {
 			at := int64(w+1) * interval
@@ -478,77 +457,84 @@ func detectCycle(fail int64, o Options) int64 {
 	return first + int64(o.Faults.MissedBeats-1)*hb
 }
 
-// detect declares core c dead: runs its cycle-accurate simulation (halted at
-// the failure cycle) to learn ground truth about served requests, truncates
-// its admitted schedule, charges the §3.3 checkpoint cost for in-flight
-// operators, and turns the unserved suffix into migrations (or sheds, under
-// NoMigration).
+// detect declares core c dead: it runs the core's cycle-accurate simulation
+// (halted at the failure cycle) to learn ground truth about served requests
+// and evicts every admitted request the core did not serve (see leave).
+// Each workload's one in-flight operator (at most one: a workload runs a
+// single serial operator stream) is context-saved exactly once; the §3.3
+// cost delays its request's — the workload's first victim's — re-dispatch.
 func (d *dispatcher) detect(now int64, c int) {
 	fail, _ := d.o.Faults.Schedule.FailCycle(c)
-	q := &d.queues[c]
-	q.dead = true
-	q.pending = nil
-	q.busyTil = 0
 	d.out.failed = append(d.out.failed, c)
-
 	hb, missed := d.o.Faults.HeartbeatCycles, d.o.Faults.MissedBeats
 	firstMiss := now - int64(missed-1)*hb
 	for k := 0; k < missed; k++ {
-		d.out.log.Emit(obs.Event{
-			Time: firstMiss + int64(k)*hb, Type: obs.EvHeartbeatMiss,
-			WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-			Arg0: float64(c), Arg1: float64(k + 1),
-		})
+		d.emit(firstMiss+int64(k)*hb, obs.EvHeartbeatMiss, -1, float64(c), float64(k+1))
 	}
-	d.out.log.Emit(obs.Event{
-		Time: now, Type: obs.EvCoreDead,
-		WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-		Arg0: float64(c), Arg1: float64(fail),
-	})
+	d.emit(now, obs.EvCoreDead, -1, float64(c), float64(fail))
 
 	job := buildJob(d.tenants, d.homes[c], d.out.admitted[c], d.o)
-	d.out.deadJobs[c] = job
-	if len(job.roster) == 0 {
-		return
+	d.out.jobs[c] = job
+	var victims []victim
+	if len(job.roster) > 0 {
+		// Buffered, not streamed: the shared trace takes this core's section
+		// at its turn in core order, after the dispatcher's.
+		out := runCore(c, job, d.o, perturbFor(d.o.Faults.Schedule, c), false)
+		d.out.outs[c] = out
+		for k, t := range job.roster {
+			served, inFlight := 0, 0
+			if out.res != nil {
+				served = out.res.Workloads[k].Requests
+				inFlight = out.res.Workloads[k].InFlightOpKind
+			}
+			for i := served; i < len(d.out.admitted[c][t]); i++ {
+				v := victim{tenant: t, k: i}
+				if i == served && inFlight != 0 {
+					v.delay = checkpointCycles(d.o, inFlight)
+				}
+				victims = append(victims, v)
+			}
+		}
 	}
-	// Buffered, not streamed: the shared trace takes this core's section at
-	// its turn in core order, after the dispatcher's.
-	out := runCore(c, job, d.o, perturbFor(d.o.Faults.Schedule, c), false)
-	d.out.deadOuts[c] = out
+	d.leave(now, c, coreDead, victims)
+}
 
-	for k, t := range job.roster {
-		served := 0
-		var inFlight int
-		if out.res != nil {
-			served = out.res.Workloads[k].Requests
-			inFlight = out.res.Workloads[k].InFlightOpKind
-		}
-		schedule := d.out.admitted[c][t]
-		debts := d.out.debts[c][t]
-		victims := schedule[served:]
-		vdebts := debts[served:]
-		d.out.admitted[c][t] = schedule[:served]
-		d.out.debts[c][t] = debts[:served]
+// victim is one request a core leaving service admitted and did not serve:
+// entry k of tenant's admitted schedule there. delay is the §3.3 cost of
+// checkpointing the operator it had in flight (0 when none): it is charged
+// to the tenant and holds back the victim's re-dispatch.
+type victim struct {
+	tenant, k int
+	delay     int64
+}
 
-		// The workload's one in-flight operator (at most one: a workload runs
-		// a single serial operator stream) is context-saved exactly once; the
-		// §3.3 cost delays its request's — the first victim's — re-dispatch.
-		var ckpt int64
-		if inFlight != 0 && len(victims) > 0 {
-			ckpt = checkpointCycles(d.o, inFlight)
-			d.out.ckptCycles[t] += ckpt
+// leave takes core c out of service into state — coreDead on a failure,
+// coreOff on a scale-down drain — and hands its victims, in order, to
+// recovery: each is shed under NoMigration or re-dispatched as a migration
+// once its delay has passed. A tenant's victims on c are a suffix of its
+// admitted schedule there, and the first names where it starts, so each
+// victim tenant's schedule is truncated to the requests c served.
+func (d *dispatcher) leave(now int64, c int, state coreState, victims []victim) {
+	d.out.state[c] = state
+	d.queues[c].pending, d.queues[c].busyTil = nil, 0
+	for _, v := range victims {
+		ts := &d.out.tenants[v.tenant]
+		ts.CheckpointCycles += v.delay
+		m := &migration{tenant: v.tenant, detectAt: now, drained: state == coreOff,
+			arrivedAt: d.out.admitted[c][v.tenant][v.k] - d.out.debts[c][v.tenant][v.k]}
+		if m.drained {
+			ts.Drained++
 		}
-		for vi, at := range victims {
-			m := &migration{tenant: t, arrivedAt: at - vdebts[vi], detectAt: now}
-			if d.o.NoMigration {
-				d.shedMigration(now, m)
-				continue
-			}
-			ready := now
-			if vi == 0 {
-				ready += ckpt
-			}
-			d.events.push(&dispatchEvent{at: ready, prio: prioMigration, mig: m})
+		if d.o.NoMigration {
+			d.shedMigration(now, m)
+			continue
+		}
+		d.events.push(&dispatchEvent{at: now + v.delay, prio: prioMigration, mig: m})
+	}
+	for _, v := range victims {
+		if v.k < len(d.out.admitted[c][v.tenant]) {
+			d.out.admitted[c][v.tenant] = d.out.admitted[c][v.tenant][:v.k]
+			d.out.debts[c][v.tenant] = d.out.debts[c][v.tenant][:v.k]
 		}
 	}
 }
@@ -578,7 +564,7 @@ func (d *dispatcher) tick(now int64, w int) {
 	active := 0
 	occ := 0.0
 	for c := range d.queues {
-		if cs.off[c] || d.queues[c].dead {
+		if d.out.state[c] != coreActive {
 			continue
 		}
 		d.queues[c].drain(now)
@@ -637,20 +623,12 @@ func (d *dispatcher) tick(now int64, w int) {
 			d.activate(now, dec)
 		case ctlplane.DecideScaleDown:
 			cs.scaleDowns++
-			d.out.log.Emit(obs.Event{
-				Time: now, Type: obs.EvScaleDown,
-				WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-				Arg0: float64(dec.Core), Arg1: float64(dec.ActiveAfter),
-			})
+			d.emit(now, obs.EvScaleDown, -1, float64(dec.Core), float64(dec.ActiveAfter))
 			d.drainCore(now, dec.Core)
 		case ctlplane.DecideRecluster:
 			cs.reclusters++
 			_, obsCount := d.o.Model.OnlineDrift()
-			d.out.log.Emit(obs.Event{
-				Time: now, Type: obs.EvRecluster,
-				WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-				Arg0: dec.Drift, Arg1: float64(obsCount),
-			})
+			d.emit(now, obs.EvRecluster, -1, dec.Drift, float64(obsCount))
 		}
 	}
 }
@@ -660,115 +638,64 @@ func (d *dispatcher) tick(now int64, w int) {
 func (d *dispatcher) activate(now int64, dec ctlplane.Decision) {
 	cs := d.ctl
 	cs.scaleUps++
-	cs.off[dec.Core] = false
+	d.out.state[dec.Core] = coreActive
 	cs.spanStart[dec.Core] = now
-	d.out.log.Emit(obs.Event{
-		Time: now, Type: obs.EvScaleUp,
-		WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-		Arg0: float64(dec.Core), Arg1: float64(dec.ActiveAfter),
-	})
+	d.emit(now, obs.EvScaleUp, -1, float64(dec.Core), float64(dec.ActiveAfter))
 }
 
 // drainCore retires an active spare core: its unserved queue suffix becomes
-// readmission migrations (the in-service head pays the §3.3 checkpoint cost,
-// like a failure victim), its admitted schedule is truncated to what it will
-// actually have served, and the core goes inactive.
+// readmission migrations (see leave) and the core goes inactive. At most one
+// request is in service at the drain point — the queue head (its
+// predecessors' estimated completions have all passed) — and its context-save
+// cost delays its readmission, charged as an SA checkpoint (the conservative
+// §3.3 cost; the dispatcher has no operator-kind ground truth mid-run).
 func (d *dispatcher) drainCore(now int64, c int) {
 	cs := d.ctl
 	q := &d.queues[c]
 	q.drain(now)
 
 	// The queue (ascending estimated completion) is the per-tenant admission
-	// suffix: count pending entries per tenant, then walk the queue in order
-	// matching each entry to its tenant's next unserved admission.
-	pendingOf := make(map[int]int)
+	// suffix: count pending entries per tenant, then match each entry, in
+	// queue order, to its tenant's next unserved admission.
+	left := make([]int, len(d.out.tenants))
 	for _, e := range q.pending {
-		pendingOf[e.tenant]++
+		left[e.tenant]++
 	}
-	cursor := make(map[int]int, len(pendingOf))
-	for t, n := range pendingOf {
-		cursor[t] = len(d.out.admitted[c][t]) - n
-	}
-
-	// At most one request is in service at the drain point — the queue head
-	// (its predecessors' estimated completions have all passed). Its
-	// context-save cost delays its readmission, charged as an SA checkpoint
-	// (the conservative §3.3 cost; the dispatcher has no operator-kind
-	// ground truth mid-run).
-	var ckpt int64
-	if len(q.pending) > 0 {
-		t0 := q.pending[0].tenant
-		ckpt = checkpointCycles(d.o, 1)
-		d.out.ckptCycles[t0] += ckpt
-	}
+	victims := make([]victim, len(q.pending))
 	for i, e := range q.pending {
-		t := e.tenant
-		k := cursor[t]
-		cursor[t]++
-		at := d.out.admitted[c][t][k]
-		debt := d.out.debts[c][t][k]
-		m := &migration{tenant: t, arrivedAt: at - debt, detectAt: now, drained: true}
-		cs.drained[t]++
-		if d.o.NoMigration {
-			d.shedMigration(now, m)
-			continue
-		}
-		ready := now
-		if i == 0 {
-			ready += ckpt
-		}
-		d.events.push(&dispatchEvent{at: ready, prio: prioMigration, mig: m})
+		victims[i] = victim{tenant: e.tenant, k: len(d.out.admitted[c][e.tenant]) - left[e.tenant]}
+		left[e.tenant]--
 	}
-	victims := len(q.pending)
-	for t, n := range pendingOf {
-		keep := len(d.out.admitted[c][t]) - n
-		d.out.admitted[c][t] = d.out.admitted[c][t][:keep]
-		d.out.debts[c][t] = d.out.debts[c][t][:keep]
+	if len(victims) > 0 {
+		victims[0].delay = checkpointCycles(d.o, 1)
 	}
-	q.pending = nil
-	q.busyTil = 0
-	cs.off[c] = true
+	d.leave(now, c, coreOff, victims)
 	if cs.spanStart[c] >= 0 {
 		if cs.spanStart[c] < now {
 			cs.spans = append(cs.spans, CoreSpan{Core: c, StartCycle: cs.spanStart[c], EndCycle: now})
 		}
 		cs.spanStart[c] = -1
 	}
-	d.out.log.Emit(obs.Event{
-		Time: now, Type: obs.EvCoreDrain,
-		WIdx: -1, FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-		Arg0: float64(c), Arg1: float64(victims),
-	})
+	d.emit(now, obs.EvCoreDrain, -1, float64(c), float64(len(victims)))
 }
 
 // migrate attempts to land one victim request — of a core failure or a
 // scale-down drain — on a surviving core.
 func (d *dispatcher) migrate(now int64, m *migration) {
-	for c := range d.queues {
-		if d.ctl != nil && d.ctl.off[c] {
-			continue
-		}
-		d.queues[c].drain(now)
-	}
+	d.drainActive(now)
 	best := d.bestTarget(now, m.tenant, -1)
 	if best >= 0 {
 		d.admit(best, arrival{at: now, tenant: m.tenant}, now-m.arrivedAt)
+		ts := &d.out.tenants[m.tenant]
+		typ := obs.EvMigrate
 		if m.drained {
-			d.ctl.readmitted[m.tenant]++
-			d.out.log.Emit(obs.Event{
-				Time: now, Type: obs.EvReadmit, WIdx: int32(m.tenant),
-				FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-				Arg0: float64(best), Arg1: float64(now - m.arrivedAt),
-			})
-			return
+			ts.Readmitted++
+			typ = obs.EvReadmit
+		} else {
+			ts.Migrated++
+			ts.MigrationCycles += now - m.detectAt
 		}
-		d.out.migrated[m.tenant]++
-		d.out.migCycles[m.tenant] += now - m.detectAt
-		d.out.log.Emit(obs.Event{
-			Time: now, Type: obs.EvMigrate, WIdx: int32(m.tenant),
-			FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-			Arg0: float64(best), Arg1: float64(now - m.arrivedAt),
-		})
+		d.emit(now, typ, m.tenant, float64(best), float64(now-m.arrivedAt))
 		return
 	}
 	m.attempts++
@@ -784,58 +711,72 @@ func (d *dispatcher) migrate(now int64, m *migration) {
 }
 
 // shedMigration gives up on a victim request (retry budget exhausted, or
-// NoMigration).
+// NoMigration). Like a front-door rejection it counts toward Shed.
 func (d *dispatcher) shedMigration(now int64, m *migration) {
+	ts := &d.out.tenants[m.tenant]
+	ts.Shed++
 	if m.drained {
-		d.ctl.drainShed[m.tenant]++
+		ts.DrainShed++
 	} else {
-		d.out.migShed[m.tenant]++
+		ts.MigrationShed++
 	}
+	d.emit(now, obs.EvMigrateShed, m.tenant, float64(m.attempts), 0)
+}
+
+// emit logs one fleet-level event into the "fleet" trace section; tenant is
+// a global tenant index, -1 for core-level events.
+func (d *dispatcher) emit(at int64, typ obs.EventType, tenant int, arg0, arg1 float64) {
 	d.out.log.Emit(obs.Event{
-		Time: now, Type: obs.EvMigrateShed, WIdx: int32(m.tenant),
+		Time: at, Type: typ, WIdx: int32(tenant),
 		FUKind: obs.FUNone, FUIndex: -1, Request: -1, Op: -1,
-		Arg0: float64(m.attempts),
+		Arg0: arg0, Arg1: arg1,
 	})
 }
 
-// arrive runs front-door admission control for one arrival. This is the
-// fault-free hot path and decides identically to the pre-fault dispatcher
-// when no core has died, modulo the live-residents compatibility snapshot.
+// drainActive drops every active core's estimated completions up to now.
+func (d *dispatcher) drainActive(now int64) {
+	for c := range d.queues {
+		if d.out.state[c] == coreActive {
+			d.queues[c].drain(now)
+		}
+	}
+}
+
+// arrive runs front-door admission control for one arrival: the home core
+// if it is active and admits, else (unless NoSpill) the best spill target,
+// else a shed. This is the fault-free hot path and decides identically to
+// the pre-fault dispatcher when no core has died, modulo the live-residents
+// compatibility snapshot.
 func (d *dispatcher) arrive(a arrival) {
-	d.out.offered[a.tenant]++
+	ts := &d.out.tenants[a.tenant]
+	ts.Offered++
 	if d.ctl != nil && a.tenant < len(d.ctl.winSeen) {
 		d.ctl.winSeen[a.tenant] = true
 	}
-	for c := range d.queues {
-		if d.ctl != nil && d.ctl.off[c] {
-			continue
+	d.drainActive(a.at)
+	c := d.home[a.tenant]
+	if d.out.state[c] != coreActive || !d.admitOK(c, a) {
+		// Spill: probe the other cores for room, preferring the shallowest
+		// queue (ties by smaller estimated backlog, then index). The advisor
+		// policy only spills onto cores whose *live* residents — placed
+		// tenants plus anyone currently queued there — the tenant is
+		// predicted compatible with; empty cores are trivially compatible.
+		c = -1
+		if !d.o.NoSpill {
+			c = d.bestTarget(a.at, a.tenant, d.home[a.tenant])
 		}
-		d.queues[c].drain(a.at)
 	}
-	h := d.home[a.tenant]
-	if !d.queues[h].dead && (d.ctl == nil || !d.ctl.off[h]) && d.admitOK(h, a) {
-		d.admit(h, a, 0)
-		return
-	}
-	if d.o.NoSpill {
+	if c < 0 {
 		d.shedArrival(a.tenant)
 		return
 	}
-	// Spill: probe the other cores for room, preferring the shallowest queue
-	// (ties by smaller estimated backlog, then index). The advisor policy
-	// only spills onto cores whose *live* residents — placed tenants plus
-	// anyone currently queued there — the tenant is predicted compatible
-	// with; empty cores are trivially compatible.
-	best := d.bestTarget(a.at, a.tenant, h)
-	if best < 0 {
-		d.shedArrival(a.tenant)
-		return
-	}
-	d.admit(best, a, 0)
+	ts.Admitted++
+	d.admit(c, a, 0)
 }
 
+// shedArrival rejects one arrival at the front door.
 func (d *dispatcher) shedArrival(tenant int) {
-	d.out.shed[tenant]++
+	d.out.tenants[tenant].Shed++
 	if d.ctl != nil {
 		d.ctl.winShed++
 	}
@@ -878,7 +819,7 @@ func (d *dispatcher) bestTarget(at int64, tenant, exclude int) int {
 	best := -1
 	for c := range d.queues {
 		q := &d.queues[c]
-		if c == exclude || q.dead || (d.ctl != nil && d.ctl.off[c]) ||
+		if c == exclude || d.out.state[c] != coreActive ||
 			!d.admitOK(c, arrival{at: at, tenant: tenant}) {
 			continue
 		}
@@ -903,10 +844,10 @@ func (d *dispatcher) admit(c int, a arrival, debt int64) {
 	done := d.queues[c].admit(a.at, d.bookEst(a.tenant), a.tenant)
 	d.out.admitted[c][a.tenant] = append(d.out.admitted[c][a.tenant], a.at)
 	d.out.debts[c][a.tenant] = append(d.out.debts[c][a.tenant], debt)
-	d.out.estLatSum[a.tenant] += float64(done-a.at) + float64(debt)
-	d.out.estLatCnt[a.tenant]++
+	ts := &d.out.tenants[a.tenant]
+	ts.EstAvgLatencyCycles += float64(done-a.at) + float64(debt)
 	if c != d.home[a.tenant] {
-		d.out.spilled[a.tenant]++
+		ts.Spilled++
 	}
 	if d.ctl != nil && debt == 0 {
 		// Front-door admission: feed the window's estimated SLO-attainment

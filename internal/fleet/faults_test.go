@@ -98,11 +98,12 @@ func TestCheckpointChargedOncePerInFlightOperator(t *testing.T) {
 	disp := dispatch(tenants, arrivals, homes, profs, o)
 
 	const ckpt = 593 // SA checkpoint, pinned by TestCheckpointCyclesTable
-	if disp.ckptCycles[0] != ckpt {
-		t.Fatalf("checkpoint cycles %d, want exactly one %d-cycle charge", disp.ckptCycles[0], ckpt)
+	led := disp.tenants[0]
+	if led.CheckpointCycles != ckpt {
+		t.Fatalf("checkpoint cycles %d, want exactly one %d-cycle charge", led.CheckpointCycles, ckpt)
 	}
-	if disp.migrated[0] != 2 || disp.migShed[0] != 0 {
-		t.Fatalf("migrated %d migShed %d, want 2/0", disp.migrated[0], disp.migShed[0])
+	if led.Migrated != 2 || led.MigrationShed != 0 {
+		t.Fatalf("migrated %d migShed %d, want 2/0", led.Migrated, led.MigrationShed)
 	}
 	if got := len(disp.admitted[0][0]); got != 0 {
 		t.Fatalf("dead core kept %d admitted requests after truncation", got)
@@ -116,8 +117,8 @@ func TestCheckpointChargedOncePerInFlightOperator(t *testing.T) {
 	if want := []int64{100_000 - 2, 100_000 + ckpt - 1}; !reflect.DeepEqual(disp.debts[1][0], want) {
 		t.Fatalf("latency debts %v, want %v", disp.debts[1][0], want)
 	}
-	if disp.migCycles[0] != ckpt {
-		t.Fatalf("migration cycles %d, want %d (one immediate landing, one checkpoint-delayed)", disp.migCycles[0], ckpt)
+	if led.MigrationCycles != ckpt {
+		t.Fatalf("migration cycles %d, want %d (one immediate landing, one checkpoint-delayed)", led.MigrationCycles, ckpt)
 	}
 	if got := eventsOf(disp.log, obs.EvCoreDead); len(got) != 1 || got[0].Arg0 != 0 || got[0].Arg1 != 100_000 {
 		t.Fatalf("EvCoreDead events %+v", got)
@@ -136,7 +137,7 @@ func TestCheckpointChargedOncePerInFlightOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := tenantStats(tenants, profs, homes, disp, jobs, outs, o)
+	stats := tenantStats(profs, disp, jobs, outs, o)
 	ts := stats[0]
 	if ts.Completed != 2 || ts.Migrated != 2 || ts.CheckpointCycles != ckpt {
 		t.Fatalf("stats completed %d migrated %d ckpt %d, want 2/2/%d",
@@ -161,8 +162,9 @@ func TestMigrationRetriesBackOffThenShed(t *testing.T) {
 
 	disp := dispatch(tenants, arrivals, homes, profs, o)
 
-	if disp.migrated[0] != 0 || disp.migShed[0] != 2 {
-		t.Fatalf("migrated %d migShed %d, want 0/2 (nowhere to land)", disp.migrated[0], disp.migShed[0])
+	led := disp.tenants[0]
+	if led.Migrated != 0 || led.MigrationShed != 2 {
+		t.Fatalf("migrated %d migShed %d, want 0/2 (nowhere to land)", led.Migrated, led.MigrationShed)
 	}
 	// Queued victim: attempts at 100000, 101000 (+1000<<0), 103000 (+1000<<1),
 	// shed on the third. Checkpointed victim: the same ladder from 100593.
@@ -178,9 +180,10 @@ func TestMigrationRetriesBackOffThenShed(t *testing.T) {
 			t.Fatalf("shed after %g attempts, want the full budget of 3", e.Arg0)
 		}
 	}
-	// Conservation: everything offered was admitted once, then shed.
-	if disp.offered[0] != 2 || disp.shed[0] != 0 {
-		t.Fatalf("offered %d front-shed %d, want 2/0", disp.offered[0], disp.shed[0])
+	// Conservation: everything offered was admitted once (no front-door
+	// shed), then shed by migration.
+	if led.Offered != 2 || led.Offered-led.Admitted != 0 {
+		t.Fatalf("offered %d front-shed %d, want 2/0", led.Offered, led.Offered-led.Admitted)
 	}
 }
 
@@ -193,8 +196,8 @@ func TestNoMigrationShedsVictimsImmediately(t *testing.T) {
 	profs := profileTenants(tenants, o)
 	disp := dispatch(tenants, []arrival{{at: 1, tenant: 0}, {at: 2, tenant: 0}},
 		[][]int{{0}, {}}, profs, o)
-	if disp.migrated[0] != 0 || disp.migShed[0] != 2 {
-		t.Fatalf("migrated %d migShed %d, want 0/2", disp.migrated[0], disp.migShed[0])
+	if led := disp.tenants[0]; led.Migrated != 0 || led.MigrationShed != 2 {
+		t.Fatalf("migrated %d migShed %d, want 0/2", led.Migrated, led.MigrationShed)
 	}
 	shed := eventsOf(disp.log, obs.EvMigrateShed)
 	if len(shed) != 2 || shed[0].Time != 100_000 || shed[1].Time != 100_000 {
@@ -226,20 +229,20 @@ func TestSpillChecksLiveResidents(t *testing.T) {
 		{at: 4, tenant: 0}, // must NOT join tenant 2 on core 1
 	}
 	disp := dispatch(nil, arrivals, homes, profs, o)
-	if disp.spilled[2] != 1 {
-		t.Fatalf("tenant 2 spilled %d, want 1 (the fixture's premise)", disp.spilled[2])
+	if disp.tenants[2].Spilled != 1 {
+		t.Fatalf("tenant 2 spilled %d, want 1 (the fixture's premise)", disp.tenants[2].Spilled)
 	}
-	if disp.shed[0] != 1 || len(disp.admitted[1][0]) != 0 {
+	if disp.tenants[0].Shed != 1 || len(disp.admitted[1][0]) != 0 {
 		t.Fatalf("tenant 0: shed %d, on core 1 %d — spilled onto a live incompatible resident",
-			disp.shed[0], len(disp.admitted[1][0]))
+			disp.tenants[0].Shed, len(disp.admitted[1][0]))
 	}
 
 	// Positive control: with a permissive oracle the same arrival spills, so
 	// the shed above is the gate's doing, not queue pressure.
 	o.compat = func([]collocate.Features, []int, int) float64 { return 1 }
 	disp = dispatch(nil, arrivals, homes, profs, o)
-	if disp.shed[0] != 0 || len(disp.admitted[1][0]) != 1 {
-		t.Fatalf("permissive oracle: shed %d, on core 1 %d — want 0/1", disp.shed[0], len(disp.admitted[1][0]))
+	if disp.tenants[0].Shed != 0 || len(disp.admitted[1][0]) != 1 {
+		t.Fatalf("permissive oracle: shed %d, on core 1 %d — want 0/1", disp.tenants[0].Shed, len(disp.admitted[1][0]))
 	}
 }
 

@@ -226,9 +226,9 @@ func TestDispatchEnforcesQueueBound(t *testing.T) {
 	if got := len(disp.admitted[0][0]); got != 3 {
 		t.Fatalf("admitted %d, want 3", got)
 	}
-	if disp.shed[0] != 3 || disp.spilled[0] != 0 || disp.offered[0] != 6 {
+	if led := disp.tenants[0]; led.Shed != 3 || led.Spilled != 0 || led.Offered != 6 {
 		t.Fatalf("shed %d spilled %d offered %d, want 3/0/6",
-			disp.shed[0], disp.spilled[0], disp.offered[0])
+			led.Shed, led.Spilled, led.Offered)
 	}
 }
 
@@ -243,14 +243,14 @@ func TestDispatchSpillsThenSheds(t *testing.T) {
 		!reflect.DeepEqual(disp.admitted[1][0], []int64{2}) {
 		t.Fatalf("admitted = %v", disp.admitted)
 	}
-	if disp.spilled[0] != 1 || disp.shed[0] != 1 {
-		t.Fatalf("spilled %d shed %d, want 1/1", disp.spilled[0], disp.shed[0])
+	if led := disp.tenants[0]; led.Spilled != 1 || led.Shed != 1 {
+		t.Fatalf("spilled %d shed %d, want 1/1", led.Spilled, led.Shed)
 	}
 
 	o.NoSpill = true
 	disp = dispatch(nil, floodArrivals(3), homes, profs, o)
-	if disp.spilled[0] != 0 || disp.shed[0] != 2 {
-		t.Fatalf("NoSpill: spilled %d shed %d, want 0/2", disp.spilled[0], disp.shed[0])
+	if led := disp.tenants[0]; led.Spilled != 0 || led.Shed != 2 {
+		t.Fatalf("NoSpill: spilled %d shed %d, want 0/2", led.Spilled, led.Shed)
 	}
 }
 
@@ -261,8 +261,8 @@ func TestDispatchDrainsFinishedWork(t *testing.T) {
 	profs := []tenantProfile{{estCycles: 10}}
 	arrivals := []arrival{{at: 0, tenant: 0}, {at: 100, tenant: 0}, {at: 200, tenant: 0}}
 	disp := dispatch(nil, arrivals, [][]int{{0}}, profs, o)
-	if disp.shed[0] != 0 || len(disp.admitted[0][0]) != 3 {
-		t.Fatalf("shed %d admitted %d, want 0/3", disp.shed[0], len(disp.admitted[0][0]))
+	if disp.tenants[0].Shed != 0 || len(disp.admitted[0][0]) != 3 {
+		t.Fatalf("shed %d admitted %d, want 0/3", disp.tenants[0].Shed, len(disp.admitted[0][0]))
 	}
 }
 
@@ -397,18 +397,16 @@ func TestTenantStatsPercentileFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenants := []*trace.Workload{synthetic("w", 10, 10, 1)}
 	profs := []tenantProfile{{estCycles: 100}}
-	homes := [][]int{{0}}
 	disp := &dispatchOutcome{
 		admitted: [][][]int64{{{0, 1, 2}}},
-		spilled:  []int{0}, shed: []int{1}, offered: []int{4},
+		tenants:  []TenantStats{{Offered: 4, Admitted: 3, Shed: 1}},
 	}
 	jobs := []coreJob{{roster: []int{0}, admitted: 3}}
 	outs := []*coreOut{{res: &metrics.RunResult{
 		Workloads: []*metrics.WorkloadStats{{LatencyCycles: []float64{100, 200, 1000}}},
 	}}}
-	stats := tenantStats(tenants, profs, homes, disp, jobs, outs, o)
+	stats := tenantStats(profs, disp, jobs, outs, o)
 	ts := stats[0]
 	check := func(name string, got, want float64) {
 		t.Helper()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -359,7 +360,7 @@ func runOnce(tenants []*trace.Workload, o Options) (*Result, error) {
 		}
 		res.Cores = append(res.Cores, cr)
 	}
-	res.Tenants = tenantStats(tenants, profs, homes, disp, jobs, outs, o)
+	res.Tenants = tenantStats(profs, disp, jobs, outs, o)
 	for _, ts := range res.Tenants {
 		res.Offered += ts.Offered
 		res.Admitted += ts.Admitted
@@ -421,10 +422,10 @@ func runOnce(tenants []*trace.Workload, o Options) (*Result, error) {
 func buildJobs(tenants []*trace.Workload, homes [][]int, disp *dispatchOutcome, o Options) []coreJob {
 	jobs := make([]coreJob, o.Cores)
 	for c := range jobs {
-		if job, ok := disp.deadJobs[c]; ok {
+		if disp.state[c] == coreDead {
 			// A failed core's job was built — and simulated — at detection
 			// time, against the pre-truncation schedule it actually ran.
-			jobs[c] = job
+			jobs[c] = disp.jobs[c]
 			continue
 		}
 		jobs[c] = buildJob(tenants, homes[c], disp.admitted[c], o)
@@ -595,14 +596,11 @@ func runCore(c int, job coreJob, o Options, p perturb, stream bool) *coreOut {
 func runCores(jobs []coreJob, disp *dispatchOutcome, o Options) ([]*coreOut, error) {
 	stream := o.Tracer != nil && parallel.Workers(o.Parallel) == 1
 	outs, _ := parallel.Map(context.Background(), len(jobs), o.Parallel, func(c int) (*coreOut, error) {
-		if out, ok := disp.deadOuts[c]; ok {
+		if out := disp.outs[c]; out != nil {
 			if stream {
 				replayCoreLog(c, out, o)
 			}
 			return out, nil
-		}
-		if _, dead := disp.deadJobs[c]; dead {
-			return nil, nil // failed core with an empty roster: nothing ran
 		}
 		if len(jobs[c].roster) == 0 {
 			return nil, nil
@@ -662,22 +660,6 @@ func beginSection(t obs.Tracer, label string) {
 
 func coreSection(c int) string { return fmt.Sprintf("core %d", c) }
 
-// intAt / int64At index the dispatch outcome's optional recovery slices,
-// treating nil (hand-built fault-free outcomes) as all-zero.
-func intAt(s []int, i int) int {
-	if i < len(s) {
-		return s[i]
-	}
-	return 0
-}
-
-func int64At(s []int64, i int) int64 {
-	if i < len(s) {
-		return s[i]
-	}
-	return 0
-}
-
 // makeTenantWindows builds one tenant's empty stats-window skeleton: the
 // control windows' bounds plus the core count active in each window, read
 // from the control plane's activity spans. Completions land in the window of
@@ -706,46 +688,20 @@ func makeTenantWindows(ctl *controlState, o Options) []TenantWindow {
 	return wins
 }
 
-// tenantStats folds the per-core workload measurements back into per-tenant
-// serving statistics.
-func tenantStats(tenants []*trace.Workload, profs []tenantProfile, homes [][]int,
-	disp *dispatchOutcome, jobs []coreJob, outs []*coreOut, o Options) []TenantStats {
-	home := make([]int, len(tenants))
-	for c, group := range homes {
-		for _, t := range group {
-			home[t] = c
-		}
-	}
+// tenantStats completes the dispatcher's per-tenant ledger with the core
+// simulations' ground truth: completions, latency, SLO attainment and, under
+// autoscaling, the stats windows. The ledger itself is left as it was.
+func tenantStats(profs []tenantProfile, disp *dispatchOutcome, jobs []coreJob, outs []*coreOut, o Options) []TenantStats {
 	durationSec := float64(o.DurationCycles) / o.Config.FrequencyHz
-	stats := make([]TenantStats, len(tenants))
+	stats := slices.Clone(disp.tenants)
 	var lats []float64 // reused across tenants: one allocation, one sort each
-	for t := range tenants {
+	for t := range stats {
 		ts := &stats[t]
-		ts.Tenant = t
-		ts.Name = tenants[t].Name
-		ts.Home = home[t]
-		ts.Offered = disp.offered[t]
-		ts.Admitted = disp.offered[t] - disp.shed[t]
-		ts.Spilled = disp.spilled[t]
-		// Shed counts both front-door rejections and victims dropped after
-		// migration-retry exhaustion, keeping offered == completed + shed (+
-		// in-flight-at-cap) under failures. The recovery slices are nil in
-		// hand-built fault-free outcomes.
-		ts.Shed = disp.shed[t] + intAt(disp.migShed, t)
-		ts.Migrated = intAt(disp.migrated, t)
-		ts.MigrationShed = intAt(disp.migShed, t)
-		ts.MigrationCycles = int64At(disp.migCycles, t)
-		ts.CheckpointCycles = int64At(disp.ckptCycles, t)
-		if cs := disp.ctl; cs != nil {
-			ts.Drained = cs.drained[t]
-			ts.Readmitted = cs.readmitted[t]
-			ts.DrainShed = cs.drainShed[t]
-			// Drain-shed victims are lost requests, same as migration sheds.
-			ts.Shed += cs.drainShed[t]
-		}
 		ts.SLOCycles = o.SLOFactor * profs[t].estCycles
-		if t < len(disp.estLatCnt) && disp.estLatCnt[t] > 0 {
-			ts.EstAvgLatencyCycles = disp.estLatSum[t] / float64(disp.estLatCnt[t])
+		// The dispatcher summed one estimate per booking: every front-door
+		// admission, migration landing and readmission.
+		if n := ts.Admitted + ts.Migrated + ts.Readmitted; n > 0 {
+			ts.EstAvgLatencyCycles /= float64(n)
 		}
 
 		var wins []TenantWindow

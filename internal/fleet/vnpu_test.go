@@ -245,7 +245,7 @@ func BenchmarkTenantStats(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats := tenantStats(tenants, profs, homes, disp, jobs, outs, o)
+		stats := tenantStats(profs, disp, jobs, outs, o)
 		if len(stats) != len(tenants) {
 			b.Fatal("bad stats")
 		}

@@ -163,7 +163,8 @@ func (fs *FleetScenario) options(arr [][]int64, model *collocate.Model) fleet.Op
 		}
 		o.NoSpill = true
 		o.Slices = &fleet.SliceOptions{Templates: s.Templates, WindowCycles: s.WindowCycles}
-		o.PinnedPlacement = [][]int{home}
+		o.PinnedPlacement = make([][]int, fs.Cores)
+		o.PinnedPlacement[0] = home
 		o.PinnedSlices = slices
 	}
 	if e := fs.ElasticBlock; e != nil {

@@ -136,3 +136,20 @@ func TestFaultCheckersReportInCoreOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSlicesComposeWithElastic puts isolation seed i's slices block on
+// elastic seed i, for i below 10, and checks the composed trial: the sliced
+// tenants sit on core 0 of a multi-core autoscaled fleet, and every oracle
+// of both blocks must hold.
+func TestSlicesComposeWithElastic(t *testing.T) {
+	for seed := uint64(0); seed < 10; seed++ {
+		fs := GenElasticScenario(seed)
+		fs.SliceBlock = GenIsolationScenario(seed).SliceBlock
+		if fs.Cores < 2 {
+			t.Fatalf("elastic seed %d has %d cores; the pairing needs a multi-core fleet", seed, fs.Cores)
+		}
+		if problems := checkFleet(fs, 1, hooks{}); len(problems) > 0 {
+			t.Errorf("elastic seed %d with isolation seed %d's slices: %s", seed, seed, strings.Join(problems, "; "))
+		}
+	}
+}

@@ -1,13 +1,10 @@
 package simcheck
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"hash"
-	"os"
-	"strings"
 	"testing"
 
 	"v10/internal/fleet"
@@ -55,32 +52,17 @@ func hashFleetRun(h hash.Hash, enc *json.Encoder, res *fleet.Result, err error) 
 // TestFleetArmsPinned holds every fleet run of the chaos, isolation and
 // elastic arms' seeds below fleetPinSeeds to the outcomes in
 // testdata/fleet_pins.txt, so a refactor of the fleet arms' checker can show
-// it runs the same simulations with the same results.
+// it runs the same simulations with the same results. Run with -update to
+// rewrite the file.
 func TestFleetArmsPinned(t *testing.T) {
-	f, err := os.Open("testdata/fleet_pins.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		name, _, _ := strings.Cut(sc.Text(), " ")
-		want[name] = sc.Text()
-	}
-	if n := len(fleetPinArms) * fleetPinSeeds; len(want) != n {
-		t.Fatalf("testdata has %d pins, want %d", len(want), n)
-	}
+	pins := openPins(t, "testdata/fleet_pins.txt", len(fleetPinArms)*fleetPinSeeds)
 	for _, name := range fleetPinArms {
 		a, err := FindArm(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for seed := uint64(0); seed < fleetPinSeeds; seed++ {
-			got := fleetPin(a, seed)
-			if key, _, _ := strings.Cut(got, " "); got != want[key] {
-				t.Errorf("pin changed:\n got %s\nwant %s", got, want[key])
-			}
+			pins.check(fleetPin(a, seed))
 		}
 	}
 }

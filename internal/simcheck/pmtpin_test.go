@@ -1,11 +1,9 @@
 package simcheck
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -120,33 +118,19 @@ func pmtPin(c pmtPinCase) (string, error) {
 // TestPinnedPMT holds every closed-loop PMT run to the result and event
 // stream recorded before PMT moved onto the shared core runner: the pins in
 // testdata/pmt_pins.txt came from the former standalone PMT simulator. Under
-// -short or the race detector it checks every tenth case.
+// -short or the race detector it checks every tenth case. Run with -update
+// to rewrite the file; that computes every case.
 func TestPinnedPMT(t *testing.T) {
-	f, err := os.Open("testdata/pmt_pins.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		name, _, _ := strings.Cut(sc.Text(), " ")
-		want[name] = sc.Text()
-	}
 	cases := pmtPinCases()
-	if len(cases) != len(want) {
-		t.Fatalf("%d pin cases, testdata has %d", len(cases), len(want))
-	}
+	pins := openPins(t, "testdata/pmt_pins.txt", len(cases))
 	for i, c := range cases {
-		if (testing.Short() || raceEnabled) && i%10 != 0 {
+		if !*updatePins && (testing.Short() || raceEnabled) && i%10 != 0 {
 			continue
 		}
 		got, err := pmtPin(c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got != want[c.name] {
-			t.Errorf("pin changed:\n got %s\nwant %s", got, want[c.name])
-		}
+		pins.check(got)
 	}
 }
