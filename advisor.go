@@ -6,6 +6,10 @@ import (
 	"v10/internal/collocate"
 )
 
+// ErrTooFewWorkloads is returned (wrapped) by TrainAdvisor when the training
+// population has fewer than two workloads to cluster.
+var ErrTooFewWorkloads = collocate.ErrTooFewWorkloads
+
 // Advisor is the clustering-based collocation advisor (§3.4): it clusters
 // workloads by resource signature (PCA + K-Means) and predicts whether a
 // pair will benefit from sharing a core, using offline-profiled

@@ -109,7 +109,7 @@ func SimulateCluster(ws []*Workload, p Placement, scheme Scheme, opt Options) (*
 		for k, idx := range group {
 			core[k] = ws[idx]
 		}
-		rates, err := sched.SingleTenantRates(core, opt.config(), opt.requests())
+		rates, err := sched.SingleTenantRates(core, opt.config(), opt.Requests)
 		if err != nil {
 			return nil, fmt.Errorf("v10: core %d: %w", c, err)
 		}

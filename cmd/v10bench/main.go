@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,62 +45,73 @@ func selectGenerators(only string) ([]experiments.Generator, error) {
 	return gens, nil
 }
 
-func main() {
-	out := flag.String("out", "results", "directory to write tables into")
-	only := flag.String("only", "", "comma-separated experiment IDs (default: all)")
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	requests := flag.Int("requests", 4, "requests per workload per collocated run")
-	profileReqs := flag.Int("profile-requests", 3, "requests per single-tenant characterization run")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	quiet := flag.Bool("quiet", false, "suppress table output on stdout")
-	bars := flag.Bool("bars", false, "render tables as ASCII bar charts on stdout")
-	markdown := flag.Bool("markdown", false, "additionally write <id>.md files")
-	par := flag.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS, 1 = serial)")
-	traceDir := flag.String("trace", "",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main's testable body: parse flags, run the selected generators,
+// write their tables. It returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	ctx := experiments.NewContext()
+	fs := flag.NewFlagSet("v10bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("out", "results", "directory to write tables into")
+	only := fs.String("only", "", "comma-separated experiment IDs (default: all)")
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	fs.IntVar(&ctx.Requests, "requests", ctx.Requests, "requests per workload per collocated run")
+	fs.IntVar(&ctx.ProfileRequests, "profile-requests", ctx.ProfileRequests,
+		"requests per single-tenant characterization run")
+	fs.Uint64Var(&ctx.Seed, "seed", ctx.Seed, "simulation seed")
+	quiet := fs.Bool("quiet", false, "suppress table output on stdout")
+	bars := fs.Bool("bars", false, "render tables as ASCII bar charts on stdout")
+	markdown := fs.Bool("markdown", false, "additionally write <id>.md files")
+	fs.IntVar(&ctx.Parallel, "parallel", ctx.Parallel, "simulation worker count (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&ctx.TraceDir, "trace", ctx.TraceDir,
 		"write a Perfetto-loadable <pair>.trace.json timeline per collocation pair into this directory")
-	counterDir := flag.String("counters", "",
+	fs.StringVar(&ctx.CounterDir, "counters", ctx.CounterDir,
 		"write <pair>.counters.csv per-workload counter snapshots into this directory")
-	tunedFlag := flag.String("tuned", "",
+	tunedFlag := fs.String("tuned", "",
 		"tuned-policy JSON the 'tuned' experiment compares against the defaults (default: the committed v10tune winner)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	for _, c := range []struct {
+		name     string
+		val, min int
+	}{{"requests", ctx.Requests, 1}, {"profile-requests", ctx.ProfileRequests, 1}, {"parallel", ctx.Parallel, 0}} {
+		if c.val < c.min {
+			fmt.Fprintf(stderr, "v10bench: invalid -%s %d (want at least %d)\n", c.name, c.val, c.min)
+			return 2
+		}
+	}
 
 	if *list {
 		for _, g := range experiments.Generators() {
-			fmt.Printf("%-8s %s\n", g.ID, g.Name)
+			fmt.Fprintf(stdout, "%-8s %s\n", g.ID, g.Name)
 		}
-		return
+		return 0
 	}
-
-	ctx := experiments.NewContext()
-	ctx.Requests = *requests
-	ctx.ProfileRequests = *profileReqs
-	ctx.Seed = *seed
-	ctx.Parallel = *par
-	ctx.TraceDir = *traceDir
-	ctx.CounterDir = *counterDir
 	if *tunedFlag != "" {
 		p, err := tune.LoadPolicy(*tunedFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		ctx.TunedKnobs = &p.Knobs
 	}
 
 	gens, err := selectGenerators(*only)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "%v; use -list\n", err)
+		return 2
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	// Generators fan out across the worker pool too (the Context memo caches
 	// dedupe the shared pair runs); tables come back in paper order.
-	tables, err := parallel.Map(context.Background(), len(gens), *par,
+	tables, err := parallel.Map(context.Background(), len(gens), ctx.Parallel,
 		func(i int) (*report.Table, error) {
 			tb, err := gens[i].Run(ctx)
 			if err != nil {
@@ -108,35 +120,29 @@ func main() {
 			return tb, nil
 		})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
+	write := func(name, body string) bool {
+		if err := os.WriteFile(filepath.Join(*out, name), []byte(body), 0o644); err != nil {
+			fmt.Fprintln(stderr, err)
+			return false
+		}
+		return true
+	}
 	for i, g := range gens {
 		tb := tables[i]
 		if !*quiet {
 			if *bars {
-				fmt.Println(tb.Bars(50))
+				fmt.Fprintln(stdout, tb.Bars(50))
 			} else {
-				fmt.Println(tb.String())
+				fmt.Fprintln(stdout, tb.String())
 			}
 		}
-		txt := filepath.Join(*out, g.ID+".txt")
-		if err := os.WriteFile(txt, []byte(tb.String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		csv := filepath.Join(*out, g.ID+".csv")
-		if err := os.WriteFile(csv, []byte(tb.CSV()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *markdown {
-			md := filepath.Join(*out, g.ID+".md")
-			if err := os.WriteFile(md, []byte(tb.Markdown()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if !write(g.ID+".txt", tb.String()) || !write(g.ID+".csv", tb.CSV()) ||
+			(*markdown && !write(g.ID+".md", tb.Markdown())) {
+			return 1
 		}
 	}
 
@@ -144,8 +150,8 @@ func main() {
 	if *only == "" {
 		s, err := ctx.HeadlineSummary()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		summary := fmt.Sprintf(
 			"V10-Full vs PMT geomeans over the 11 evaluation pairs (paper values in parens):\n"+
@@ -154,10 +160,10 @@ func main() {
 				"  average latency:  %.2fx (1.56x)\n"+
 				"  95%% tail latency: %.2fx (1.74x)\n",
 			s.UtilizationX, s.ThroughputX, s.AvgLatencyX, s.TailLatencyX)
-		fmt.Print(summary)
-		if err := os.WriteFile(filepath.Join(*out, "summary.txt"), []byte(summary), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		fmt.Fprint(stdout, summary)
+		if !write("summary.txt", summary) {
+			return 1
 		}
 	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"testing"
 
 	"v10/internal/experiments"
@@ -44,5 +45,21 @@ func TestGeneratorIDsUnique(t *testing.T) {
 	}
 	if !seen["fleet"] {
 		t.Error("fleet experiment not registered")
+	}
+}
+
+// TestRunRejectsBadCounts: a count flag the library would silently replace
+// exits 2 naming the flag, before any experiment runs.
+func TestRunRejectsBadCounts(t *testing.T) {
+	for name, args := range map[string][]string{
+		"negative requests":     {"-requests", "-1"},
+		"zero profile requests": {"-profile-requests", "0"},
+		"negative parallel":     {"-parallel", "-5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args = append(args, "-out", t.TempDir(), "-only", "fig3", "-quiet")
+		if code := run(args, &stdout, &stderr); code != 2 || !bytes.Contains(stderr.Bytes(), []byte(args[0])) {
+			t.Errorf("%s: exit %d, want 2 naming %s (stderr: %s)", name, code, args[0], stderr.String())
+		}
 	}
 }

@@ -193,6 +193,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *cores < 1 {
+		fmt.Fprintf(stderr, "v10serve: invalid -cores %d (want at least 1)\n", *cores)
+		return 2
+	}
 
 	pol, err := v10.ParseFleetPolicy(*policy)
 	if err != nil {
@@ -370,6 +374,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
+			if errors.Is(err, v10.ErrTooFewWorkloads) {
+				return 2
+			}
 			return 1
 		}
 		opt.Advisor = adv

@@ -186,12 +186,14 @@ func TestRunFaultFreeSummaryOmitsFaultsBlock(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"unknown flag":    {"-definitely-not-a-flag"},
-		"invalid policy":  quickArgs("-policy", "greedy"),
-		"invalid scheme":  quickArgs("-scheme", "V11"),
-		"unknown model":   quickArgs("-models", "NoSuchModel"),
-		"zero tenants":    quickArgs("-tenants", "0"),
-		"bad rate string": quickArgs("-rate", "fast"),
+		"unknown flag":          {"-definitely-not-a-flag"},
+		"invalid policy":        quickArgs("-policy", "greedy"),
+		"invalid scheme":        quickArgs("-scheme", "V11"),
+		"unknown model":         quickArgs("-models", "NoSuchModel"),
+		"zero tenants":          quickArgs("-tenants", "0"),
+		"zero cores":            quickArgs("-cores", "0"),
+		"one tenant to cluster": quickArgs("-cores", "1", "-tenants", "1", "-policy", "advisor"),
+		"bad rate string":       quickArgs("-rate", "fast"),
 
 		"malformed fault spec":     quickArgs("-faults", "fail@"),
 		"unknown fault kind":       quickArgs("-faults", "melt@0:1000"),
@@ -499,6 +501,7 @@ func TestRunRejectsBadVNPUFlags(t *testing.T) {
 		"overcommitted vmem": quickArgs("-vnpu", "0.5:0.8:0.5;0.5:0.8:0.5"),
 		"overcommitted hbm":  quickArgs("-vnpu", "0.5:0.5:0.9;0.5:0.5:0.9"),
 		"empty spec":         quickArgs("-vnpu", " ; "),
+		"repeated name":      quickArgs("-vnpu", "a=0.5;a=0.5"),
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -21,23 +23,35 @@ import (
 	v10 "v10"
 )
 
-func main() {
-	spec := flag.String("workloads", "BERT:32,NCF:32",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main's testable body: parse flags, simulate, print each scheme's
+// measurements on stdout. It returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("v10sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec := fs.String("workloads", "BERT:32,NCF:32",
 		"comma-separated workloads as model:batch[:priority]")
-	scheme := flag.String("scheme", "",
+	scheme := fs.String("scheme", "",
 		"one of PMT, V10-Base, V10-Fair, V10-Full (default: compare all)")
-	requests := flag.Int("requests", 8, "requests per workload")
-	slice := flag.Int64("slice", 0, "scheduler time slice override in cycles")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	record := flag.String("record", "", "record the first workload's trace to this file and exit")
-	traces := flag.String("traces", "", "comma-separated trace files to replay instead of -workloads")
-	traceOut := flag.String("trace", "",
+	requests := fs.Int("requests", 8, "requests per workload")
+	slice := fs.Int64("slice", 0, "scheduler time slice override in cycles")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	record := fs.String("record", "", "record the first workload's trace to this file and exit")
+	traces := fs.String("traces", "", "comma-separated trace files to replay instead of -workloads")
+	traceOut := fs.String("trace", "",
 		"write a Chrome/Perfetto trace-event JSON timeline of the V10 runs to this file")
-	countersOut := flag.String("counters", "",
+	countersOut := fs.String("counters", "",
 		"write per-workload counter snapshots to this file (.json for JSON, else CSV)")
-	counterInterval := flag.Int64("counter-interval", 0,
+	counterInterval := fs.Int64("counter-interval", 0,
 		"counter sampling interval in cycles (default 32x the time slice)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *requests < 1 {
+		fmt.Fprintf(stderr, "v10sim: invalid -requests %d (want at least 1)\n", *requests)
+		return 2
+	}
 
 	cfg := v10.DefaultConfig()
 	var workloads []*v10.Workload
@@ -48,24 +62,24 @@ func main() {
 		workloads, err = parseWorkloads(*spec, cfg)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *record != "" {
 		f := v10.RecordTrace(workloads[0], *requests)
 		out, err := os.Create(*record)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer out.Close()
 		if err := v10.WriteTrace(out, f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("recorded %d requests of %s to %s\n", *requests, workloads[0].Name, *record)
-		return
+		fmt.Fprintf(stdout, "recorded %d requests of %s to %s\n", *requests, workloads[0].Name, *record)
+		return 0
 	}
 	opt := v10.Options{Config: cfg, Requests: *requests, TimeSlice: *slice, Seed: *seed,
 		CounterInterval: *counterInterval}
@@ -77,31 +91,15 @@ func main() {
 	if *countersOut != "" {
 		opt.Counters = v10.NewCounterLog()
 	}
-	// flush writes the observability outputs; runs that time out still leave
-	// a timeline behind, which is exactly when it is most needed.
-	flush := func() {
-		if tracer != nil {
-			if err := tracer.WriteFile(*traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d trace events to %s (open in ui.perfetto.dev)\n",
-				tracer.Len(), *traceOut)
-		}
-		if opt.Counters != nil {
-			if err := opt.Counters.WriteFile(*countersOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d counter rows to %s\n", opt.Counters.Len(), *countersOut)
-		}
-	}
 
+	// One scheme, or the whole comparison with STP.
+	results := map[string]*v10.Result{}
+	var rates []float64
 	if *scheme != "" {
-		s, err := v10.ParseScheme(*scheme)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		s, perr := v10.ParseScheme(*scheme)
+		if perr != nil {
+			fmt.Fprintln(stderr, perr)
+			return 2
 		}
 		if tracer != nil {
 			tracer.BeginSection(s.String())
@@ -109,40 +107,56 @@ func main() {
 		if opt.Counters != nil {
 			opt.Counters.BeginSection(s.String())
 		}
-		res, err := v10.Collocate(workloads, s, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			if res == nil {
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "reporting partial measurements up to the cycle cap:")
+		var res *v10.Result
+		res, err = v10.Collocate(workloads, s, opt)
+		if res != nil {
+			results[s.String()] = res
 		}
-		printResult(res, nil)
-		flush()
-		if err != nil {
-			os.Exit(1)
-		}
-		return
+	} else {
+		results, rates, err = v10.CompareSchemes(workloads, opt)
 	}
-
-	results, rates, err := v10.CompareSchemes(workloads, opt)
+	var optErr *v10.OptionsError
+	if errors.As(err, &optErr) {
+		fmt.Fprintln(stderr, "invalid options:", err)
+		return 2
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		if len(results) == 0 {
-			os.Exit(1)
+			return 1
 		}
-		fmt.Fprintln(os.Stderr, "reporting partial measurements up to the cycle cap:")
+		fmt.Fprintln(stderr, "reporting partial measurements up to the cycle cap:")
 	}
 	for s := v10.SchemePMT; s <= v10.SchemeV10Full; s++ {
 		if res, ok := results[s.String()]; ok {
-			printResult(res, rates)
-			fmt.Println()
+			printResult(stdout, res, rates)
+			if *scheme == "" {
+				fmt.Fprintln(stdout)
+			}
 		}
 	}
-	flush()
-	if err != nil {
-		os.Exit(1)
+
+	// Runs that time out still leave a timeline behind, which is exactly
+	// when it is most needed.
+	if tracer != nil {
+		if err := tracer.WriteFile(*traceOut); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "wrote %d trace events to %s (open in ui.perfetto.dev)\n",
+			tracer.Len(), *traceOut)
 	}
+	if opt.Counters != nil {
+		if err := opt.Counters.WriteFile(*countersOut); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "wrote %d counter rows to %s\n", opt.Counters.Len(), *countersOut)
+	}
+	if err != nil {
+		return 1
+	}
+	return 0
 }
 
 func loadTraces(paths string) ([]*v10.Workload, error) {
@@ -196,23 +210,22 @@ func parseWorkloads(spec string, cfg v10.Config) ([]*v10.Workload, error) {
 	return out, nil
 }
 
-func printResult(res *v10.Result, rates []float64) {
-	fmt.Printf("=== %s ===\n", res.Scheme)
-	fmt.Printf("simulated %d cycles (%.2f ms of device time)\n",
+func printResult(w io.Writer, res *v10.Result, rates []float64) {
+	fmt.Fprintf(w, "=== %s ===\n", res.Scheme)
+	fmt.Fprintf(w, "simulated %d cycles (%.2f ms of device time)\n",
 		res.TotalCycles, float64(res.TotalCycles)/700e3)
 	both, saOnly, vuOnly := res.OverlapBreakdown()
-	fmt.Printf("utilization: SA %.1f%%  VU %.1f%%  aggregate %.1f%%  HBM %.1f%%\n",
+	fmt.Fprintf(w, "utilization: SA %.1f%%  VU %.1f%%  aggregate %.1f%%  HBM %.1f%%\n",
 		100*res.SAUtil(), 100*res.VUUtil(), 100*res.AggregateUtil(), 100*res.HBMUtil())
-	fmt.Printf("overlap: both %.1f%%  SA-only %.1f%%  VU-only %.1f%%\n",
+	fmt.Fprintf(w, "overlap: both %.1f%%  SA-only %.1f%%  VU-only %.1f%%\n",
 		100*both, 100*saOnly, 100*vuOnly)
 	if rates != nil {
-		fmt.Printf("system throughput (STP): %.3f\n", res.STP(rates))
+		fmt.Fprintf(w, "system throughput (STP): %.3f\n", res.STP(rates))
 	}
-	for i, w := range res.Workloads {
-		fmt.Printf("  %-14s requests=%d  avg=%.2f ms  p95=%.2f ms  preempts=%d  switch=%.0f µs\n",
-			w.Name, w.Requests,
-			w.AvgLatency()/700e3, w.TailLatency(95)/700e3,
-			w.Preemptions, float64(w.SwitchCycles)/700)
-		_ = i
+	for _, ws := range res.Workloads {
+		fmt.Fprintf(w, "  %-14s requests=%d  avg=%.2f ms  p95=%.2f ms  preempts=%d  switch=%.0f µs\n",
+			ws.Name, ws.Requests,
+			ws.AvgLatency()/700e3, ws.TailLatency(95)/700e3,
+			ws.Preemptions, float64(ws.SwitchCycles)/700)
 	}
 }

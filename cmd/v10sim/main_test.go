@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	v10 "v10"
@@ -47,5 +49,35 @@ func TestSchemeByName(t *testing.T) {
 	}
 	if _, err := v10.ParseScheme("bogus"); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+}
+
+// TestRunRejectsBadFlags: a count the library would silently replace, and
+// options the library rejects with a typed error, exit 2.
+func TestRunRejectsBadFlags(t *testing.T) {
+	small := []string{"-workloads", "MNST:1,NCF:1", "-requests", "1"}
+	for name, args := range map[string][]string{
+		"zero requests":                         {"-requests", "0"},
+		"negative requests":                     {"-requests", "-3"},
+		"negative counter interval":             append(small, "-counter-interval", "-5"),
+		"one scheme, negative counter interval": append(small, "-scheme", "V10-Full", "-counter-interval", "-5"),
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr: %s)", name, code, stderr.String())
+		}
+	}
+}
+
+// TestRunPrintsEveryScheme: the comparison prints one block per scheme.
+func TestRunPrintsEveryScheme(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-workloads", "MNST:1,NCF:1", "-requests", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, stderr.String())
+	}
+	for _, s := range []string{"PMT", "V10-Base", "V10-Fair", "V10-Full"} {
+		if !strings.Contains(stdout.String(), "=== "+s+" ===") {
+			t.Errorf("no %s block in:\n%s", s, stdout.String())
+		}
 	}
 }

@@ -27,6 +27,7 @@ var exportsAllowed = map[string]string{
 	"internal/faults.UnmarshalJSON":    "json.Unmarshaler, called through the interface",
 	"internal/simcheck.UnmarshalJSON":  "json.Unmarshaler, called through the interface",
 	"internal/fleet.Unwrap":            "errors.As and errors.Is call it through the interface",
+	"internal/sched.Unwrap":            "errors.As and errors.Is call it through the interface",
 	"internal/sim.EventStats":          "engine counters the planned v10serve -selfstats report reads (ROADMAP)",
 	"internal/sim.ChurnStats":          "fluid-pool counters the planned v10serve -selfstats report reads (ROADMAP)",
 	"internal/sim.TotalBytes":          "fluid-pool traffic the planned v10serve -selfstats report reads (ROADMAP)",

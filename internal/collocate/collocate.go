@@ -9,6 +9,7 @@ package collocate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -29,6 +30,9 @@ type Features struct {
 	Model string // model family (cross-validation groups by this)
 	Vec   []float64
 }
+
+// ErrTooFewWorkloads rejects a training population too small to cluster.
+var ErrTooFewWorkloads = errors.New("collocate: need at least 2 workloads to cluster")
 
 // FeatureNames documents the order of Features.Vec entries.
 var FeatureNames = []string{
@@ -222,7 +226,7 @@ type Model struct {
 func ClusterOnly(feats []Features, tc TrainConfig) (*Model, error) {
 	tc = tc.withDefaults()
 	if len(feats) < 2 {
-		return nil, fmt.Errorf("collocate: need at least 2 workloads to cluster")
+		return nil, ErrTooFewWorkloads
 	}
 	rows := make([][]float64, len(feats))
 	for i, f := range feats {

@@ -96,6 +96,9 @@ func TestArrivalErrorTyped(t *testing.T) {
 		if !errors.As(err, &ae) {
 			t.Fatalf("%s: err = %v (%T), want *ArrivalError", name, err, err)
 		}
+		if _, ok := err.(*OptionsError); !ok {
+			t.Fatalf("%s: err is %T, want the *OptionsError wrapping it", name, err)
+		}
 		if ae.Workload != wantWL || ae.Index != wantIdx {
 			t.Errorf("%s: ArrivalError{Workload: %d, Index: %d}, want {%d, %d}: %v",
 				name, ae.Workload, ae.Index, wantWL, wantIdx, ae)

@@ -201,21 +201,9 @@ func (r *runner) event(t obs.EventType, now, dur int64, wl *wlState, fu *fuState
 // Run simulates the workloads sharing one NPU core under the given options
 // and returns the measured result. At least one workload is required.
 func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.withDefaults(workloads)
 	if err != nil {
-		return nil, err
-	}
-	if len(workloads) == 0 {
-		return nil, fmt.Errorf("sched: no workloads")
-	}
-	// Algorithm 1 divides by the priority when computing active_rate_p, so a
-	// zero, negative, or non-finite priority silently turns the policy's
-	// comparisons into ±Inf/NaN ordering. Reject it up front.
-	for i, w := range workloads {
-		if !(w.Priority > 0) || math.IsInf(w.Priority, 0) {
-			return nil, fmt.Errorf("sched: workload %d (%s) has invalid priority %v; must be positive and finite",
-				i, w.Name, w.Priority)
-		}
+		return nil, &OptionsError{Err: err}
 	}
 
 	cfg := opts.Config
@@ -232,15 +220,8 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 	var sliceResidents []int
 	if len(opts.Slices) > 0 {
 		nSlices = len(opts.Slices)
-		if len(opts.SliceOf) != len(workloads) {
-			return nil, fmt.Errorf("sched: SliceOf has %d entries for %d workloads",
-				len(opts.SliceOf), len(workloads))
-		}
 		sliceResidents = make([]int, nSlices)
-		for i, s := range opts.SliceOf {
-			if s < 0 || s >= nSlices {
-				return nil, fmt.Errorf("sched: workload %d assigned to slice %d of %d", i, s, nSlices)
-			}
+		for _, s := range opts.SliceOf {
 			sliceResidents[s]++
 		}
 	}
@@ -272,11 +253,6 @@ func Run(workloads []*trace.Workload, opts Options) (*metrics.RunResult, error) 
 		for i := 0; i < cfg.NumVU; i++ {
 			r.fus[1] = append(r.fus[1], &fuState{r: r, kind: 1, idx: s*cfg.NumVU + i, slice: s})
 		}
-	}
-	if opts.ArrivalCycles != nil && len(opts.ArrivalCycles) != len(workloads) {
-		return nil, &ArrivalError{Workload: -1, Index: -1,
-			Reason: fmt.Sprintf("ArrivalCycles has %d schedules for %d workloads",
-				len(opts.ArrivalCycles), len(workloads))}
 	}
 	if opts.Policy == PriorityPreempt {
 		r.sliceTimer = engine.NewTimer(cfg.TimeSlice, r.sliceTick)

@@ -14,6 +14,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -235,8 +236,17 @@ type Options struct {
 	CounterInterval int64
 }
 
-// withDefaults normalizes zero-valued options.
-func (o Options) withDefaults() (Options, error) {
+// OptionsError reports Options, or a workload list, that Run rejects before
+// simulating anything. errors.As still reaches a typed cause such as
+// *ArrivalError.
+type OptionsError struct{ Err error }
+
+func (e *OptionsError) Error() string { return e.Err.Error() }
+func (e *OptionsError) Unwrap() error { return e.Err }
+
+// withDefaults normalizes zero-valued options and checks them against the
+// workloads they will run.
+func (o Options) withDefaults(workloads []*trace.Workload) (Options, error) {
 	if o.Config.SADim == 0 {
 		o.Config = npu.DefaultConfig()
 	}
@@ -324,6 +334,34 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if err := validateWindows("vmem", o.VMemWindows, true); err != nil {
 		return o, err
+	}
+	if len(workloads) == 0 {
+		return o, fmt.Errorf("sched: no workloads")
+	}
+	// Algorithm 1 divides by the priority when computing active_rate_p, so a
+	// zero, negative, or non-finite priority silently turns the policy's
+	// comparisons into ±Inf/NaN ordering. Reject it up front.
+	for i, w := range workloads {
+		if !(w.Priority > 0) || math.IsInf(w.Priority, 0) {
+			return o, fmt.Errorf("sched: workload %d (%s) has invalid priority %v; must be positive and finite",
+				i, w.Name, w.Priority)
+		}
+	}
+	if len(o.Slices) > 0 {
+		if len(o.SliceOf) != len(workloads) {
+			return o, fmt.Errorf("sched: SliceOf has %d entries for %d workloads",
+				len(o.SliceOf), len(workloads))
+		}
+		for i, s := range o.SliceOf {
+			if s < 0 || s >= len(o.Slices) {
+				return o, fmt.Errorf("sched: workload %d assigned to slice %d of %d", i, s, len(o.Slices))
+			}
+		}
+	}
+	if o.ArrivalCycles != nil && len(o.ArrivalCycles) != len(workloads) {
+		return o, &ArrivalError{Workload: -1, Index: -1,
+			Reason: fmt.Sprintf("ArrivalCycles has %d schedules for %d workloads",
+				len(o.ArrivalCycles), len(workloads))}
 	}
 	return o, nil
 }

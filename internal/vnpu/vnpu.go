@@ -65,14 +65,19 @@ type Template struct {
 	HBM float64 `json:"hbm"`
 }
 
-// TemplateError reports an invalid slice template (e.g. a zero-width slice).
+// TemplateError reports an invalid slice template: a fraction outside (0,1]
+// (e.g. a zero-width slice), or a name an earlier template already took.
 type TemplateError struct {
 	Slice    int     // template index
-	Resource string  // "compute", "vmem", or "hbm"
+	Resource string  // "compute", "vmem", "hbm", or "name" for a repeated name
 	Value    float64 // the offending fraction
+	Name     string  // the repeated name, when Resource is "name"
 }
 
 func (e *TemplateError) Error() string {
+	if e.Resource == "name" {
+		return fmt.Sprintf("vnpu: template %d repeats the slice name %q", e.Slice, e.Name)
+	}
 	return fmt.Sprintf("vnpu: template %d has %s fraction %v; slices need fractions in (0,1]",
 		e.Slice, e.Resource, e.Value)
 }
@@ -161,8 +166,9 @@ func parseFraction(s string) (float64, error) {
 }
 
 // Validate checks the template set the way NewPartition would: every
-// fraction in (0,1] (zero-width slices are typed TemplateErrors) and each
-// resource's fractions summing to at most 1 (typed OvercommitError).
+// fraction in (0,1] (zero-width slices are typed TemplateErrors), no name
+// given twice (a TemplateError too), and each resource's fractions summing
+// to at most 1 (typed OvercommitError).
 func Validate(templates []Template) error {
 	if len(templates) == 0 {
 		return fmt.Errorf("vnpu: no slice templates")
@@ -175,6 +181,13 @@ func Validate(templates []Template) error {
 		}{{"compute", t.Compute}, {"vmem", t.VMem}, {"hbm", t.HBM}} {
 			if !(f.value > 0 && f.value <= 1) || math.IsNaN(f.value) {
 				return &TemplateError{Slice: i, Resource: f.resource, Value: f.value}
+			}
+		}
+		// Pairwise, not a map: the fleet validates every sliced run, and
+		// template sets are a handful long.
+		for _, prev := range templates[:i] {
+			if t.Name != "" && t.Name == prev.Name {
+				return &TemplateError{Slice: i, Resource: "name", Name: t.Name}
 			}
 		}
 		compute += t.Compute

@@ -84,6 +84,18 @@ func TestValidateTypedErrors(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("NaN fraction: got %v", err)
 	}
+	err = Validate([]Template{
+		{Name: "a", Compute: 0.25, VMem: 0.25, HBM: 0.25},
+		{Name: "b", Compute: 0.25, VMem: 0.25, HBM: 0.25},
+		{Name: "a", Compute: 0.5, VMem: 0.5, HBM: 0.5},
+	})
+	if !errors.As(err, &te) || te.Resource != "name" || te.Slice != 2 || te.Name != "a" {
+		t.Fatalf("repeated name: got %v", err)
+	}
+	// Unnamed slices take distinct default names, so they never collide.
+	if err := Validate([]Template{{Compute: 0.5, VMem: 0.5, HBM: 0.5}, {Compute: 0.5, VMem: 0.5, HBM: 0.5}}); err != nil {
+		t.Fatalf("two unnamed halves: %v", err)
+	}
 
 	var oe *OvercommitError
 	err = Validate([]Template{
@@ -113,6 +125,11 @@ func TestValidateTypedErrors(t *testing.T) {
 	// Exact full commitment is not an overcommit.
 	if err := Validate(halves()); err != nil {
 		t.Fatalf("two exact halves: %v", err)
+	}
+	// The fleet validates every sliced run, so a valid set costs nothing.
+	ts := halves()
+	if n := testing.AllocsPerRun(100, func() { _ = Validate(ts) }); n != 0 {
+		t.Fatalf("Validate allocates %v times per call", n)
 	}
 }
 

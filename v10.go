@@ -120,6 +120,11 @@ func MultiTracer(sinks ...Tracer) Tracer { return obs.Multi(sinks...) }
 // V10 simulation exceeds its cycle cap before every workload finishes.
 var ErrMaxCycles = sched.ErrMaxCycles
 
+// OptionsError reports Options, or a workload set, that a single-core run
+// (Collocate, Profile, CompareSchemes, SimulateCluster) rejects before
+// simulating anything; it unwraps to the rejected field's own error.
+type OptionsError = sched.OptionsError
+
 // ModelNames returns the 11 evaluated model families (paper Table 4).
 func ModelNames() []string { return models.Names() }
 
@@ -258,18 +263,10 @@ func (o Options) config() Config {
 	return cfg
 }
 
-// requests returns the requests each workload completes (default 20).
-func (o Options) requests() int {
-	if o.Requests <= 0 {
-		return 20
-	}
-	return o.Requests
-}
-
 // Profile runs a workload alone on a dedicated core and reports its
 // characterization (the Figs. 3–8 methodology).
 func Profile(w *Workload, opt Options) (*Result, error) {
-	return sched.RunSingle(w, opt.config(), opt.requests())
+	return sched.RunSingle(w, opt.config(), opt.Requests)
 }
 
 // Collocate simulates the workloads sharing one NPU core under the chosen
@@ -324,7 +321,7 @@ func (o Options) beginSection(label string) {
 // per-scheme errors come back joined, so errors.Is(err, ErrMaxCycles) still
 // identifies timeouts.
 func CompareSchemes(workloads []*Workload, opt Options) (map[string]*Result, []float64, error) {
-	rates, err := sched.SingleTenantRates(workloads, opt.config(), opt.requests())
+	rates, err := sched.SingleTenantRates(workloads, opt.config(), opt.Requests)
 	if err != nil {
 		return nil, nil, err
 	}
