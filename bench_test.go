@@ -276,9 +276,13 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkFluidPool measures the bandwidth water-filling engine.
+// BenchmarkFluidPool measures the bandwidth water-filling engine. Next to
+// the time it reports the engine's event counts per run: scheduled/op counts
+// every scheduled event and completion key, canceled/op the ones a re-solve
+// superseded.
 func BenchmarkFluidPool(b *testing.B) {
 	b.ReportAllocs()
+	var scheduled, canceled uint64
 	for i := 0; i < b.N; i++ {
 		var e sim.Engine
 		pool := sim.NewFluidPool(&e, 471)
@@ -289,7 +293,12 @@ func BenchmarkFluidPool(b *testing.B) {
 		}
 		for e.Step() {
 		}
+		s, _, c := e.EventStats()
+		scheduled += s
+		canceled += c
 	}
+	b.ReportMetric(float64(scheduled)/float64(b.N), "scheduled/op")
+	b.ReportMetric(float64(canceled)/float64(b.N), "canceled/op")
 }
 
 // BenchmarkKMeans measures the clustering stage on a Fig. 15-sized dataset.

@@ -197,6 +197,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "v10serve: invalid -cores %d (want at least 1)\n", *cores)
 		return 2
 	}
+	// The fleet reads a zero queue limit or window as "use the default"; on
+	// the command line a zero is a mistake, not a request for the default.
+	if *queueLimit == 0 {
+		fmt.Fprintln(stderr, "v10serve: invalid -queue-limit 0 (want at least 1)")
+		return 2
+	}
+	if *duration == 0 {
+		fmt.Fprintln(stderr, "v10serve: invalid -duration-cycles 0 (want at least 1)")
+		return 2
+	}
 
 	pol, err := v10.ParseFleetPolicy(*policy)
 	if err != nil {

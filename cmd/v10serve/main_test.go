@@ -213,6 +213,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// A zero -queue-limit or -duration-cycles is rejected like -cores 0, not
+// silently replaced by the fleet's default.
+func TestRunRejectsZeroBounds(t *testing.T) {
+	for _, flag := range []string{"-queue-limit", "-duration-cycles"} {
+		var stdout, stderr bytes.Buffer
+		code := run(quickArgs(flag, "0"), &stdout, &stderr)
+		want := "invalid " + flag + " 0 (want at least 1)"
+		if code != 2 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s 0: exit %d, want 2 with %q (stderr: %s)", flag, code, want, stderr.String())
+		}
+	}
+}
+
 func TestRunAdvisorPolicy(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	args := quickArgs("-policy", "advisor", "-tenants", "4")
@@ -521,6 +534,10 @@ func TestRunRejectsThroughFleetOptions(t *testing.T) {
 		"tuned over negative queue limit": quickArgs("-queue-limit", "-3", "-tuned", tuned),
 		"tuned over slowdown below one":   quickArgs("-admission", "predictive", "-slowdown", "0.5", "-tuned", tuned),
 		"slowdown below one":              elasticArgs("-admission", "predictive", "-slowdown", "0.5"),
+		"NaN slowdown":                    quickArgs("-admission", "predictive", "-slowdown", "NaN"),
+		"infinite slowdown":               quickArgs("-admission", "predictive", "-slowdown", "+Inf"),
+		"NaN SLO factor":                  quickArgs("-slo-factor", "NaN"),
+		"infinite SLO factor":             quickArgs("-slo-factor", "Inf"),
 		"autoscale above cores":           elasticArgs("-autoscale", "9"),
 		"negative autoscale":              elasticArgs("-autoscale", "-1"),
 		"negative cooldown":               elasticArgs("-cooldown", "-1"),

@@ -376,8 +376,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.SLOFactor == 0 {
 		o.SLOFactor = 10
 	}
-	if o.SLOFactor < 0 {
-		return o, fmt.Errorf("fleet: negative SLOFactor %v", o.SLOFactor)
+	if o.SLOFactor < 0 || math.IsInf(o.SLOFactor, 0) || math.IsNaN(o.SLOFactor) {
+		return o, fmt.Errorf("fleet: invalid SLOFactor %v", o.SLOFactor)
 	}
 	if o.MigrationRetries == 0 {
 		o.MigrationRetries = 4
@@ -430,6 +430,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.SlowdownLimit < 1 {
 		return o, fmt.Errorf("fleet: SlowdownLimit %v below 1 would reject every arrival", o.SlowdownLimit)
+	}
+	if math.IsInf(o.SlowdownLimit, 0) || math.IsNaN(o.SlowdownLimit) {
+		return o, fmt.Errorf("fleet: invalid SlowdownLimit %v", o.SlowdownLimit)
 	}
 	if o.Elastic != nil {
 		if !o.Faults.schedule().Empty() {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 
 	"v10/internal/ctlplane"
@@ -20,7 +21,8 @@ const (
 
 // FuzzFleetOptionsValidate hardens the fleet's one validation path: over any
 // numeric field values and any mix of option blocks, Validate must return
-// nil or an *OptionsError, and never panic. The seed corpus lives in
+// nil or an *OptionsError, and never panic, and options it accepts hold no
+// NaN or infinite float. The seed corpus lives in
 // testdata/fuzz/FuzzFleetOptionsValidate.
 func FuzzFleetOptionsValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blocks uint8, cores, queueLimit, retries, feedback int,
@@ -55,9 +57,20 @@ func FuzzFleetOptionsValidate(f *testing.F) {
 		if blocks&fuzzPredictive != 0 {
 			o.Admission = AdmitPredictive
 		}
-		if err := o.Validate(); err != nil {
+		err := o.Validate()
+		if err != nil {
 			if _, ok := err.(*OptionsError); !ok {
 				t.Fatalf("Validate returned %T, want *OptionsError: %v", err, err)
+			}
+			return
+		}
+		floats := []float64{rate, slo, slowdown, scale, margin, exponent, threshold}
+		if o.Slices != nil {
+			floats = append(floats, frac)
+		}
+		for _, v := range floats {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Validate accepted the non-finite %v in %+v", v, o)
 			}
 		}
 	})

@@ -15,7 +15,11 @@ type Cycle = int64
 // (Cancel stays a no-op). ScheduleCall events carry a typed callback plus a
 // payload and are recycled into the engine's free list the moment they fire
 // or are dropped, so the simulator's hot path allocates nothing; their
-// handles must not be retained or canceled after the callback has run.
+// handles must not be retained or canceled after the callback has run. A
+// FluidPool embeds a third kind, a keyed entry it never cancels: it re-keys
+// the entry in place (fix) or takes it out of the heap (unlink), and the
+// entry fires where it stands, at the heap head, so its callback must do one
+// of the two before it returns.
 type Event struct {
 	At      Cycle
 	seq     uint64
@@ -25,6 +29,7 @@ type Event struct {
 
 	canceled bool
 	pooled   bool     // recycled after firing; allocated via ScheduleCall
+	keyed    bool     // fires in place; its callback re-keys or unlinks it
 	index    int      // heap index, -1 when popped
 	rest     *[]Cycle // ScheduleCallEach: the series' times after At (nil otherwise)
 	eng      *Engine
@@ -33,8 +38,7 @@ type Event struct {
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op. Canceled events are dropped lazily;
 // once they outnumber the live ones the engine compacts its heap, so long
-// runs with heavy preemption (which cancels completion events constantly)
-// cannot accumulate garbage.
+// cancel-heavy runs cannot accumulate garbage.
 func (e *Event) Cancel() {
 	if e == nil || e.canceled {
 		return
@@ -132,6 +136,57 @@ func (e *Engine) siftDown(i int) {
 	}
 	evs[i] = ev
 	ev.index = i
+}
+
+// fix restores heap order after ev's key changed in place, or pushes ev if
+// it is not in the heap.
+func (e *Engine) fix(ev *Event) {
+	if ev.index < 0 {
+		e.push(ev)
+		return
+	}
+	e.siftUp(ev.index)
+	e.siftDown(ev.index)
+}
+
+// unlink removes ev from the heap at once, if it is there. Unlike Cancel it
+// leaves nothing behind to drop later and counts nothing: the caller owns
+// ev's bookkeeping.
+func (e *Engine) unlink(ev *Event) {
+	i := ev.index
+	if i < 0 {
+		return
+	}
+	ev.index = -1
+	n := len(e.events) - 1
+	last := e.events[n]
+	e.events[n] = nil
+	e.events = e.events[:n]
+	if i < n {
+		e.events[i] = last
+		last.index = i
+		e.fix(last)
+	}
+}
+
+// reserve takes the scheduling-order number of an event at cycle at
+// without pushing one: the caller keys a heap entry of its own with it (see
+// FluidPool). The number counts as scheduled and pending, as ScheduleCall's
+// would, until it fires through the caller's entry or lapses.
+func (e *Engine) reserve(at Cycle) uint64 {
+	if at < e.now {
+		panic("sim: scheduling event in the past")
+	}
+	e.seq++
+	e.live++
+	return e.seq
+}
+
+// lapse retires a reserved number that will never fire: it counts as
+// canceled, as a canceled event would.
+func (e *Engine) lapse() {
+	e.live--
+	e.canceled++
 }
 
 // pop removes and returns the heap head.
@@ -252,7 +307,19 @@ func (e *Engine) Pending() bool { return e.live > 0 }
 // Step fires the next event. It returns false when no events remain.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := e.pop()
+		ev := e.events[0]
+		if ev.keyed {
+			// Its key is the heap's minimum and every event scheduled during
+			// the callback sorts after it, so it stays at the head until the
+			// callback re-keys it (one sift down) or unlinks it: cheaper than
+			// popping it and pushing it back.
+			e.live--
+			e.fired++
+			e.now = ev.At
+			ev.cb(ev.payload, e.now)
+			return true
+		}
+		e.pop()
 		if ev.canceled {
 			e.dead--
 			e.release(ev)

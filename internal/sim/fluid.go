@@ -23,8 +23,10 @@ type FluidTask struct {
 	pool       *FluidPool
 	pos        int  // index in pool.tasks, valid while active
 	active     bool // member of the pool's task set
+	pending    bool // holds a completion key (at, seq) that has yet to fire
 	rate       float64
-	doneEvent  *Event
+	at         Cycle   // completion cycle, valid while pending
+	seq        uint64  // scheduling-order number reserved for the completion
 	bytesMoved float64 // traffic actually transferred so far
 }
 
@@ -33,8 +35,18 @@ func (t *FluidTask) BytesMoved() float64 { return t.bytesMoved }
 
 // FluidPool advances a set of FluidTasks under a shared bandwidth capacity
 // using max-min (water-filling) allocation. Each change to the task set
-// re-solves the allocation; only tasks whose rate actually changed get their
-// completion event rescheduled, so contention-free pools reschedule nothing.
+// re-solves the allocation; only tasks whose rate actually changed get a new
+// completion key, so contention-free pools reschedule nothing.
+//
+// The pool holds one entry in the engine's heap, however many tasks it runs.
+// A (re)scheduled completion reserves the (At, seq) key its own event would
+// have had (Engine.reserve) and pushes nothing; the entry carries the
+// minimum key of the pool's pending tasks and is re-keyed in place when that
+// minimum changes. The engine orders its heap on (At, seq) and seqs are
+// unique, so the entry fires exactly when the head task's own event would
+// have, ties with other events at the same cycle included. A superseded key
+// counts as canceled, so EventStats and Pending read as if every completion
+// were its own event.
 type FluidPool struct {
 	engine   *Engine
 	capacity float64      // bytes per cycle
@@ -56,7 +68,11 @@ type FluidPool struct {
 	totalBytes float64 // all traffic ever moved through the pool
 
 	recomputes  uint64 // allocation re-solves
-	reschedules uint64 // completion events (re)scheduled
+	reschedules uint64 // completion keys (re)reserved
+
+	entry Event      // the pool's heap entry, keyed by head's (at, seq)
+	head  *FluidTask // pending task with the minimum key; nil when none
+	lost  bool       // head's key was dropped: rekey must scan for the minimum
 
 	// Tracer, when non-nil, receives an EvHBMRebalance event at every
 	// re-solve of the bandwidth allocation (each task start, completion, and
@@ -68,10 +84,12 @@ type FluidPool struct {
 // NewFluidPool creates a pool over the engine with the given bytes/cycle
 // capacity.
 func NewFluidPool(engine *Engine, capacityBytesPerCycle float64) *FluidPool {
-	return &FluidPool{
+	p := &FluidPool{
 		engine:   engine,
 		capacity: capacityBytesPerCycle,
 	}
+	p.entry = Event{cb: fluidFire, payload: p, index: -1, eng: engine, keyed: true}
+	return p
 }
 
 // TotalBytes returns all HBM traffic moved through the pool so far,
@@ -79,7 +97,7 @@ func NewFluidPool(engine *Engine, capacityBytesPerCycle float64) *FluidPool {
 func (p *FluidPool) TotalBytes() float64 { return p.totalBytes }
 
 // ChurnStats reports how many allocation re-solves the pool has done and how
-// many completion events those re-solves actually (re)scheduled. The gap
+// many completion keys those re-solves actually (re)scheduled. The gap
 // between reschedules and recomputes × tasks is the churn the rate-change
 // filter avoided.
 func (p *FluidPool) ChurnStats() (recomputes, reschedules uint64) {
@@ -133,8 +151,8 @@ func (p *FluidPool) start(work, demandBW float64) *FluidTask {
 		t = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		// Recycled handles had their callbacks and doneEvent cleared when they
-		// left the pool; only the progress fields are still stale.
+		// Recycled handles had their callbacks and completion key cleared
+		// when they left the pool; only the progress fields are still stale.
 		t.rate = 0
 		t.bytesMoved = 0
 	} else {
@@ -183,8 +201,7 @@ func (p *FluidPool) Preempt(t *FluidTask) float64 {
 		return 0
 	}
 	p.integrate(p.engine.Now())
-	t.doneEvent.Cancel()
-	t.doneEvent = nil
+	p.drop(t)
 	p.remove(t)
 	p.recompute()
 	work := t.Work
@@ -211,7 +228,9 @@ func (p *FluidPool) integrate(now Cycle) {
 			progress = t.Work
 		}
 		t.Work -= progress
-		moved := progress * t.DemandBW
+		// The conversion rounds the product before it is summed, so no
+		// architecture may fuse the two into one multiply-add.
+		moved := float64(progress * t.DemandBW)
 		t.bytesMoved += moved
 		p.totalBytes += moved
 	}
@@ -223,12 +242,18 @@ func (p *FluidPool) integrate(now Cycle) {
 // lands effectively at infinity and is rescheduled when the rate recovers.
 const maxFluidCycles = float64(int64(1) << 62)
 
-// recompute re-solves the bandwidth allocation and reschedules the
-// completion events of tasks whose rate changed. Tasks whose rate is
-// untouched by the re-solve keep their already-scheduled completion event —
-// same rate, same landing cycle — which is the common case for uncontended
-// tasks when a neighbor starts or finishes.
+// recompute re-solves the bandwidth allocation, gives tasks whose rate
+// changed a new completion key, and re-keys the pool's heap entry. Tasks
+// whose rate is untouched by the re-solve keep their key — same rate, same
+// landing cycle — which is the common case for uncontended tasks when a
+// neighbor starts or finishes.
 func (p *FluidPool) recompute() {
+	p.solve()
+	p.rekey()
+}
+
+// solve is recompute's allocation re-solve.
+func (p *FluidPool) solve() {
 	now := p.engine.Now()
 	p.recomputes++
 	p.integrate(now)
@@ -253,19 +278,11 @@ func (p *FluidPool) recompute() {
 		}
 		for _, t := range p.tasks {
 			if t.rate == 1 {
-				continue // invariant: rate 1 implies a pending completion event
+				continue // invariant: rate 1 implies a pending completion key
 			}
 			t.rate = 1
 			p.throttled--
-			t.doneEvent.Cancel()
-			t.doneEvent = nil
-			remaining := ceilDiv(t.Work, 1)
-			at := now + Cycle(remaining)
-			if remaining >= maxFluidCycles || at < now {
-				at = Cycle(maxFluidCycles)
-			}
-			t.doneEvent = p.engine.ScheduleCall(at, fluidComplete, t)
-			p.reschedules++
+			p.schedule(t, now)
 		}
 		return
 	}
@@ -288,7 +305,7 @@ func (p *FluidPool) recompute() {
 		if t.DemandBW > 0 && alloc[i] < t.DemandBW {
 			rate = alloc[i] / t.DemandBW
 		}
-		if rate == t.rate && (t.doneEvent != nil || rate == 0) {
+		if rate == t.rate && (t.pending || rate == 0) {
 			continue // same rate: the pending completion still lands right
 		}
 		if (t.rate == 1) != (rate == 1) {
@@ -299,18 +316,68 @@ func (p *FluidPool) recompute() {
 			}
 		}
 		t.rate = rate
-		t.doneEvent.Cancel()
-		t.doneEvent = nil
 		if rate > 0 {
-			remaining := ceilDiv(t.Work, rate)
-			at := now + Cycle(remaining)
-			if remaining >= maxFluidCycles || at < now {
-				at = Cycle(maxFluidCycles)
-			}
-			t.doneEvent = p.engine.ScheduleCall(at, fluidComplete, t)
-			p.reschedules++
+			p.schedule(t, now)
+		} else {
+			p.drop(t)
 		}
 	}
+}
+
+// schedule gives t the completion key of its remaining work at its current
+// rate, superseding any key it held.
+func (p *FluidPool) schedule(t *FluidTask, now Cycle) {
+	remaining := ceilDiv(t.Work, t.rate)
+	at := now + Cycle(remaining)
+	if remaining >= maxFluidCycles || at < now {
+		at = Cycle(maxFluidCycles)
+	}
+	p.drop(t)
+	t.at, t.seq, t.pending = at, p.engine.reserve(at), true
+	p.reschedules++
+	if !p.lost && (p.head == nil || at < p.head.at) {
+		p.head = t // a fresh seq loses every tie
+	}
+}
+
+// drop supersedes t's pending completion key, if it holds one: the key will
+// never fire, so it counts as canceled.
+func (p *FluidPool) drop(t *FluidTask) {
+	if !t.pending {
+		return
+	}
+	t.pending = false
+	p.engine.lapse()
+	if t == p.head {
+		p.lost = true
+	}
+}
+
+// rekey points the pool's heap entry at the pending task with the minimum
+// (at, seq) key, moving the entry within the heap, pushing it, or unlinking
+// it when no task is pending. schedule keeps head current as keys are
+// reserved; only when head's own key went away does rekey scan the tasks.
+func (p *FluidPool) rekey() {
+	if p.lost {
+		p.lost = false
+		p.head = nil
+		for _, t := range p.tasks {
+			if t.pending && (p.head == nil || t.at < p.head.at || t.at == p.head.at && t.seq < p.head.seq) {
+				p.head = t
+			}
+		}
+	}
+	head := p.head
+	ev := &p.entry
+	if head == nil {
+		p.engine.unlink(ev)
+		return
+	}
+	if ev.index >= 0 && ev.At == head.at && ev.seq == head.seq {
+		return
+	}
+	ev.At, ev.seq = head.at, head.seq
+	p.engine.fix(ev)
 }
 
 // emitRebalance reports one allocation re-solve to the tracer.
@@ -322,18 +389,18 @@ func (p *FluidPool) emitRebalance(now Cycle, n int, used float64) {
 	})
 }
 
-// fluidComplete is the shared completion callback: ScheduleCall events are
-// recycled on firing, so the handle is cleared before any pool work.
-func fluidComplete(payload any, now Cycle) {
-	t := payload.(*FluidTask)
-	t.doneEvent = nil
-	t.pool.complete(t, now)
+// fluidFire is the pool entry's callback: the head task's key has fired (the
+// engine has already counted it), and completing the task re-keys or
+// unlinks the entry, as a keyed entry's callback must.
+func fluidFire(payload any, now Cycle) {
+	p := payload.(*FluidPool)
+	t := p.head
+	t.pending = false
+	p.lost = true
+	p.complete(t, now)
 }
 
 func (p *FluidPool) complete(t *FluidTask, now Cycle) {
-	if !t.active {
-		return
-	}
 	p.integrate(now)
 	// Guard against floating-point residue: the event time was rounded up, so
 	// the work must be (numerically) done by now.

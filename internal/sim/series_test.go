@@ -12,7 +12,10 @@ import (
 // events, cancellations and callbacks that schedule more work. Two scripts
 // built from the same seed make the same decisions as long as their engines
 // fire in the same order; planted ones schedule each series time with its
-// own ScheduleCall, the others stream it through ScheduleCallEach.
+// own ScheduleCall, the others stream it through ScheduleCallEach. A script
+// with a fluid pool (withPool) also starts, preempts and completes fluid
+// tasks and changes the pool's capacity, on the keyed FluidPool or on the
+// per-task-event refPool.
 type seriesScript struct {
 	eng      Engine
 	rng      *mathx.RNG
@@ -22,10 +25,147 @@ type seriesScript struct {
 	budget   int      // follow-on events still allowed
 	series   int      // series started so far
 	compacts int      // cancellations that compacted the heap
+
+	pool    *FluidPool // keyed pool under test, or nil
+	ref     *refPool   // per-task-event reference, or nil
+	tasks   []any      // task handles by ID-1 (*FluidTask or *refTask), nil once gone
+	outcome []string   // each Preempt's remaining work, in order
+	cover   fluidCover
+}
+
+// fluidCover counts the cases a fluid script reached, so the differential
+// test can require that its seeds exercise each of them.
+type fluidCover struct {
+	preempts, capacities, zeroDemand, saturated, ties int
+	lastEvent                                         Cycle // cycle of the last non-fluid firing
 }
 
 func newSeriesScript(seed uint64, planted bool) *seriesScript {
 	return &seriesScript{rng: mathx.NewRNG(seed), planted: planted, budget: 300}
+}
+
+// withPool gives the script a fluid pool: the keyed FluidPool, or the
+// reference when ref is set.
+func (s *seriesScript) withPool(ref bool) *seriesScript {
+	if ref {
+		s.ref = newRefPool(&s.eng, 10)
+	} else {
+		s.pool = NewFluidPool(&s.eng, 10)
+	}
+	return s
+}
+
+func (s *seriesScript) fluid() bool { return s.pool != nil || s.ref != nil }
+
+// startTask starts a fluid task: short enough to tie with ordinary events,
+// sometimes with zero work or zero demand, and sometimes so large and so
+// throttled that its completion saturates at maxFluidCycles.
+func (s *seriesScript) startTask() {
+	work, demand := float64(s.rng.Intn(30)), float64(s.rng.Intn(9))
+	switch s.rng.Intn(8) {
+	case 0:
+		demand = 0
+		s.cover.zeroDemand++
+	case 1:
+		work, demand = 1e22, 1000
+		s.cover.saturated++
+	}
+	if s.ref != nil {
+		s.tasks = append(s.tasks, s.ref.StartTask(work, demand, refTaskDone, s))
+	} else {
+		s.tasks = append(s.tasks, s.pool.StartTask(work, demand, keyedTaskDone, s))
+	}
+}
+
+func keyedTaskDone(owner any, t *FluidTask, now Cycle) {
+	owner.(*seriesScript).taskDone(t.ID, t.BytesMoved(), now)
+}
+
+func refTaskDone(owner any, t *refTask, now Cycle) {
+	owner.(*seriesScript).taskDone(t.ID, t.bytesMoved, now)
+}
+
+func (s *seriesScript) taskDone(id int, bytes float64, now Cycle) {
+	s.fired = fmt.Sprintf("task %d after %v bytes", id, bytes)
+	s.tasks[id-1] = nil
+	if now == s.cover.lastEvent {
+		s.cover.ties++
+	}
+	s.react(now)
+}
+
+// preempt preempts the active task with the k-th lowest ID, if any.
+func (s *seriesScript) preempt(k int) {
+	for i, h := range s.tasks {
+		if h == nil {
+			continue
+		}
+		if k--; k >= 0 {
+			continue
+		}
+		var rem float64
+		if s.ref != nil {
+			rem = s.ref.Preempt(h.(*refTask))
+		} else {
+			rem = s.pool.Preempt(h.(*FluidTask))
+		}
+		s.tasks[i] = nil
+		s.outcome = append(s.outcome, fmt.Sprintf("task %d left %v", i+1, rem))
+		s.cover.preempts++
+		return
+	}
+}
+
+func (s *seriesScript) setCapacity(c float64) {
+	if s.ref != nil {
+		s.ref.SetCapacity(c)
+	} else {
+		s.pool.SetCapacity(c)
+	}
+	s.cover.capacities++
+}
+
+// fluidStep is one random pool action.
+func (s *seriesScript) fluidStep() {
+	switch r := s.rng.Intn(10); {
+	case r < 5:
+		s.startTask()
+	case r < 8:
+		s.preempt(s.rng.Intn(4))
+	default:
+		s.setCapacity(float64(s.rng.Intn(17)))
+	}
+}
+
+// state is everything the lockstep test compares after each step: the last
+// firing, the clock, Pending, EventStats and, with a pool, its ChurnStats,
+// TotalBytes, every active task's BytesMoved and the preemptions' outcomes.
+func (s *seriesScript) state() string {
+	sched, fired, canceled := s.eng.EventStats()
+	st := fmt.Sprintf("fired %q at %d, pending %v, events (%d, %d, %d)",
+		s.fired, s.eng.Now(), s.eng.Pending(), sched, fired, canceled)
+	if !s.fluid() {
+		return st
+	}
+	var rec, res uint64
+	var total float64
+	if s.ref != nil {
+		rec, res = s.ref.ChurnStats()
+		total = s.ref.totalBytes
+	} else {
+		rec, res = s.pool.ChurnStats()
+		total = s.pool.TotalBytes()
+	}
+	st += fmt.Sprintf(", churn (%d, %d), total %v bytes, tasks", rec, res, total)
+	for i, h := range s.tasks {
+		switch h := h.(type) {
+		case *refTask:
+			st += fmt.Sprintf(" %d:%v", i+1, h.bytesMoved)
+		case *FluidTask:
+			st += fmt.Sprintf(" %d:%v", i+1, h.BytesMoved())
+		}
+	}
+	return st + fmt.Sprintf(", preempted %v", s.outcome)
 }
 
 // sortedTimes draws up to max nondecreasing times in [from, from+span),
@@ -53,6 +193,7 @@ func (s *seriesScript) startSeries(times []Cycle) {
 
 func (s *seriesScript) seriesFired(payload any, now Cycle) {
 	s.fired = fmt.Sprintf("series %d", payload)
+	s.cover.lastEvent = now
 	s.react(now)
 }
 
@@ -65,6 +206,7 @@ func (s *seriesScript) schedule(at Cycle) {
 	}
 	s.handles = append(s.handles, s.eng.Schedule(at, func(now Cycle) {
 		s.fired = label
+		s.cover.lastEvent = now
 		if s.rng.Intn(3) == 0 {
 			s.react(now)
 		}
@@ -73,6 +215,7 @@ func (s *seriesScript) schedule(at Cycle) {
 
 func (s *seriesScript) callFired(payload any, now Cycle) {
 	s.fired = payload.(string)
+	s.cover.lastEvent = now
 	s.react(now)
 }
 
@@ -96,6 +239,10 @@ func (s *seriesScript) react(now Cycle) {
 		return
 	}
 	s.budget--
+	if s.fluid() && s.rng.Intn(2) == 0 {
+		s.fluidStep()
+		return
+	}
 	switch r := s.rng.Intn(10); {
 	case r < 3:
 		s.schedule(now + Cycle(s.rng.Intn(4)))
@@ -121,6 +268,53 @@ func (s *seriesScript) setup() {
 	for i := 0; i < 8; i++ {
 		s.cancel()
 	}
+	if s.fluid() {
+		for i := 0; i < 6; i++ {
+			s.startTask()
+		}
+	}
+}
+
+// lockstepLimit stops a lockstep run before a saturated fluid completion,
+// which lands at maxFluidCycles.
+const lockstepLimit = Cycle(1) << 40
+
+// lockstep runs two scripts built from one seed side by side and fails at
+// the first step after which their states differ. When no event is left
+// before lockstepLimit, it preempts every task still in the pool and
+// compares once more.
+func lockstep(t *testing.T, seed uint64, a, b *seriesScript) {
+	t.Helper()
+	a.setup()
+	b.setup()
+	for step := 0; ; step++ {
+		if sa, sb := a.state(), b.state(); sa != sb {
+			t.Fatalf("seed %d step %d:\n%s\n%s", seed, step, sa, sb)
+		}
+		if ev := a.eng.peekLive(); ev != nil && ev.At > lockstepLimit {
+			break
+		}
+		okA, okB := a.eng.Step(), b.eng.Step()
+		if okA != okB {
+			t.Fatalf("seed %d step %d: Step %v, %v", seed, step, okA, okB)
+		}
+		if !okA {
+			break
+		}
+	}
+	if !a.fluid() {
+		return
+	}
+	for slices.ContainsFunc(a.tasks, func(h any) bool { return h != nil }) {
+		a.preempt(0)
+		b.preempt(0)
+	}
+	if sa, sb := a.state(), b.state(); sa != sb {
+		t.Fatalf("seed %d after draining the pool:\n%s\n%s", seed, sa, sb)
+	}
+	if a.eng.Pending() {
+		t.Fatalf("seed %d: events pending after draining the pool", seed)
+	}
 }
 
 // TestScheduleCallEachMatchesPlanting is the series' exactness contract: an
@@ -133,34 +327,38 @@ func TestScheduleCallEachMatchesPlanting(t *testing.T) {
 	compacts := 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		planted, streamed := newSeriesScript(seed, true), newSeriesScript(seed, false)
-		planted.setup()
-		streamed.setup()
-		for step := 0; ; step++ {
-			if pp, ps := planted.eng.Pending(), streamed.eng.Pending(); pp != ps {
-				t.Fatalf("seed %d step %d: Pending planted %v, streamed %v", seed, step, pp, ps)
-			}
-			s1, f1, c1 := planted.eng.EventStats()
-			s2, f2, c2 := streamed.eng.EventStats()
-			if s1 != s2 || f1 != f2 || c1 != c2 {
-				t.Fatalf("seed %d step %d: EventStats planted (%d, %d, %d), streamed (%d, %d, %d)",
-					seed, step, s1, f1, c1, s2, f2, c2)
-			}
-			okP, okS := planted.eng.Step(), streamed.eng.Step()
-			if okP != okS {
-				t.Fatalf("seed %d step %d: Step planted %v, streamed %v", seed, step, okP, okS)
-			}
-			if !okP {
-				break
-			}
-			if planted.fired != streamed.fired || planted.eng.Now() != streamed.eng.Now() {
-				t.Fatalf("seed %d step %d: planted fired %q at %d, streamed %q at %d",
-					seed, step, planted.fired, planted.eng.Now(), streamed.fired, streamed.eng.Now())
-			}
-		}
+		lockstep(t, seed, planted, streamed)
 		compacts += streamed.compacts
 	}
 	if compacts == 0 {
 		t.Fatal("no cancellation compacted the streamed engine's heap")
+	}
+}
+
+// TestFluidPoolMatchesPerTaskEvents is the keyed pool entry's exactness
+// contract: a FluidPool fires its completions in the same order, at the same
+// clock, with the same Pending, EventStats, ChurnStats, BytesMoved and
+// TotalBytes after every step, as the per-task-event refPool — across
+// completions tied with ordinary events and series at equal cycles,
+// preemptions, capacity changes (to zero as well), zero-demand tasks and
+// saturated ones, compactions with the pool's entry in the heap, and
+// callbacks that start more work.
+func TestFluidPoolMatchesPerTaskEvents(t *testing.T) {
+	var cover fluidCover
+	compacts := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		ref, keyed := newSeriesScript(seed, false).withPool(true), newSeriesScript(seed, false).withPool(false)
+		lockstep(t, seed, ref, keyed)
+		compacts += keyed.compacts
+		c := keyed.cover
+		cover.preempts += c.preempts
+		cover.capacities += c.capacities
+		cover.zeroDemand += c.zeroDemand
+		cover.saturated += c.saturated
+		cover.ties += c.ties
+	}
+	if cover.preempts == 0 || cover.capacities == 0 || cover.zeroDemand == 0 || cover.saturated == 0 || cover.ties == 0 || compacts == 0 {
+		t.Fatalf("the seeds missed a case: %+v, %d compactions", cover, compacts)
 	}
 }
 
