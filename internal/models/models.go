@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"v10/internal/mathx"
 	"v10/internal/npu"
@@ -215,7 +216,9 @@ func (s Spec) shape(batch int, cfg npu.CoreConfig) Shape {
 
 	saLenRef := s.MeanSAUS * cyclesPerUS
 	vuLenRef := s.MeanVUUS * cyclesPerUS
-	tRef := s.RequestMS * 1000 * cyclesPerUS
+	// Every float64(...) conversion of a product in shape rounds it before
+	// it is summed, so no architecture may fuse the two into one multiply-add.
+	tRef := float64(s.RequestMS * 1000 * cyclesPerUS)
 
 	d := Shape{SAEff: s.IntraEffSA, VUEff: s.IntraEffVU, CV: s.CV, BranchProb: s.BranchProb}
 	// Table 1 lengths are measured operator durations (FU occupancy). The
@@ -250,11 +253,11 @@ func (s Spec) shape(batch int, cfg npu.CoreConfig) Shape {
 	// so utilization improves substantially with batch (Fig. 3/4 trend) —
 	// which is also what makes large-batch same-FU pairs genuinely conflict
 	// in the Table 2 study.
-	stallTotalRef := tRef - float64(d.NumSA)*saLenRef - float64(d.NumVU)*vuLenRef
+	stallTotalRef := tRef - float64(float64(d.NumSA)*saLenRef) - float64(float64(d.NumVU)*vuLenRef)
 	if stallTotalRef < 0 {
 		stallTotalRef = 0
 	}
-	stallScale := 0.90 + 0.10*bf
+	stallScale := 0.90 + float64(0.10*bf)
 	perOpStall := stallTotalRef * stallScale / float64(d.NumSA+d.NumVU)
 	d.SAStall = perOpStall
 	d.VUStall = perOpStall
@@ -268,14 +271,14 @@ func (s Spec) shape(batch int, cfg npu.CoreConfig) Shape {
 	// and the dynamic contention its heuristic baseline cannot see.
 	totalBytesRef := s.UtilHBM * tRef * cfg.HBMBytesPerCycle()
 	totalBytes := totalBytesRef * math.Pow(math.Max(bf, 1e-6), s.BytesExp)
-	computeTotal := float64(d.NumSA)*d.SALen + float64(d.NumVU)*d.VULen
+	computeTotal := float64(float64(d.NumSA)*d.SALen) + float64(float64(d.NumVU)*d.VULen)
 	if computeTotal > 0 {
 		d.SABytes = totalBytes * d.SALen / computeTotal
 		d.VUBytes = totalBytes * d.VULen / computeTotal
 	}
 	d.BurstHigh = math.Min(1.6, 0.95/math.Max(s.UtilHBM, 0.05))
 	d.BurstProb = 0.35
-	d.BurstLow = (1 - d.BurstProb*d.BurstHigh) / (1 - d.BurstProb)
+	d.BurstLow = (1 - float64(d.BurstProb*d.BurstHigh)) / (1 - d.BurstProb)
 	if d.BurstLow < 0 {
 		d.BurstLow = 0
 	}
@@ -297,16 +300,61 @@ func (s Spec) Workload(batch int, seed uint64, cfg npu.CoreConfig) *trace.Worklo
 	return s.shape(batch, cfg).Workload(fmt.Sprintf("%s-b%d", s.Abbrev, batch), s.Name, batch, seed)
 }
 
+// memoRequests is how many leading requests of each workload graphMemo
+// keeps. The fleet numbers a tenant's requests from 0 on every core it runs
+// on, so the leading graphs are the ones built again and again.
+const memoRequests = 32
+
+// graphMemo is one workload's generator: it builds request graphs of its
+// shape and keeps the first memoRequests of them. A graph is a pure function
+// of (shape, seed, request), so two callers racing on one slot build equal
+// graphs and whichever is stored first serves every later hit.
+type graphMemo struct {
+	sh     Shape
+	seed   uint64
+	graphs [memoRequests]atomic.Pointer[trace.Graph]
+}
+
 // Workload builds the trace.Workload whose requests are graphs of this
-// shape; seed makes the per-request jitter deterministic.
+// shape; seed makes the per-request jitter deterministic. The graphs of the
+// first memoRequests requests are built once per workload and shared by its
+// shallow copies (WithPriority).
 func (sh Shape) Workload(name, model string, batch int, seed uint64) *trace.Workload {
+	return trace.NewWorkloadReusable(name, model, batch, newGraphMemo(sh, seed).genInto)
+}
+
+// newGraphMemo returns an empty memo for sh's requests under seed, with the
+// jitter parameters precomputed.
+func newGraphMemo(sh Shape, seed uint64) *graphMemo {
 	if sh.CV > 0 {
-		sigma2 := math.Log(1 + sh.CV*sh.CV)
+		// The conversion rounds CV² before the add, so no architecture
+		// fuses the two and shifts every jitter draw.
+		sigma2 := math.Log(1 + float64(sh.CV*sh.CV))
 		sh.jitterMu, sh.jitterSigma = -sigma2/2, math.Sqrt(sigma2)
 	}
-	return trace.NewWorkloadReusable(name, model, batch, func(request int, g *trace.Graph) *trace.Graph {
-		return buildGraphInto(g, &sh, seed, request)
-	})
+	return &graphMemo{sh: sh, seed: seed}
+}
+
+// genInto is the workload's generator. A memoized request's Ops are copied
+// into g, so the caller owns them; their Deps slices stay shared with the
+// memo and are read-only. Other requests are built into g directly.
+func (m *graphMemo) genInto(request int, g *trace.Graph) *trace.Graph {
+	if request < 0 || request >= memoRequests {
+		return buildGraphInto(g, &m.sh, m.seed, request)
+	}
+	slot := &m.graphs[request]
+	stored := slot.Load()
+	if stored == nil {
+		stored = buildGraphInto(nil, &m.sh, m.seed, request)
+		if !slot.CompareAndSwap(nil, stored) {
+			stored = slot.Load()
+		}
+	}
+	if g == nil {
+		g = &trace.Graph{}
+	}
+	g.Ops = append(g.Ops[:0], stored.Ops...)
+	return g
 }
 
 // jitter samples one per-op length factor, clamped to [0.3, 3.0]. A CV <= 0

@@ -154,7 +154,9 @@ type Stats struct {
 	CriticalPathCycles   int64
 }
 
-// ComputeStats extracts Stats from the graph.
+// ComputeStats extracts Stats from the graph. Each useful-cycle product is
+// rounded (float64(...)) before it is summed, so no architecture may fuse the
+// two into one multiply-add.
 func (g *Graph) ComputeStats() Stats {
 	var s Stats
 	s.MinSALen, s.MinVULen = -1, -1
@@ -169,7 +171,7 @@ func (g *Graph) ComputeStats() Stats {
 		case KindSA:
 			s.NumSA++
 			s.SACycles += op.Compute
-			s.UsefulSACycles += float64(op.Compute) * op.Eff()
+			s.UsefulSACycles += float64(float64(op.Compute) * op.Eff())
 			if s.MinSALen < 0 || op.Compute < s.MinSALen {
 				s.MinSALen = op.Compute
 			}
@@ -179,7 +181,7 @@ func (g *Graph) ComputeStats() Stats {
 		case KindVU:
 			s.NumVU++
 			s.VUCycles += op.Compute
-			s.UsefulVUCycles += float64(op.Compute) * op.Eff()
+			s.UsefulVUCycles += float64(float64(op.Compute) * op.Eff())
 			if s.MinVULen < 0 || op.Compute < s.MinVULen {
 				s.MinVULen = op.Compute
 			}

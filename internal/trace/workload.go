@@ -61,9 +61,11 @@ func (w *Workload) WithPriority(p float64) *Workload {
 // genInto must produce the i-th request graph into g (reusing g.Ops and
 // g.DepsBuf when non-nil; allocating a fresh graph when g is nil), with its
 // Ops in ID order, and return it. genInto must be deterministic in its request
-// argument and stateless apart from the passed-in buffer, so concurrent
-// callers with distinct scratch graphs are safe (the fleet runs cores in
-// parallel against shared Workload values).
+// argument and safe for concurrent callers with distinct scratch graphs (the
+// fleet runs cores in parallel against shared Workload values). It may
+// memoize graphs across calls if every call still returns the same graph for
+// the same request and the returned Ops are the caller's own; the Deps slices
+// may be shared with the memo, as with NewWorkload, and must not be modified.
 func NewWorkloadReusable(name, model string, batch int, genInto func(request int, g *Graph) *Graph) *Workload {
 	if genInto == nil {
 		panic("trace: nil workload generator")
@@ -134,7 +136,9 @@ func TileOf(op Op, partition int64, reloadFactor float64) (k int64, first, rest 
 // TileForVMemInto fills its output without copying whole operators; it sets
 // every field of Op.
 func setTile(dst, op *Op, k, t, partition int64, reloadFactor float64) {
-	totalHBM := op.HBMBytes * (1 + reloadFactor*float64(k-1))
+	// The conversion rounds the product before it is summed, so no
+	// architecture may fuse the two into one multiply-add.
+	totalHBM := op.HBMBytes * (1 + float64(reloadFactor*float64(k-1)))
 	dst.ID = op.ID
 	dst.Kind = op.Kind
 	dst.Compute = op.Compute / k
