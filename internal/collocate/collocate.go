@@ -103,8 +103,10 @@ type PairPerf func(a, b *trace.Workload) (float64, error)
 // argument order), not by display name — two distinct workloads that happen
 // to share a name cannot silently reuse each other's result; instead the
 // oracle reports an explicit ambiguous-duplicate-name error the first time
-// the second identity appears. The returned function is goroutine-safe:
-// concurrent requests for the same pair wait on a single in-flight
+// the second identity appears. Each workload's single-tenant rate is
+// memoized under the same identity, so it is simulated once however many
+// pairs it joins. The returned function is goroutine-safe: concurrent
+// requests for the same pair (or rate) wait on a single in-flight
 // simulation (singleflight) instead of racing to run it twice.
 func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 	var (
@@ -112,7 +114,17 @@ func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 		ids   = map[*trace.Workload]int{} // identity → dense cache id
 		named = map[string]*trace.Workload{}
 		memo  parallel.Memo[[2]int, float64]
+		solo  parallel.Memo[int, float64]
 	)
+	rate := func(id int, w *trace.Workload) (float64, error) {
+		return solo.Do(id, func() (float64, error) {
+			rates, err := sched.SingleTenantRates([]*trace.Workload{w}, cfg, requests)
+			if err != nil {
+				return 0, err
+			}
+			return rates[0], nil
+		})
+	}
 	// identify registers a workload's identity under mu, rejecting a second
 	// distinct workload with an already-registered name.
 	identify := func(w *trace.Workload) (int, error) {
@@ -140,7 +152,15 @@ func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 					key[0], key[1] = key[1], key[0]
 				}
 				return memo.Do(key, func() (float64, error) {
-					return simPairPerf(a, b, cfg, requests)
+					ra, err := rate(ia, a)
+					if err != nil {
+						return 0, err
+					}
+					rb, err := rate(ib, b)
+					if err != nil {
+						return 0, err
+					}
+					return pairPerf(a, b, []float64{ra, rb}, cfg, requests)
 				})
 			}
 		}
@@ -149,15 +169,10 @@ func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 	}
 }
 
-// simPairPerf runs the three simulations behind one oracle query. Each
-// simulation engine is confined to this goroutine; the result depends only on
-// the pair, config, and request count, so it is deterministic.
-func simPairPerf(a, b *trace.Workload, cfg npu.CoreConfig, requests int) (float64, error) {
+// pairPerf runs the pair under PMT and V10-Full and returns the ratio of
+// their STPs, normalized by the single-tenant rates of a and b.
+func pairPerf(a, b *trace.Workload, rates []float64, cfg npu.CoreConfig, requests int) (float64, error) {
 	pair := []*trace.Workload{a, b}
-	rates, err := sched.SingleTenantRates(pair, cfg, requests)
-	if err != nil {
-		return 0, err
-	}
 	pmt, err := sched.Run(pair, sched.Options{
 		Config: cfg, Policy: sched.PMT, RequestsPerWorkload: requests, Seed: 1,
 	})
@@ -545,8 +560,10 @@ func (HeuristicPolicy) Name() string { return "Heuristic" }
 
 // Predict implements the aggregate-capacity check.
 func (HeuristicPolicy) Predict(a, b Features) bool {
-	aggA := (a.Vec[0] + a.Vec[1]) / 2
-	aggB := (b.Vec[0] + b.Vec[1]) / 2
+	// The conversions round each halving (a multiply by 0.5) before the
+	// sum, so no architecture may fuse them into a multiply-add.
+	aggA := float64((a.Vec[0] + a.Vec[1]) / 2)
+	aggB := float64((b.Vec[0] + b.Vec[1]) / 2)
 	return aggA+aggB <= 1 && a.Vec[2]+b.Vec[2] <= 1
 }
 

@@ -1,10 +1,13 @@
 package collocate
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"v10/internal/npu"
+	"v10/internal/sched"
 	"v10/internal/trace"
 )
 
@@ -65,6 +68,51 @@ func TestTrainParallelBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("model trained with %d workers differs from serial:\nserial: %+v\nparallel: %+v",
 				workers, serial, par)
+		}
+	}
+}
+
+// simPairPerf is the unmemoized oracle query SimPairPerf memoizes: each
+// workload alone, then the pair under PMT and under V10-Full.
+func simPairPerf(a, b *trace.Workload, cfg npu.CoreConfig, requests int) (float64, error) {
+	rates, err := sched.SingleTenantRates([]*trace.Workload{a, b}, cfg, requests)
+	if err != nil {
+		return 0, err
+	}
+	return pairPerf(a, b, rates, cfg, requests)
+}
+
+// TestSimPairPerfMatchesUnmemoized checks the memoized oracle, which runs
+// each workload alone once, against simPairPerf, which runs both alone for
+// every pair: every pair Train asks about must get the same bits.
+func TestSimPairPerfMatchesUnmemoized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed oracle is slow")
+	}
+	ws, fs := zoo(t, []int{32})
+	perf := SimPairPerf(cfg, 2)
+	var mu sync.Mutex
+	got := map[[2]*trace.Workload]float64{}
+	record := func(a, b *trace.Workload) (float64, error) {
+		v, err := perf(a, b)
+		mu.Lock()
+		got[[2]*trace.Workload{a, b}] = v
+		mu.Unlock()
+		return v, err
+	}
+	if _, err := Train(ws, fs, record, TrainConfig{K: 4, PairSamples: 3, Seed: 11, Parallel: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 {
+		t.Fatal("Train asked about no pair")
+	}
+	for p, v := range got {
+		want, err := simPairPerf(p[0], p[1], cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Errorf("%s+%s: memoized %v, unmemoized %v", p[0].Name, p[1].Name, v, want)
 		}
 	}
 }

@@ -53,7 +53,9 @@ func genArrivals(tenants int, o Options) ([]arrival, error) {
 		expected := float64(o.DurationCycles) / meanGap
 		hint := workload.MaxArrivalsPerTenant
 		if expected <= workload.MaxArrivalsPerTenant {
-			hint = tenants * int(math.Min(expected+4*math.Sqrt(expected)+1, workload.MaxArrivalsPerTenant))
+			// The conversion rounds the product before it is summed, so no
+			// architecture may fuse the two into one multiply-add.
+			hint = tenants * int(math.Min(expected+float64(4*math.Sqrt(expected))+1, workload.MaxArrivalsPerTenant))
 		}
 		all = make([]arrival, 0, hint)
 		for t := 0; t < tenants; t++ {
@@ -64,7 +66,9 @@ func genArrivals(tenants int, o Options) ([]arrival, error) {
 				for u == 0 {
 					u = rng.Float64()
 				}
-				at -= meanGap * math.Log(u)
+				// The conversion rounds the product before it is subtracted, so no
+				// architecture may fuse the two into one multiply-add.
+				at -= float64(meanGap * math.Log(u))
 				if at >= float64(o.DurationCycles) {
 					break
 				}

@@ -133,7 +133,7 @@ func TestCheckpointChargedOncePerInFlightOperator(t *testing.T) {
 	// Fold through to tenant stats: both migrated requests complete on the
 	// survivor and their latencies carry the debt back to original arrival.
 	jobs := buildJobs(tenants, homes, disp, o)
-	outs, err := runCores(jobs, disp, o)
+	outs, err := runCores(jobs, disp, profs, o)
 	if err != nil {
 		t.Fatal(err)
 	}

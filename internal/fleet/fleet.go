@@ -583,11 +583,13 @@ func pinnedHomes(pinned [][]int, tenants, cores int) ([][]int, error) {
 }
 
 // tenantProfile is the dispatcher's cheap per-tenant characterization: the
-// collocation feature vector plus the estimated single-tenant serial service
-// time the virtual queues and SLOs are denominated in.
+// collocation feature vector, the estimated single-tenant serial service
+// time the virtual queues and SLOs are denominated in, and the mean operator
+// count per request that predicts a core's simulation cost (heaviestFirst).
 type tenantProfile struct {
 	feat      collocate.Features
 	estCycles float64
+	opsPerReq float64
 }
 
 // EstimateServeCycles is the dispatcher's service-time estimator for one
@@ -617,12 +619,24 @@ func profileTenants(tenants []*trace.Workload, o Options) []tenantProfile {
 	for i, w := range tenants {
 		profs[i] = tenantProfile{
 			estCycles: o.EstimateScale * EstimateServeCycles(w, o.ProfileRequests),
+			opsPerReq: meanOps(w, o.ProfileRequests),
 		}
 		if o.Model != nil {
 			profs[i].feat = collocate.ExtractFeatures(w, o.Config, o.ProfileRequests)
 		}
 	}
 	return profs
+}
+
+// meanOps is the mean operator count of a tenant's first n request graphs,
+// read from the same profile memo as EstimateServeCycles.
+func meanOps(w *trace.Workload, n int) float64 {
+	stats := w.ProfileStats(n)
+	var ops int
+	for _, st := range stats {
+		ops += st.NumSA + st.NumVU
+	}
+	return mathx.Ratio(float64(ops), float64(len(stats)), 0)
 }
 
 // features projects the profiles' feature vectors (advisor policies only).

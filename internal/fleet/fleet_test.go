@@ -16,6 +16,7 @@ import (
 	"v10/internal/metrics"
 	"v10/internal/models"
 	"v10/internal/npu"
+	"v10/internal/obs"
 	"v10/internal/sched"
 	"v10/internal/trace"
 	"v10/internal/workload"
@@ -345,6 +346,89 @@ func TestRunDeterministicAcrossParallelWidths(t *testing.T) {
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Fatal("results differ outside the JSON projection (per-core RunResults)")
+	}
+}
+
+func TestHeaviestFirst(t *testing.T) {
+	profs := []tenantProfile{{opsPerReq: 10}, {opsPerReq: 2}, {opsPerReq: 5}}
+	job := func(roster []int, admitted ...int) coreJob {
+		j := coreJob{roster: roster}
+		for _, n := range admitted {
+			j.schedules = append(j.schedules, make([]int64, n))
+		}
+		return j
+	}
+	jobs := []coreJob{
+		job([]int{1}, 10),         // 20
+		job([]int{0}, 50),         // 500, but failed: already simulated
+		job(nil),                  // empty roster
+		job([]int{2, 1}, 2, 5),    // 10 + 10 = 20, ties core 0
+		job([]int{0, 2}, 3, 40),   // 30 + 200 = 230
+		job([]int{1}, 0),          // a roster with nothing admitted
+		job([]int{2, 0}, 100, 20), // 500 + 200 = 700
+	}
+	done := make([]*coreOut, len(jobs))
+	done[1] = &coreOut{}
+	got := heaviestFirst(jobs, done, profs)
+	if want := []int{6, 4, 0, 3, 5, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("heaviestFirst = %v, want %v", got, want)
+	}
+}
+
+// TestHotCoreDeterministicAcrossParallelWidths runs a fleet whose last core
+// carries most of the work, so heaviestFirst hands it out first and the
+// workers finish cores out of index order. Every Result, per-core RunResults
+// included, must equal the one from a serial traced run, which streams the
+// cores in index order, with and without a failed core.
+func TestHotCoreDeterministicAcrossParallelWidths(t *testing.T) {
+	const duration = 3_000_000
+	tenants := append(mixedTenants(), synthetic("sa2", 4000, 10, 6), synthetic("vu2", 10, 4000, 6))
+	arrivals := make([][]int64, len(tenants))
+	for tn := range arrivals {
+		gap := int64(300_000)
+		if tn >= 4 {
+			gap = 60_000 // the hot tenants, both homed on core 2
+		}
+		for at := int64(tn) * 1000; at < duration; at += gap {
+			arrivals[tn] = append(arrivals[tn], at)
+		}
+	}
+	for name, f := range map[string]*FaultOptions{
+		"plain":       nil,
+		"failed core": mustFaults(t, "fail@0:1000000", 100_000),
+	} {
+		t.Run(name, func(t *testing.T) {
+			widths := []int{1, 1, 2, 3}
+			var results []*Result
+			for i, par := range widths {
+				o := Options{
+					Config: cfg, Cores: 3, DurationCycles: duration, Seed: 5,
+					Arrivals:        arrivals,
+					PinnedPlacement: [][]int{{0, 1}, {2, 3}, {4, 5}},
+					Faults:          f,
+					Parallel:        par,
+				}
+				if i == 0 {
+					o.Tracer = &obs.Log{}
+				}
+				res, err := Run(tenants, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, res)
+			}
+			hot := results[0].Cores[2].Admitted
+			for c, cr := range results[0].Cores[:2] {
+				if cr.Admitted >= hot {
+					t.Fatalf("core %d admitted %d, not below the hot core's %d", c, cr.Admitted, hot)
+				}
+			}
+			for i, res := range results[1:] {
+				if !reflect.DeepEqual(results[0], res) {
+					t.Fatalf("untraced run at Parallel %d differs from the traced serial run", widths[i+1])
+				}
+			}
+		})
 	}
 }
 

@@ -337,7 +337,7 @@ func runOnce(tenants []*trace.Workload, o Options) (*Result, error) {
 		beginSection(o.Tracer, "fleet")
 		disp.log.Replay(o.Tracer)
 	}
-	outs, runErr := runCores(jobs, disp, o)
+	outs, runErr := runCores(jobs, disp, profs, o)
 
 	res := &Result{
 		Scheme:         o.Scheme,
@@ -586,29 +586,43 @@ func runCore(c int, job coreJob, o Options, p perturb, stream bool) *coreOut {
 
 // runCores executes every surviving core's simulation on the worker pool;
 // failed cores reuse the simulation already run at detection time. Per-core
-// errors (cycle caps) are joined, labeled with the core; partial results are
-// kept.
+// errors (cycle caps) are joined in core order, labeled with the core;
+// partial results are kept.
 //
-// With one worker the cores run inline in core order, the order the replay
-// would re-emit them in, so each core's section goes to Options.Tracer as it
-// runs: a live core streams into it, and a failed core replays the log it
-// buffered at detection time.
-func runCores(jobs []coreJob, disp *dispatchOutcome, o Options) ([]*coreOut, error) {
+// Workers take cores heaviest first (heaviestFirst), so the longest core
+// starts at once instead of running alone at the end. Each core's
+// simulation depends only on its own inputs and lands in its own slot, so
+// the order changes when a core finishes, never what it returns.
+//
+// With one worker and a Tracer the cores run inline in core order, the
+// order the replay would re-emit them in, so each core's section goes to
+// Options.Tracer as it runs: a live core streams into it, and a failed core
+// replays the log it buffered at detection time.
+func runCores(jobs []coreJob, disp *dispatchOutcome, profs []tenantProfile, o Options) ([]*coreOut, error) {
 	stream := o.Tracer != nil && parallel.Workers(o.Parallel) == 1
-	outs, _ := parallel.Map(context.Background(), len(jobs), o.Parallel, func(c int) (*coreOut, error) {
+	order := heaviestFirst(jobs, disp.outs, profs)
+	if stream {
+		slices.Sort(order)
+	}
+	outs := make([]*coreOut, len(jobs))
+	// fn never fails: a core's error travels in its coreOut.
+	_ = parallel.ForEach(context.Background(), len(order), o.Parallel, func(i int) error {
+		c := order[i]
 		if out := disp.outs[c]; out != nil {
 			if stream {
 				replayCoreLog(c, out, o)
 			}
-			return out, nil
+			outs[c] = out
+			return nil
 		}
 		if len(jobs[c].roster) == 0 {
-			return nil, nil
+			return nil
 		}
 		if stream {
 			beginSection(o.Tracer, coreSection(c))
 		}
-		return runCore(c, jobs[c], o, perturbFor(o.Faults.schedule(), c), stream), nil
+		outs[c] = runCore(c, jobs[c], o, perturbFor(o.Faults.schedule(), c), stream)
+		return nil
 	})
 	var errs []error
 	for c, out := range outs {
@@ -617,6 +631,31 @@ func runCores(jobs []coreJob, disp *dispatchOutcome, o Options) ([]*coreOut, err
 		}
 	}
 	return outs, errors.Join(errs...)
+}
+
+// heaviestFirst orders the cores for runCores' workers by predicted
+// simulation cost, largest first (the LPT rule), ties by core index. A
+// core's cost is its admitted requests times each tenant's mean operators
+// per request, summed over its roster. Cores with nothing left to simulate
+// go last in index order: failed cores (done[c] != nil, simulated at
+// detection time) and cores with an empty roster.
+func heaviestFirst(jobs []coreJob, done []*coreOut, profs []tenantProfile) []int {
+	cost := make([]float64, len(jobs))
+	order := make([]int, len(jobs))
+	for c, job := range jobs {
+		order[c] = c
+		if done[c] != nil || len(job.roster) == 0 {
+			cost[c] = -1
+			continue
+		}
+		for k, t := range job.roster {
+			// The conversion rounds the product before it is summed, so no
+			// architecture may fuse the two into one multiply-add.
+			cost[c] += float64(float64(len(job.schedules[k])) * profs[t].opsPerReq)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
+	return order
 }
 
 // replayObservability re-emits every core's buffered events and counter rows

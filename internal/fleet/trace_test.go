@@ -89,7 +89,7 @@ func TestSerialTraceStreamsLiveCores(t *testing.T) {
 				t.Fatal(err)
 			}
 			disp := dispatch(tenants, arrivals, homes, profs, o)
-			outs, err := runCores(buildJobs(tenants, homes, disp, o), disp, o)
+			outs, err := runCores(buildJobs(tenants, homes, disp, o), disp, profs, o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -238,7 +238,7 @@ func BenchmarkTenantStats(b *testing.B) {
 	arrivals := mustGenArrivals(b, len(tenants), o)
 	disp := dispatch(tenants, arrivals, homes, profs, o)
 	jobs := buildJobs(tenants, homes, disp, o)
-	outs, err := runCores(jobs, disp, o)
+	outs, err := runCores(jobs, disp, profs, o)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -97,7 +97,9 @@ func (c CoreConfig) PeakVUFLOPsPerCycle() float64 {
 // VUs (~23.4 TFLOP/s for the default config, matching the paper's roofline
 // ceiling of ~24 TFLOP/s).
 func (c CoreConfig) PeakFLOPS() float64 {
-	perCycle := float64(c.NumSA)*c.PeakSAFLOPsPerCycle() + float64(c.NumVU)*c.PeakVUFLOPsPerCycle()
+	// The conversions round each product before it is summed, so no
+	// architecture may fuse them into a multiply-add.
+	perCycle := float64(float64(c.NumSA)*c.PeakSAFLOPsPerCycle()) + float64(float64(c.NumVU)*c.PeakVUFLOPsPerCycle())
 	return perCycle * c.FrequencyHz
 }
 

@@ -63,7 +63,9 @@ func SchedulerLatencyCycles(numFUs, numWorkloads int) int64 {
 	}
 	w := float64(numWorkloads)
 	f := float64(numFUs)
-	lat := w + 7.93*math.Pow(f, 1.7)
+	// The conversion rounds the product before it is summed, so no
+	// architecture may fuse the two into one multiply-add.
+	lat := w + float64(7.93*math.Pow(f, 1.7))
 	if lat < 1 {
 		lat = 1
 	}
@@ -83,7 +85,9 @@ func SchedulerAreaPercent(numFUs, numWorkloads int) float64 {
 func SchedulerPowerPercent(numFUs, numWorkloads int) float64 {
 	w := math.Log2(float64(numWorkloads))
 	f := math.Log2(math.Max(float64(numFUs)/2, 1))
-	return roundTo(0.282+0.021*w+0.00075*f, 3)
+	// The conversions round each product before it is summed, so no
+	// architecture may fuse them into a multiply-add.
+	return roundTo(0.282+float64(0.021*w)+float64(0.00075*f), 3)
 }
 
 // Overhead returns the full Table 3 row for a configuration.

@@ -62,7 +62,9 @@ func (c CoreConfig) PMTContextSwitchCycles(jitter float64) int64 {
 	if jitter > 1 {
 		jitter = 1
 	}
-	lo := 20 * c.CyclesPerMicrosecond()
-	hi := 40 * c.CyclesPerMicrosecond()
-	return int64(lo + (hi-lo)*jitter)
+	// Each conversion rounds a product before it is added or subtracted, so
+	// no architecture may fuse the two into one multiply-add.
+	lo := float64(20 * c.CyclesPerMicrosecond())
+	hi := float64(40 * c.CyclesPerMicrosecond())
+	return int64(lo + float64((hi-lo)*jitter))
 }

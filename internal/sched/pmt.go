@@ -65,7 +65,9 @@ func (r *runner) pmtStartRequest(wl *wlState, now int64) {
 	if wl.estWork == 0 {
 		wl.estWork = comp
 	} else {
-		wl.estWork = 0.7*wl.estWork + 0.3*comp
+		// The conversions round each product before it is summed, so no
+		// architecture may fuse them into a multiply-add.
+		wl.estWork = float64(0.7*wl.estWork) + float64(0.3*comp)
 	}
 	r.pmtBeginOp(wl, now)
 	if s := wl.pmt; s.holder == nil && !s.switching {

@@ -562,7 +562,9 @@ func arrivalCB(payload any, now int64) {
 // same-cycle events in scheduling order, so coalesced arrivals still serve.
 func (r *runner) scheduleArrival(wl *wlState, now int64) {
 	meanCycles := r.opts.Config.FrequencyHz / r.opts.ArrivalRateHz
-	wl.nextArrivalF -= meanCycles * logUniform(wl.arrivals)
+	// The conversion rounds the product before it is subtracted, so no
+	// architecture may fuse the two into one multiply-add.
+	wl.nextArrivalF -= float64(meanCycles * logUniform(wl.arrivals))
 	r.engine.ScheduleCall(int64(wl.nextArrivalF), poissonArrivalCB, wl)
 }
 
