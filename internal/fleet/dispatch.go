@@ -462,8 +462,10 @@ func detectCycle(fail int64, o Options) int64 {
 }
 
 // detect declares core c dead: it runs the core's cycle-accurate simulation
-// (halted at the failure cycle) to learn ground truth about served requests
-// and evicts every admitted request the core did not serve (see leave).
+// up to its failure cycle, where runCore halts it, to learn ground truth
+// about served requests, and evicts every admitted request the core did not
+// serve (see leave). The halt comes before detection, so nothing the core
+// would do at or after it enters the result.
 // Each workload's one in-flight operator (at most one: a workload runs a
 // single serial operator stream) is context-saved exactly once; the §3.3
 // cost delays its request's — the workload's first victim's — re-dispatch.

@@ -499,7 +499,8 @@ func assignSlices(roster []int, o Options) []int {
 }
 
 // perturb is one core's slice of the fault schedule, mapped to the
-// scheduler's knobs.
+// scheduler's knobs: the cycle runCore halts the core at (0 for none) and
+// its fault windows.
 type perturb struct {
 	halt  int64
 	stall []sched.Window
@@ -560,7 +561,6 @@ func runCore(c int, job coreJob, o Options, p perturb, stream bool) *coreOut {
 		PMTWeighted:   true,
 		Tracer:        tr,
 		PreemptMargin: o.PreemptMargin,
-		HaltAtCycle:   p.halt,
 		StallWindows:  p.stall,
 		HBMWindows:    p.hbm,
 		VMemWindows:   p.vmem,
@@ -580,7 +580,19 @@ func runCore(c int, job coreJob, o Options, p perturb, stream bool) *coreOut {
 		out.counters = obs.NewCounterLog()
 		so.Counters = out.counters
 	}
-	out.res, out.err = sched.Run(job.ws, so)
+	core, err := sched.New(job.ws, so)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	// A failed core stops at its fail cycle; every other core runs to
+	// MaxCycles.
+	if p.halt > 0 {
+		core.Halt(p.halt)
+	} else {
+		core.AdvanceTo(math.MaxInt64)
+	}
+	out.res, out.err = core.Finish()
 	return out
 }
 

@@ -24,11 +24,10 @@ func totalFor(t *testing.T, w *trace.Workload, o Options) int64 {
 func TestHaltEndsRunAtExactCycle(t *testing.T) {
 	w := synthetic("S", 1000, 500, 4) // 6000 cycles per request serially
 	log := &obs.Log{}
-	res, err := Run([]*trace.Workload{w}, Options{
+	res, err := failStop([]*trace.Workload{w}, Options{
 		RequestsPerWorkload: 100,
-		HaltAtCycle:         50_000,
 		Tracer:              log,
-	})
+	}, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +61,24 @@ func TestHaltEndsRunAtExactCycle(t *testing.T) {
 	if fails != 1 {
 		t.Fatalf("EvCoreFail emitted %d times, want once", fails)
 	}
+}
+
+// TestHaltAfterAdvancePanics: a halt cannot cut a run at a cycle the core
+// has already advanced past.
+func TestHaltAfterAdvancePanics(t *testing.T) {
+	c, err := New([]*trace.Workload{synthetic("S", 1000, 500, 4)}, Options{RequestsPerWorkload: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.AdvanceTo(20_000) {
+		t.Fatal("100 requests done by cycle 20000")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Halt(10000) after AdvanceTo(20000) did not panic")
+		}
+	}()
+	c.Halt(10_000)
 }
 
 // TestStallWindowDelaysCompletion: clock-gating the FUs for a window strictly
@@ -174,7 +191,6 @@ func TestVMemWindowForcesFinerTiling(t *testing.T) {
 func TestFaultWindowValidation(t *testing.T) {
 	w := synthetic("S", 100, 100, 2)
 	cases := map[string]Options{
-		"negative halt":         {HaltAtCycle: -1},
 		"negative window start": {StallWindows: []Window{{At: -5, Dur: 10}}},
 		"zero window duration":  {StallWindows: []Window{{At: 5, Dur: 0}}},
 		"hbm factor zero":       {HBMWindows: []Window{{At: 0, Dur: 10, Factor: 0}}},

@@ -12,7 +12,7 @@ import (
 // its operators stall-then-compute; quantum expiry checkpoints the holder and
 // pays a whole-core context switch before the next holder starts.
 type pmtSlice struct {
-	r       *runner
+	r       *Core
 	members []*wlState
 	prioSum float64
 
@@ -27,7 +27,7 @@ type pmtSlice struct {
 
 // initPMT groups the workloads into their time-slicing domains and points
 // fluid-task completion at the PMT path.
-func (r *runner) initPMT(nSlices int) {
+func (r *Core) initPMT(nSlices int) {
 	r.opDone = pmtOpDoneCB
 	r.switchRNG = mathx.NewRNG(r.opts.Seed + 0x517cc1b7)
 	r.pmt = make([]*pmtSlice, nSlices)
@@ -46,7 +46,7 @@ func (r *runner) initPMT(nSlices int) {
 // pmtFU is the FU of the current operator's kind that a PMT holder runs it
 // on: the first of that kind in its slice (the whole core time-shares, so
 // FU-attributed events name index 0 of the slice's set).
-func (r *runner) pmtFU(wl *wlState) *fuState {
+func (r *Core) pmtFU(wl *wlState) *fuState {
 	kind := kindOf(wl.currentOp().Kind)
 	perSlice := len(r.fus[kind]) / len(r.pmt)
 	return r.fus[kind][wl.sliceIdx*perSlice]
@@ -55,7 +55,7 @@ func (r *runner) pmtFU(wl *wlState) *fuState {
 // pmtStartRequest begins a freshly loaded request. The holder goes straight
 // on; on an idle domain the request's arrival takes the core; otherwise the
 // workload waits for its turn.
-func (r *runner) pmtStartRequest(wl *wlState, now int64) {
+func (r *Core) pmtStartRequest(wl *wlState, now int64) {
 	// PREMA's job-length estimate: a running mean over the compute cycles
 	// of recent requests.
 	var comp float64
@@ -77,7 +77,7 @@ func (r *runner) pmtStartRequest(wl *wlState, now int64) {
 
 // pmtBeginOp readies wl's current operator and, when wl holds its domain,
 // starts the operator's stall phase.
-func (r *runner) pmtBeginOp(wl *wlState, now int64) {
+func (r *Core) pmtBeginOp(wl *wlState, now int64) {
 	wl.resetOp()
 	wl.stallLeft = -1
 	if wl.pmt.holder == wl {
@@ -86,7 +86,7 @@ func (r *runner) pmtBeginOp(wl *wlState, now int64) {
 }
 
 // pmtActivate hands the domain to wl and arms its quantum.
-func (r *runner) pmtActivate(s *pmtSlice, wl *wlState, now int64) {
+func (r *Core) pmtActivate(s *pmtSlice, wl *wlState, now int64) {
 	s.holder = wl
 	if r.tr != nil {
 		r.tr.Emit(r.event(obs.EvDispatch, now, 0, wl, r.pmtFU(wl)))
@@ -99,7 +99,7 @@ func (r *runner) pmtActivate(s *pmtSlice, wl *wlState, now int64) {
 
 // pmtQuantum returns wl's slice length, scaled by its priority share under
 // PMTWeighted.
-func (r *runner) pmtQuantum(s *pmtSlice, wl *wlState) int64 {
+func (r *Core) pmtQuantum(s *pmtSlice, wl *wlState) int64 {
 	if !r.opts.PMTWeighted || s.prioSum == 0 {
 		return r.opts.PMTQuantum
 	}
@@ -113,7 +113,7 @@ func (r *runner) pmtQuantum(s *pmtSlice, wl *wlState) int64 {
 
 // pmtResume continues the holder's current operator wherever its last slice
 // left it: the rest of the stall phase, or the rest of the compute.
-func (r *runner) pmtResume(wl *wlState, now int64) {
+func (r *Core) pmtResume(wl *wlState, now int64) {
 	if wl.phase != phaseStalling {
 		r.pmtRun(wl, now)
 		return
@@ -143,7 +143,7 @@ func pmtStallDoneCB(payload any, now int64) {
 }
 
 // pmtRun starts (or resumes) the holder's compute on its slice's FU.
-func (r *runner) pmtRun(wl *wlState, now int64) {
+func (r *Core) pmtRun(wl *wlState, now int64) {
 	fu := r.pmtFU(wl)
 	wl.fu = fu
 	r.startTask(fu, wl, now)
@@ -166,7 +166,7 @@ func pmtOpDoneCB(owner any, _ *sim.FluidTask, now int64) {
 // pmtYield releases the domain of a holder with nothing to serve: the next
 // workload in policy order that has work takes it at once, and with none the
 // domain idles until the next arrival takes it.
-func (r *runner) pmtYield(wl *wlState, now int64) {
+func (r *Core) pmtYield(wl *wlState, now int64) {
 	s := wl.pmt
 	s.quantum.Cancel()
 	s.quantum = nil
@@ -214,7 +214,7 @@ func pmtSwitchDoneCB(payload any, now int64) {
 // (the run segment ends and the remaining work is kept) or mid-stall (the
 // remaining stall is kept). Arg0 of the preempt event is the remaining
 // compute, or -1 for a stall-phase preemption.
-func (r *runner) pmtCheckpoint(wl *wlState, now int64) {
+func (r *Core) pmtCheckpoint(wl *wlState, now int64) {
 	if wl.phase != phaseRunning {
 		wl.pmt.stall.Cancel()
 		wl.pmt.stall = nil
@@ -248,7 +248,7 @@ func (r *runner) pmtCheckpoint(wl *wlState, now int64) {
 // pmtStopSegment takes the holder's running operator off its FU at now,
 // crediting the segment's traffic and useful cycles, and returns the FU and
 // the segment's length.
-func (r *runner) pmtStopSegment(wl *wlState, now int64) (*fuState, int64) {
+func (r *Core) pmtStopSegment(wl *wlState, now int64) (*fuState, int64) {
 	fu := wl.fu
 	if wl.task != nil { // nil while a straggler window froze it
 		wl.remaining = r.pool.Preempt(wl.task)
@@ -264,7 +264,7 @@ func (r *runner) pmtStopSegment(wl *wlState, now int64) (*fuState, int64) {
 // stops, so a capped or halted run accounts occupancy, traffic and useful
 // cycles up to the stop cycle. The workload stays phaseRunning: activeAt
 // still counts the segment, and a halted core reports the operator in flight.
-func (r *runner) pmtCloseOut(now int64) {
+func (r *Core) pmtCloseOut(now int64) {
 	for _, s := range r.pmt {
 		wl := s.holder
 		if wl == nil || wl.phase != phaseRunning {
@@ -282,7 +282,7 @@ func (r *runner) pmtCloseOut(now int64) {
 // has. PMT takes the next in round-robin order; PMTPrema credits every
 // waiting workload tokens in proportion to its priority and picks, among
 // those within half the top balance, the shortest estimated job.
-func (r *runner) pmtPick(s *pmtSlice, from *wlState) *wlState {
+func (r *Core) pmtPick(s *pmtSlice, from *wlState) *wlState {
 	n := len(s.members)
 	if r.opts.Policy == PMT {
 		for k := 1; k < n; k++ {
