@@ -80,6 +80,15 @@ func stream(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) {
 // checking — the raw substrate under runScheme, also used by the mutation
 // tests to wedge fault-injecting tracers between runner and checker.
 func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*metrics.RunResult, error) {
+	opts, err := sc.options(scheme, tracer)
+	if err != nil {
+		return nil, err
+	}
+	return sched.Run(buildWorkloads(sc.Workloads, reversed), opts)
+}
+
+// options maps the scenario onto one scheme's scheduler options.
+func (sc *Scenario) options(scheme string, tracer obs.Tracer) (sched.Options, error) {
 	opts := sched.Options{
 		Config:              sc.Config,
 		RequestsPerWorkload: sc.Requests,
@@ -91,7 +100,7 @@ func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*me
 	}
 	policy, err := sched.ParseScheme(scheme)
 	if err != nil {
-		return nil, err
+		return opts, err
 	}
 	opts.Policy = policy
 	if policy == sched.PMT {
@@ -107,7 +116,7 @@ func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*me
 		opts.VMemReloadFactor = sc.VMemReloadFactor
 		opts.DispatchLatency = sc.DispatchLatency
 	}
-	return sched.Run(buildWorkloads(sc.Workloads, reversed), opts)
+	return opts, nil
 }
 
 // CheckScenario runs every scheme the scenario names through the invariant
