@@ -86,7 +86,7 @@ func (c *Context) Disc4() (*report.Table, error) {
 		stpPMT := run.pmt.STP(run.rates)
 		sw, err := sched.Run([]*trace.Workload{c.workload(p[0]), c.workload(p[1])}, sched.Options{
 			Config: c.Config, Policy: sched.PriorityPreempt, RequestsPerWorkload: c.Requests,
-			SoftwareScheduler: true,
+			DispatchLatency: sched.SoftwareDispatchLatency(c.Config),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("disc4 %s: %w", PairLabel(p), err)

@@ -263,6 +263,15 @@ func (o Options) config() Config {
 	return cfg
 }
 
+// dispatchLatency is the scheduler's exposed per-dispatch decision cost:
+// none for V10's hardware scheduler, 20 µs under SoftwareScheduler.
+func (o Options) dispatchLatency() int64 {
+	if !o.SoftwareScheduler {
+		return 0
+	}
+	return sched.SoftwareDispatchLatency(o.config())
+}
+
 // Profile runs a workload alone on a dedicated core and reports its
 // characterization (the Figs. 3–8 methodology).
 func Profile(w *Workload, opt Options) (*Result, error) {
@@ -288,7 +297,7 @@ func Collocate(workloads []*Workload, scheme Scheme, opt Options) (*Result, erro
 		MaxCycles:           opt.MaxCycles,
 		PreemptMargin:       opt.PreemptMargin,
 		ArrivalRateHz:       opt.ArrivalRateHz,
-		SoftwareScheduler:   opt.SoftwareScheduler,
+		DispatchLatency:     opt.dispatchLatency(),
 		Seed:                opt.Seed,
 		Tracer:              opt.Tracer,
 		Counters:            opt.Counters,
