@@ -146,7 +146,10 @@ func BenchmarkAblationFluidHBM(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := sched.Options{Policy: sched.PriorityPreempt}
 				opts.RequestsPerWorkload = 3
-				opts.DisableFluidHBM = disable
+				if disable {
+					opts.Config = DefaultConfig()
+					opts.Config.HBMBandwidth = 1e18 * opts.Config.FrequencyHz // 1e18 B/cycle
+				}
 				if _, err := sched.Run(benchPair(b), opts); err != nil {
 					b.Fatal(err)
 				}
