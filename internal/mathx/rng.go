@@ -49,7 +49,8 @@ func (r *RNG) Intn(n int) int {
 
 // Uniform returns a uniform sample in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	// float64(...) rounds the product, so no architecture fuses a multiply-add.
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Norm returns a standard normal sample via Box-Muller.

@@ -132,7 +132,8 @@ func JainFairness(xs []float64) float64 {
 	sum, sq := 0.0, 0.0
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		// float64(...) rounds the product, so no architecture fuses a multiply-add.
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 1

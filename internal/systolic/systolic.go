@@ -148,7 +148,8 @@ func (g *grid) step(edge []float32, edgeValid []bool) (cols []int, vals []float3
 				up, upValid = g.psum[i-1][j], g.psumValid[i-1][j]
 			}
 			if inValid {
-				newPsum[i][j] = up + g.w[i][j]*inAct
+				// float32(...) rounds the product, so no architecture fuses a multiply-add.
+				newPsum[i][j] = up + float32(g.w[i][j]*inAct)
 				newPsumValid[i][j] = true
 			} else {
 				// Bubble: forward the partial sum unchanged.
@@ -360,7 +361,8 @@ func MatMul(rows, w [][]float32) [][]float32 {
 				continue
 			}
 			for j := range w[i] {
-				out[r][j] += a * w[i][j]
+				// float32(...) rounds the product, so no architecture fuses a multiply-add.
+				out[r][j] += float32(a * w[i][j])
 			}
 		}
 	}

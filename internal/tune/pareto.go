@@ -77,5 +77,6 @@ func ParetoFront(points []Point) []Point {
 // goodput, punish tail latency, nudge toward fairness. Selection pressure
 // only — the reported result is the full Pareto front.
 func fitness(o Objectives) float64 {
-	return o.Goodput - o.P99 + 0.25*o.Fairness
+	// float64(...) rounds the product, so no architecture fuses a multiply-add.
+	return o.Goodput - o.P99 + float64(0.25*o.Fairness)
 }

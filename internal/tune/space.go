@@ -90,9 +90,10 @@ func (s *knobSpec) denorm(u float64) float64 {
 	}
 	var v float64
 	if s.log {
-		v = math.Exp(math.Log(s.min) + u*(math.Log(s.max)-math.Log(s.min)))
+		// float64(...) rounds the product, so no architecture fuses a multiply-add.
+		v = math.Exp(math.Log(s.min) + float64(u*(math.Log(s.max)-math.Log(s.min))))
 	} else {
-		v = s.min + u*(s.max-s.min)
+		v = s.min + float64(u*(s.max-s.min))
 	}
 	if s.integer {
 		v = math.Round(v)
@@ -129,7 +130,8 @@ func crossover(a, b Knobs, rng *mathx.RNG) Knobs {
 		s := &knobSpecs[i]
 		ua, ub := s.norm(s.get(&a)), s.norm(s.get(&b))
 		t := rng.Float64()
-		s.set(&child, s.denorm(ua+t*(ub-ua)))
+		// float64(...) rounds the product, so no architecture fuses a multiply-add.
+		s.set(&child, s.denorm(ua+float64(t*(ub-ua))))
 	}
 	return child
 }
@@ -146,7 +148,8 @@ func mutateKnobs(k Knobs, rng *mathx.RNG) Knobs {
 		if p >= pMut {
 			continue
 		}
-		s.set(&k, s.denorm(s.norm(s.get(&k))+step*mutationSigma))
+		// float64(...) rounds the product, so no architecture fuses a multiply-add.
+		s.set(&k, s.denorm(s.norm(s.get(&k))+float64(step*mutationSigma)))
 	}
 	return k
 }

@@ -331,7 +331,8 @@ func (s *Slice) Charge(now int64, bytes float64) int64 {
 	deficit := bytes - s.avail
 	extra := int64(math.Ceil(deficit / s.QuotaBytes))
 	s.curWin += extra
-	s.avail = s.avail + float64(extra)*s.QuotaBytes - bytes
+	// float64(...) rounds the product, so no architecture fuses a multiply-add.
+	s.avail = s.avail + float64(float64(extra)*s.QuotaBytes) - bytes
 	s.peakWindow = s.QuotaBytes // the drained windows ran at exactly quota
 	grant := s.curWin * s.WindowCycles
 	if grant < now {

@@ -116,7 +116,8 @@ func (g *gen) exp() float64 {
 func (g *gen) poisson(meanGap float64) error {
 	t := float64(g.start)
 	for {
-		t += meanGap * g.exp()
+		// float64(...) rounds the product, so no architecture fuses a multiply-add.
+		t += float64(meanGap * g.exp())
 		if t >= float64(g.end) {
 			return nil
 		}
@@ -147,7 +148,8 @@ func (g *gen) diurnal(rate, amp, period, phase float64) error {
 		if t >= float64(g.end) {
 			return nil
 		}
-		r := rate * (1 + amp*math.Cos(2*math.Pi*(t-phase*period)/period))
+		// float64(...) rounds the product, so no architecture fuses a multiply-add.
+		r := rate * (1 + float64(amp*math.Cos(2*math.Pi*(t-float64(phase*period))/period)))
 		if g.rng.Float64()*peak < r {
 			if err := g.emit(t); err != nil {
 				return err
@@ -161,7 +163,8 @@ func (g *gen) diurnal(rate, amp, period, phase float64) error {
 // rate is the long-run mean in arrivals per cycle; solving
 // r0·(1−f) + B·r0·f = rate pins the baseline rate r0.
 func (g *gen) mmpp(rate, burstFactor, burstFrac, burstDwell float64) error {
-	r0 := rate / (1 - burstFrac + burstFactor*burstFrac)
+	// float64(...) rounds the product, so no architecture fuses a multiply-add.
+	r0 := rate / (1 - burstFrac + float64(burstFactor*burstFrac))
 	r1 := burstFactor * r0
 	baseDwell := burstDwell * (1 - burstFrac) / burstFrac
 
@@ -171,7 +174,8 @@ func (g *gen) mmpp(rate, burstFactor, burstFrac, burstDwell float64) error {
 	if burst {
 		dwell = burstDwell
 	}
-	switchAt := t + dwell*g.exp()
+	// float64(...) rounds the product, so no architecture fuses a multiply-add.
+	switchAt := t + float64(dwell*g.exp())
 	for {
 		r := r0
 		if burst {
@@ -187,7 +191,8 @@ func (g *gen) mmpp(rate, burstFactor, burstFrac, burstDwell float64) error {
 			if burst {
 				dwell = burstDwell
 			}
-			switchAt = t + dwell*g.exp()
+			// float64(...) rounds the product, so no architecture fuses a multiply-add.
+			switchAt = t + float64(dwell*g.exp())
 			if t >= float64(g.end) {
 				return nil
 			}
@@ -222,7 +227,8 @@ func (g *gen) replay(gapsSec []float64, targetHz, freqHz float64) error {
 	i := g.rng.Intn(len(gapsSec))
 	t := float64(g.start)
 	for {
-		t += gapsSec[i] * scale
+		// float64(...) rounds the product, so no architecture fuses a multiply-add.
+		t += float64(gapsSec[i] * scale)
 		i++
 		if i == len(gapsSec) {
 			i = 0

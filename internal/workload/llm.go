@@ -87,7 +87,8 @@ func Decode(name string, batch, contextTokens int, seed uint64, cfg npu.CoreConf
 	if batch < 1 || contextTokens < 1 {
 		panic(fmt.Sprintf("workload: invalid decode shape batch=%d context=%d", batch, contextTokens))
 	}
-	scale := 0.6 + 0.4*float64(batch)/8*float64(contextTokens)/1024
+	// float64(...) rounds the product, so no architecture fuses a multiply-add.
+	scale := 0.6 + float64(0.4*float64(batch)/8*float64(contextTokens)/1024)
 	return buildLLM(name, decodeShape, batch, scale, seed, cfg)
 }
 

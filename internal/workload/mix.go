@@ -58,10 +58,11 @@ func Compose(seed uint64, classes ...Class) Mix {
 // production-like shape: most tenants small, a heavy tail of large ones.
 func HeavyTailBatches(n int, mean, cv float64, maxBatch int, seed uint64) []int {
 	rng := mathx.NewRNG(seed + 0xba7c4)
-	sigma2 := math.Log(1 + cv*cv)
+	// float64(...) rounds the product, so no architecture fuses a multiply-add.
+	sigma2 := math.Log(1 + float64(cv*cv))
 	out := make([]int, n)
 	for i := range out {
-		b := int(math.Round(rng.LogNormal(math.Log(mean)-sigma2/2, math.Sqrt(sigma2))))
+		b := int(math.Round(rng.LogNormal(math.Log(mean)-float64(sigma2/2), math.Sqrt(sigma2))))
 		if b < 1 {
 			b = 1
 		}
