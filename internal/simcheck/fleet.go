@@ -242,9 +242,9 @@ func checkFleet(fs *FleetScenario, width int, h hooks) (problems []string) {
 	// The faults and elastic blocks tally the fleet's events; the faults
 	// block rides a per-core invariant checker on every core its schedule
 	// leaves untouched (a perturbed core's timing is outside the checker's
-	// model), and the slices block records the slice events.
+	// model), and the slices block records each core's slice events.
 	tally := &eventTally{}
-	sliceLog := &sliceEvents{}
+	sliceLogs := make([]sliceEvents, fs.Cores)
 	checkers := make([]*Checker, fs.Cores)
 	o := fs.options(arr, model)
 	if fs.FaultBlock != nil || fs.ElasticBlock != nil {
@@ -264,7 +264,7 @@ func checkFleet(fs *FleetScenario, width int, h hooks) (problems []string) {
 				sinks = append(sinks, checkers[core])
 			}
 			if fs.SliceBlock != nil {
-				sinks = append(sinks, sliceLog)
+				sinks = append(sinks, &sliceLogs[core])
 			}
 			tr := obs.Multi(sinks...)
 			if tr != nil && h.wrap != nil {
@@ -349,7 +349,7 @@ func checkFleet(fs *FleetScenario, width int, h hooks) (problems []string) {
 	problems = append(problems, checkEvents(fs, res, tally)...)
 	if fs.SliceBlock != nil {
 		problems = append(problems, checkVictimContainment(fs, aloneRes, res)...)
-		problems = append(problems, checkSliceConservation(fs, res, sliceLog.events)...)
+		problems = append(problems, checkSliceConservation(fs, res, sliceLogs)...)
 	}
 	if fs.ElasticBlock != nil {
 		problems = append(problems, checkElasticControl(res)...)

@@ -181,19 +181,35 @@ func checkVictimContainment(is *FleetScenario, alone, noisy *fleet.Result) (prob
 	return problems
 }
 
-// checkSliceConservation replays the slice event stream against the noisy
-// run's SliceStats and the token-bucket conservation law.
-func checkSliceConservation(is *FleetScenario, res *fleet.Result, events []obs.Event) (problems []string) {
-	failf := func(format string, args ...any) {
-		problems = append(problems, fmt.Sprintf(format, args...))
-	}
-	cr := res.Cores[0]
-	if cr.Run == nil {
+// checkSliceConservation replays each sliced core's slice event stream,
+// logs[core], against that core's SliceStats and the token-bucket
+// conservation law. Core 0, the victim's, must have run.
+func checkSliceConservation(is *FleetScenario, res *fleet.Result, logs []sliceEvents) (problems []string) {
+	if res.Cores[0].Run == nil {
 		return append(problems, "noisy run left core 0 idle")
+	}
+	for c, cr := range res.Cores {
+		if cr.Run == nil {
+			continue
+		}
+		problems = append(problems, checkCoreSlices(is, c, cr, logs[c].events)...)
+	}
+	return problems
+}
+
+// checkCoreSlices checks core c's slice events against its SliceStats. Its
+// problems name the core unless it is core 0, the victim's.
+func checkCoreSlices(is *FleetScenario, c int, cr fleet.CoreResult, events []obs.Event) (problems []string) {
+	failf := func(format string, args ...any) {
+		p := fmt.Sprintf(format, args...)
+		if c > 0 {
+			p = fmt.Sprintf("core %d %s", c, p)
+		}
+		problems = append(problems, p)
 	}
 	nSlices := len(is.Templates)
 	if len(cr.Slices) != nSlices {
-		return append(problems, fmt.Sprintf("core 0 reports %d slice stats, want %d", len(cr.Slices), nSlices))
+		return append(problems, fmt.Sprintf("core %d reports %d slice stats, want %d", c, len(cr.Slices), nSlices))
 	}
 
 	// Hard ceilings: per-slice vmem under its cap, caps summing to at most
