@@ -292,7 +292,7 @@ func BenchmarkFluidPool(b *testing.B) {
 		for t := 0; t < 64; t++ {
 			work := float64(100 + t*13%500)
 			demand := float64(t * 17 % 600)
-			e.Schedule(int64(t*50), func(sim.Cycle) { pool.Start(work, demand, nil) })
+			e.Schedule(int64(t*50), func(sim.Cycle) { pool.StartTask(work, demand, benchTaskDone, nil) })
 		}
 		for e.Step() {
 		}
@@ -303,6 +303,8 @@ func BenchmarkFluidPool(b *testing.B) {
 	b.ReportMetric(float64(scheduled)/float64(b.N), "scheduled/op")
 	b.ReportMetric(float64(canceled)/float64(b.N), "canceled/op")
 }
+
+func benchTaskDone(any, *sim.FluidTask, sim.Cycle) {}
 
 // BenchmarkKMeans measures the clustering stage on a Fig. 15-sized dataset.
 func BenchmarkKMeans(b *testing.B) {

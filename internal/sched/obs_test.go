@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -268,6 +269,34 @@ func benchWorkloads() []*trace.Workload {
 func BenchmarkRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(benchWorkloads(), Options{Policy: PriorityPreempt}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunArrivals is BenchmarkRun's open-loop twin: eight workloads,
+// half of them streaming HBM traffic, each driven by an explicit schedule of
+// 64 arrivals, which Run streams through the engine's arrival series.
+func BenchmarkRunArrivals(b *testing.B) {
+	const n, requests = 8, 64
+	arrivals := make([][]int64, n)
+	for w := range arrivals {
+		for k := 0; k < requests; k++ {
+			arrivals[w] = append(arrivals[w], int64(k)*40_000+int64(w)*4_000)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ws := make([]*trace.Workload, n)
+		for w := range ws {
+			name := fmt.Sprintf("W%d", w)
+			if w%2 == 0 {
+				ws[w] = synthetic(name, int64(800+w*100), int64(400+w*50), 2)
+			} else {
+				ws[w] = syntheticHBM(name, int64(800+w*100), 3, 300_000)
+			}
+		}
+		if _, err := Run(ws, Options{Policy: PriorityPreempt, ArrivalCycles: arrivals}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,10 +16,11 @@ type Cycle = int64
 // payload and are recycled into the engine's free list the moment they fire
 // or are dropped, so the simulator's hot path allocates nothing; their
 // handles must not be retained or canceled after the callback has run. A
-// FluidPool embeds a third kind, a keyed entry it never cancels: it re-keys
-// the entry in place (fix) or takes it out of the heap (unlink), and the
-// entry fires where it stands, at the heap head, so its callback must do one
-// of the two before it returns.
+// FluidPool and the engine's own arrival series (ScheduleCallEach) embed a
+// third kind, a keyed entry its owner never cancels: the owner re-keys the
+// entry in place (fix) or takes it out of the heap (unlink), and the entry
+// fires where it stands, at the heap head, so its callback must do one of
+// the two before it returns.
 type Event struct {
 	At      Cycle
 	seq     uint64
@@ -28,10 +29,9 @@ type Event struct {
 	payload any
 
 	canceled bool
-	pooled   bool     // recycled after firing; allocated via ScheduleCall
-	keyed    bool     // fires in place; its callback re-keys or unlinks it
-	index    int      // heap index, -1 when popped
-	rest     *[]Cycle // ScheduleCallEach: the series' times after At (nil otherwise)
+	pooled   bool // recycled after firing; allocated via ScheduleCall
+	keyed    bool // fires in place; its callback re-keys or unlinks it
+	index    int  // heap index, -1 when popped
 	eng      *Engine
 }
 
@@ -71,6 +71,19 @@ type Engine struct {
 	dead     int      // canceled events still in the heap
 	fired    uint64
 	canceled uint64
+
+	series      []series // ScheduleCallEach's series: binary min-heap on (at, seq)
+	seriesEntry Event    // the series' heap entry, keyed by series[0]'s (at, seq)
+}
+
+// series is one ScheduleCallEach series: its next time, the scheduling-order
+// number reserved for it, and its times after that.
+type series struct {
+	at      Cycle
+	seq     uint64
+	rest    []Cycle
+	cb      func(payload any, now Cycle)
+	payload any
 }
 
 // Now returns the current simulated cycle.
@@ -227,7 +240,6 @@ func (e *Engine) release(ev *Event) {
 	}
 	ev.cb = nil
 	ev.payload = nil
-	ev.rest = nil
 	ev.canceled = false
 	e.free = append(e.free, ev)
 }
@@ -269,17 +281,20 @@ func (e *Engine) ScheduleCall(at Cycle, cb func(payload any, now Cycle), payload
 }
 
 // ScheduleCallEach registers cb(payload) to run at every cycle in times, as
-// len(times) ScheduleCall calls in a row would, but with one heap entry in
-// flight: the series reserves len(times) consecutive scheduling-order
-// numbers now, and when time k fires the engine re-pushes the same event at
-// time k+1 under the reserved number. This is exact: times is
-// nondecreasing, so the series' next time is never later than its remaining
-// ones, and every other event's seq lies outside the reserved block, so the
-// heap head — ordered on (At, seq) — is the event that planting every time
-// up front would fire next. Reserved times count as scheduled and
-// pending from the call on, so EventStats and Pending report the same as
-// the planted form. The series cannot be canceled, and the engine reads
-// times until the last one fires, so the caller must not modify it.
+// len(times) ScheduleCall calls in a row would. The call reserves len(times)
+// consecutive scheduling-order numbers now and pushes nothing: the engine
+// keeps its series in a side heap on (At, seq), and one keyed entry in the
+// main heap carries the side heap's minimum key, however many series are in
+// flight. When that entry fires, the head series runs its callback and moves
+// on to its next time under its next reserved number, or retires. This is
+// exact: times is nondecreasing, so a series' next time is never later than
+// its remaining ones, every seq is unique, and the entry always holds the
+// least key among the series' pending times, so the main heap — ordered on
+// (At, seq) — fires what planting every time up front would fire next.
+// Reserved times count as scheduled and pending from the call on, so
+// EventStats and Pending report the same as the planted form. The series
+// cannot be canceled, and the engine reads times until the last one fires,
+// so the caller must not modify it.
 func (e *Engine) ScheduleCallEach(times []Cycle, cb func(payload any, now Cycle), payload any) {
 	if len(times) == 0 {
 		return
@@ -289,14 +304,99 @@ func (e *Engine) ScheduleCallEach(times []Cycle, cb func(payload any, now Cycle)
 			panic("sim: series times decrease")
 		}
 	}
-	ev := e.ScheduleCall(times[0], cb, payload)
-	if rest := times[1:]; len(rest) > 0 {
-		// Behind a pointer: an inline slice would push every Event, series
-		// or not, from the 80-byte size class to the 96-byte one.
-		ev.rest = &rest
-		e.seq += uint64(len(rest))
-		e.live += len(rest)
+	if times[0] < e.now {
+		panic("sim: scheduling event in the past")
 	}
+	if e.seriesEntry.eng == nil {
+		e.seriesEntry = Event{cb: seriesFire, payload: e, index: -1, eng: e, keyed: true}
+	}
+	e.series = append(e.series, series{at: times[0], seq: e.seq + 1, rest: times[1:], cb: cb, payload: payload})
+	e.seq += uint64(len(times))
+	e.live += len(times)
+	if e.seriesUp(len(e.series)-1) == 0 {
+		e.rekeySeries()
+	}
+}
+
+// seriesFire is the series entry's callback: the head series' time has fired
+// (the engine has already counted it). It moves the series to its next time
+// or retires it and re-keys or unlinks the entry, as a keyed entry's
+// callback must, before it runs the series' callback.
+func seriesFire(payload any, now Cycle) {
+	e := payload.(*Engine)
+	s := &e.series[0]
+	cb, p := s.cb, s.payload
+	if len(s.rest) > 0 {
+		s.at, s.rest = s.rest[0], s.rest[1:]
+		s.seq++
+	} else {
+		n := len(e.series) - 1
+		e.series[0] = e.series[n]
+		e.series[n] = series{}
+		e.series = e.series[:n]
+	}
+	if len(e.series) > 0 {
+		e.seriesDown(0)
+	}
+	e.rekeySeries()
+	cb(p, now)
+}
+
+// rekeySeries points the series entry at the side heap's head, or unlinks it
+// when no series is left.
+func (e *Engine) rekeySeries() {
+	ev := &e.seriesEntry
+	if len(e.series) == 0 {
+		e.unlink(ev)
+		return
+	}
+	ev.At, ev.seq = e.series[0].at, e.series[0].seq
+	e.fix(ev)
+}
+
+func seriesLess(a, b *series) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// seriesUp sifts the series at i up the side heap and returns where it
+// stops.
+func (e *Engine) seriesUp(i int) int {
+	ss := e.series
+	s := ss[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !seriesLess(&s, &ss[parent]) {
+			break
+		}
+		ss[i] = ss[parent]
+		i = parent
+	}
+	ss[i] = s
+	return i
+}
+
+func (e *Engine) seriesDown(i int) {
+	ss := e.series
+	n := len(ss)
+	s := ss[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && seriesLess(&ss[r], &ss[c]) {
+			c = r
+		}
+		if !seriesLess(&ss[c], &s) {
+			break
+		}
+		ss[i] = ss[c]
+		i = c
+	}
+	ss[i] = s
 }
 
 // Pending reports whether any uncanceled events remain. It is O(1): the
@@ -335,16 +435,7 @@ func (e *Engine) Step() bool {
 		}
 		// Recycle after the callback: during the call the event is in limbo
 		// (popped, not pooled), so a self-Cancel inside the callback stays a
-		// no-op and the event cannot be handed out again mid-callback. A
-		// series event instead goes back in at its next time and reserved
-		// scheduling-order number.
-		if ev.rest != nil && len(*ev.rest) > 0 {
-			rest := *ev.rest
-			ev.At, *ev.rest = rest[0], rest[1:]
-			ev.seq++
-			e.push(ev)
-			return true
-		}
+		// no-op and the event cannot be handed out again mid-callback.
 		e.release(ev)
 		return true
 	}

@@ -9,14 +9,12 @@ import (
 // streaming HBM traffic. Work is measured in compute cycles: a task with no
 // bandwidth throttling progresses one unit of work per cycle.
 type FluidTask struct {
-	ID         int
-	Work       float64 // remaining compute cycles
-	DemandBW   float64 // bytes per cycle the task streams at full rate
-	OnComplete func(now Cycle)
+	ID       int
+	Work     float64 // remaining compute cycles
+	DemandBW float64 // bytes per cycle the task streams at full rate
 
-	// done/owner form the allocation-free completion path: when done is
-	// non-nil it is called instead of OnComplete, receiving the owner the
-	// task was started with (StartTask).
+	// done runs at completion, receiving the owner the task was started
+	// with (StartTask).
 	done  func(owner any, t *FluidTask, now Cycle)
 	owner any
 
@@ -115,23 +113,12 @@ func (p *FluidPool) SetCapacity(bytesPerCycle float64) {
 	p.recompute()
 }
 
-// Active returns the number of tasks currently progressing.
-func (p *FluidPool) Active() int { return len(p.tasks) }
-
-// Start begins executing a task. work is the compute-cycle demand, demandBW
-// the task's natural streaming rate in bytes/cycle. onComplete fires when the
-// work is done. It returns the task handle (used to preempt).
-func (p *FluidPool) Start(work float64, demandBW float64, onComplete func(now Cycle)) *FluidTask {
-	t := p.start(work, demandBW)
-	t.OnComplete = onComplete
-	p.recompute()
-	return t
-}
-
-// StartTask is the allocation-free variant of Start: done is a shared
-// callback (typically a package-level function) receiving owner, so callers
-// pass long-lived state instead of capturing it in a fresh closure per
-// operator.
+// StartTask begins executing a task. work is the compute-cycle demand,
+// demandBW the task's natural streaming rate in bytes/cycle. done, which must
+// be non-nil, runs when the work is done and receives owner: a shared
+// callback (typically a package-level function) lets callers pass long-lived
+// state instead of capturing it in a fresh closure per operator. It returns
+// the task handle (used to preempt).
 func (p *FluidPool) StartTask(work, demandBW float64, done func(owner any, t *FluidTask, now Cycle), owner any) *FluidTask {
 	t := p.start(work, demandBW)
 	t.done = done
@@ -151,7 +138,7 @@ func (p *FluidPool) start(work, demandBW float64) *FluidTask {
 		t = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		// Recycled handles had their callbacks and completion key cleared
+		// Recycled handles had their callback and completion key cleared
 		// when they left the pool; only the progress fields are still stale.
 		t.rate = 0
 		t.bytesMoved = 0
@@ -195,7 +182,7 @@ func (p *FluidPool) remove(t *FluidTask) {
 // the pool (the membership check runs before any integration work).
 //
 // The handle is recycled: remaining work comes from the return value, and
-// BytesMoved must be read before the pool's next Start.
+// BytesMoved must be read before the pool's next StartTask.
 func (p *FluidPool) Preempt(t *FluidTask) float64 {
 	if !t.active || t.pool != p {
 		return 0
@@ -205,7 +192,6 @@ func (p *FluidPool) Preempt(t *FluidTask) float64 {
 	p.remove(t)
 	p.recompute()
 	work := t.Work
-	t.OnComplete = nil
 	t.done = nil
 	t.owner = nil
 	p.free = append(p.free, t)
@@ -407,15 +393,10 @@ func (p *FluidPool) complete(t *FluidTask, now Cycle) {
 	t.Work = 0
 	p.remove(t)
 	p.recompute()
-	if t.done != nil {
-		t.done(t.owner, t, now)
-	} else if t.OnComplete != nil {
-		t.OnComplete(now)
-	}
-	// Recycle after the callbacks: completed handles are dead — pool callers
+	t.done(t.owner, t, now)
+	// Recycle after the callback: completed handles are dead — pool callers
 	// clear their task pointers inside the completion callback, and Preempt's
 	// membership check keeps any straggler handle harmless until reuse.
-	t.OnComplete = nil
 	t.done = nil
 	t.owner = nil
 	p.free = append(p.free, t)

@@ -96,9 +96,9 @@ func TestFluidSaturatedTaskKeepsPoolUsable(t *testing.T) {
 	p := NewFluidPool(&e, 1) // capacity 1 byte/cycle
 	// A huge op demanding 1000x capacity: rate ~1e-3, remaining ~1e25 → past
 	// the cycle range.
-	slow := p.Start(1e22, 1000, func(Cycle) {})
+	slow := startFn(p, 1e22, 1000, func(Cycle) {})
 	done := false
-	p.Start(100, 0, func(Cycle) { done = true })
+	startFn(p, 100, 0, func(Cycle) { done = true })
 	if !e.RunUntil(func() bool { return done }, 1_000_000) {
 		t.Fatal("unthrottled neighbor never completed next to a saturated task")
 	}
@@ -115,7 +115,7 @@ func TestFluidUncontendedReschedulesOncePerTask(t *testing.T) {
 	const n = 32
 	remaining := n
 	for i := 0; i < n; i++ {
-		p.Start(1_000+float64(i), 1, func(Cycle) { remaining-- }) // total demand 32 < 100
+		startFn(p, 1_000+float64(i), 1, func(Cycle) { remaining-- }) // total demand 32 < 100
 	}
 	recomputes, reschedules := p.ChurnStats()
 	if recomputes != n {
@@ -137,22 +137,22 @@ func TestFluidUncontendedReschedulesOncePerTask(t *testing.T) {
 func TestFluidContentionReschedulesOnlyRateChanges(t *testing.T) {
 	var e Engine
 	p := NewFluidPool(&e, 10)
-	p.Start(1e6, 4, func(Cycle) {}) // demand 4 of 10: uncontended
-	p.Start(1e6, 4, func(Cycle) {}) // total 8: still uncontended
+	startFn(p, 1e6, 4, func(Cycle) {}) // demand 4 of 10: uncontended
+	startFn(p, 1e6, 4, func(Cycle) {}) // total 8: still uncontended
 	_, before := p.ChurnStats()
 	if before != 2 {
 		t.Fatalf("reschedules = %d before contention, want 2", before)
 	}
 	// Third task pushes total demand to 12 > 10: the water-fill throttles
 	// every flow (fair share 3.33 < 4), so all three get (re)scheduled.
-	p.Start(1e6, 4, func(Cycle) {})
+	startFn(p, 1e6, 4, func(Cycle) {})
 	_, after := p.ChurnStats()
 	if after != before+3 {
 		t.Fatalf("reschedules = %d after contention, want %d (two rate changes + one start)", after, before+3)
 	}
 	// A zero-demand task joining a contended pool runs at rate 1 and steals
 	// no bandwidth: the three throttled tasks keep their events.
-	p.Start(1e6, 0, func(Cycle) {})
+	startFn(p, 1e6, 0, func(Cycle) {})
 	_, last := p.ChurnStats()
 	if last != after+1 {
 		t.Fatalf("reschedules = %d after zero-demand start, want %d", last, after+1)

@@ -41,8 +41,8 @@ func TestFluidPoolEmitsRebalance(t *testing.T) {
 	p := NewFluidPool(e, 100)
 	p.Tracer = ring
 	var done int
-	p.Start(1000, 80, func(int64) { done++ })
-	p.Start(1000, 80, func(int64) { done++ })
+	startFn(p, 1000, 80, func(int64) { done++ })
+	startFn(p, 1000, 80, func(int64) { done++ })
 	for e.Step() {
 	}
 	if done != 2 {
@@ -70,7 +70,7 @@ func TestFluidPoolEmitsRebalance(t *testing.T) {
 func TestFluidPoolNilTracerSafe(t *testing.T) {
 	e := &Engine{}
 	p := NewFluidPool(e, 100)
-	p.Start(100, 10, func(int64) {})
+	startFn(p, 100, 10, func(int64) {})
 	for e.Step() {
 	}
 }

@@ -25,6 +25,7 @@ type seriesScript struct {
 	budget   int      // follow-on events still allowed
 	series   int      // series started so far
 	compacts int      // cancellations that compacted the heap
+	seen     seriesCover
 
 	pool    *FluidPool // keyed pool under test, or nil
 	ref     *refPool   // per-task-event reference, or nil
@@ -38,6 +39,15 @@ type seriesScript struct {
 type fluidCover struct {
 	preempts, capacities, zeroDemand, saturated, ties int
 	lastEvent                                         Cycle // cycle of the last non-fluid firing
+}
+
+// seriesCover counts the series cases a streamed script reached, so the
+// lockstep test can require that its seeds exercise each of them.
+type seriesCover struct {
+	mostLive int  // most series in the side heap at once
+	nested   int  // series started inside another series' callback
+	ties     int  // series firings with another series due at the same cycle
+	inSeries bool // a series callback is running
 }
 
 func newSeriesScript(seed uint64, planted bool) *seriesScript {
@@ -182,6 +192,9 @@ func (s *seriesScript) sortedTimes(from Cycle, max, span int) []Cycle {
 func (s *seriesScript) startSeries(times []Cycle) {
 	id := s.series
 	s.series++
+	if len(times) > 0 && s.seen.inSeries {
+		s.seen.nested++
+	}
 	if s.planted {
 		for _, at := range times {
 			s.eng.ScheduleCall(at, s.seriesFired, id)
@@ -189,12 +202,18 @@ func (s *seriesScript) startSeries(times []Cycle) {
 		return
 	}
 	s.eng.ScheduleCallEach(times, s.seriesFired, id)
+	s.seen.mostLive = max(s.seen.mostLive, len(s.eng.series))
 }
 
 func (s *seriesScript) seriesFired(payload any, now Cycle) {
 	s.fired = fmt.Sprintf("series %d", payload)
 	s.cover.lastEvent = now
+	if slices.ContainsFunc(s.eng.series, func(o series) bool { return o.at == now && o.payload != payload }) {
+		s.seen.ties++
+	}
+	s.seen.inSeries = true
 	s.react(now)
+	s.seen.inSeries = false
 }
 
 // schedule adds an ordinary event: a cancelable closure or a pooled call.
@@ -321,17 +340,25 @@ func lockstep(t *testing.T, seed uint64, a, b *seriesScript) {
 // engine streaming every series through ScheduleCallEach fires the same
 // events in the same order, at the same clock, with the same Pending and
 // EventStats after every step, as an engine planting each time up front —
-// across equal-cycle ties between series and ordinary events, cancellations
-// that force compaction, and callbacks that schedule more work.
+// across equal-cycle ties between series and with ordinary events, three or
+// more series in the side heap at once, series started inside another
+// series' callback, cancellations that force compaction, and callbacks that
+// schedule more work.
 func TestScheduleCallEachMatchesPlanting(t *testing.T) {
-	compacts := 0
+	compacts, crowded, nested, ties := 0, 0, 0, 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		planted, streamed := newSeriesScript(seed, true), newSeriesScript(seed, false)
 		lockstep(t, seed, planted, streamed)
 		compacts += streamed.compacts
+		if streamed.seen.mostLive >= 3 {
+			crowded++
+		}
+		nested += streamed.seen.nested
+		ties += streamed.seen.ties
 	}
-	if compacts == 0 {
-		t.Fatal("no cancellation compacted the streamed engine's heap")
+	if compacts == 0 || crowded == 0 || nested == 0 || ties == 0 {
+		t.Fatalf("the seeds missed a case: %d compactions, %d seeds with 3 series live, %d nested series, %d series ties",
+			compacts, crowded, nested, ties)
 	}
 }
 
@@ -362,27 +389,57 @@ func TestFluidPoolMatchesPerTaskEvents(t *testing.T) {
 	}
 }
 
+// TestScheduleCallEachHoldsOneHeapEntry: however many series are in
+// flight, they hold one entry in the main heap between them, and fire in
+// (time, scheduling order) order.
 func TestScheduleCallEachHoldsOneHeapEntry(t *testing.T) {
 	var e Engine
-	var fired []Cycle
-	e.ScheduleCallEach([]Cycle{5, 5, 9, 12}, func(_ any, now Cycle) { fired = append(fired, now) }, nil)
-	if len(e.events) != 1 || !e.Pending() {
-		t.Fatalf("heap holds %d entries, pending %v; want 1, true", len(e.events), e.Pending())
-	}
-	if s, _, _ := e.EventStats(); s != 4 {
-		t.Fatalf("scheduled = %d, want 4 (every reserved time)", s)
-	}
-	for e.Step() {
-		if len(e.events) > 1 {
-			t.Fatalf("heap holds %d entries mid-series", len(e.events))
+	var fired []string
+	record := func(payload any, now Cycle) { fired = append(fired, fmt.Sprintf("%v@%d", payload, now)) }
+	for k, times := range [][]Cycle{{5, 5, 9, 12}, {3, 9, 9}, {9}, {1, 30}} {
+		e.ScheduleCallEach(times, record, k)
+		if len(e.events) != 1 || len(e.series) != k+1 {
+			t.Fatalf("after %d series the main heap holds %d entries and the side heap %d; want 1 and %d",
+				k+1, len(e.events), len(e.series), k+1)
 		}
 	}
-	if !slices.Equal(fired, []Cycle{5, 5, 9, 12}) || e.Pending() {
-		t.Fatalf("fired %v, pending %v", fired, e.Pending())
+	if s, _, _ := e.EventStats(); s != 10 || !e.Pending() {
+		t.Fatalf("scheduled = %d, pending %v; want 10 (every reserved time), true", s, e.Pending())
+	}
+	for e.Step() {
+		if e.Pending() && len(e.events) != 1 {
+			t.Fatalf("main heap holds %d entries with %d series left", len(e.events), len(e.series))
+		}
+	}
+	want := []string{"3@1", "1@3", "0@5", "0@5", "0@9", "1@9", "1@9", "2@9", "0@12", "3@30"}
+	if !slices.Equal(fired, want) || e.Pending() || len(e.events) != 0 || len(e.series) != 0 {
+		t.Fatalf("fired %v, pending %v, heaps %d and %d; want %v, false, 0 and 0",
+			fired, e.Pending(), len(e.events), len(e.series), want)
 	}
 	e.ScheduleCallEach(nil, nil, nil) // an empty series schedules nothing
-	if s, _, _ := e.EventStats(); s != 4 || e.Pending() {
+	if s, _, _ := e.EventStats(); s != 10 || e.Pending() {
 		t.Fatalf("empty series: scheduled %d, pending %v", s, e.Pending())
+	}
+}
+
+// TestSkipToRefusesPendingSeriesTime: a series' pending time bars SkipTo as
+// any live event does, though the series holds no event of its own.
+func TestSkipToRefusesPendingSeriesTime(t *testing.T) {
+	var e Engine
+	e.ScheduleCallEach([]Cycle{10, 20}, func(any, Cycle) {}, nil)
+	e.SkipTo(10) // up to the first time: nothing lies before it
+	e.Step()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("SkipTo over the series' time 20: no panic")
+			}
+		}()
+		e.SkipTo(21)
+	}()
+	e.SkipTo(20)
+	if e.Now() != 20 || !e.Step() || e.Pending() {
+		t.Fatalf("clock %d, pending %v after the series' last time", e.Now(), e.Pending())
 	}
 }
 

@@ -235,7 +235,7 @@ func TestFluidSingleTaskFullRate(t *testing.T) {
 	var e Engine
 	pool := NewFluidPool(&e, 100)
 	var doneAt Cycle = -1
-	pool.Start(1000, 50, func(now Cycle) { doneAt = now })
+	startFn(pool, 1000, 50, func(now Cycle) { doneAt = now })
 	for e.Step() {
 	}
 	if doneAt != 1000 {
@@ -251,8 +251,8 @@ func TestFluidOversubscriptionSlowsDown(t *testing.T) {
 	pool := NewFluidPool(&e, 100) // capacity 100 B/cy
 	var d1, d2 Cycle = -1, -1
 	// Two tasks each demanding 100 B/cy: each gets 50 → rate 0.5.
-	pool.Start(1000, 100, func(now Cycle) { d1 = now })
-	pool.Start(1000, 100, func(now Cycle) { d2 = now })
+	startFn(pool, 1000, 100, func(now Cycle) { d1 = now })
+	startFn(pool, 1000, 100, func(now Cycle) { d2 = now })
 	for e.Step() {
 	}
 	if d1 != 2000 || d2 != 2000 {
@@ -264,8 +264,8 @@ func TestFluidRateRecoversAfterCompletion(t *testing.T) {
 	var e Engine
 	pool := NewFluidPool(&e, 100)
 	var dShort, dLong Cycle = -1, -1
-	pool.Start(500, 100, func(now Cycle) { dShort = now })
-	pool.Start(1000, 100, func(now Cycle) { dLong = now })
+	startFn(pool, 500, 100, func(now Cycle) { dShort = now })
+	startFn(pool, 1000, 100, func(now Cycle) { dLong = now })
 	for e.Step() {
 	}
 	// Short: 500 work at rate .5 → done at 1000. Long: 500 done by then,
@@ -282,8 +282,8 @@ func TestFluidZeroDemandNeverThrottled(t *testing.T) {
 	var e Engine
 	pool := NewFluidPool(&e, 1) // tiny capacity
 	var done Cycle = -1
-	pool.Start(100, 0, func(now Cycle) { done = now })
-	pool.Start(100, 1000, nil)
+	startFn(pool, 100, 0, func(now Cycle) { done = now })
+	startFn(pool, 100, 1000, nil)
 	for e.Step() {
 	}
 	if done != 100 {
@@ -295,7 +295,7 @@ func TestFluidPreemptReturnsRemaining(t *testing.T) {
 	var e Engine
 	pool := NewFluidPool(&e, 1000)
 	completed := false
-	task := pool.Start(1000, 10, func(Cycle) { completed = true })
+	task := startFn(pool, 1000, 10, func(Cycle) { completed = true })
 	e.Schedule(400, func(Cycle) {
 		remaining := pool.Preempt(task)
 		if math.Abs(remaining-600) > 1 {
@@ -307,7 +307,7 @@ func TestFluidPreemptReturnsRemaining(t *testing.T) {
 	if completed {
 		t.Fatal("preempted task's completion fired")
 	}
-	if pool.Active() != 0 {
+	if len(pool.tasks) != 0 {
 		t.Fatal("pool should be empty")
 	}
 }
@@ -315,7 +315,7 @@ func TestFluidPreemptReturnsRemaining(t *testing.T) {
 func TestFluidPreemptIdempotent(t *testing.T) {
 	var e Engine
 	pool := NewFluidPool(&e, 1000)
-	task := pool.Start(100, 10, nil)
+	task := startFn(pool, 100, 10, nil)
 	e.Schedule(10, func(Cycle) {
 		pool.Preempt(task)
 		if got := pool.Preempt(task); got != 0 {
@@ -349,7 +349,7 @@ func TestFluidConservationProperty(t *testing.T) {
 			}
 			recs[i] = r
 			e.Schedule(r.start, func(Cycle) {
-				pool.Start(r.work, r.demand, func(now Cycle) { r.done = now })
+				startFn(pool, r.work, r.demand, func(now Cycle) { r.done = now })
 			})
 		}
 		for e.Step() {
@@ -389,7 +389,7 @@ func TestFluidNoContentionFullRateProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			work := rng.Uniform(100, 1000)
 			w := work
-			pool.Start(work, demands[i], func(now Cycle) {
+			startFn(pool, work, demands[i], func(now Cycle) {
 				if float64(now) < w-1e-6 || float64(now) > w+2 {
 					ok = false
 				}
@@ -401,5 +401,16 @@ func TestFluidNoContentionFullRateProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// startFn starts a task whose completion runs fn, when fn is non-nil.
+func startFn(p *FluidPool, work, demandBW float64, fn func(now Cycle)) *FluidTask {
+	return p.StartTask(work, demandBW, callFn, fn)
+}
+
+func callFn(owner any, _ *FluidTask, now Cycle) {
+	if fn := owner.(func(Cycle)); fn != nil {
+		fn(now)
 	}
 }
